@@ -496,19 +496,10 @@ func BenchmarkSolveAmortized(b *testing.B) {
 	solveBench(b, core.Options{Amortize: true})
 }
 
-// BenchmarkSolveAmortizedWarm additionally warm-starts Hopcroft–Karp from
-// the previous pair's matching (exact cardinality preserved, tie-breaking
-// differs, so the final weight may differ from the cold runs).
-func BenchmarkSolveAmortizedWarm(b *testing.B) {
-	solveBench(b, core.Options{Amortize: true, WarmStart: true})
-}
-
 // solveBenchOn runs a fixed-budget Solve on inst for the solver-bound tier
 // benchmarks: the E13/E14 instance families are sized so the unweighted
 // subroutine's share of round time is as large as the reduction's layered
-// graphs allow, which is where the warm-started Hopcroft–Karp configuration
-// must prove (or honestly disprove) itself. Reported metrics: final weight
-// and total HK phases (the unit of work a warm start saves).
+// graphs allow. Reported metrics: final weight and total HK phases.
 func solveBenchOn(b *testing.B, inst graph.Instance, opts core.Options, rounds int) {
 	opts.MaxRounds = rounds
 	opts.Patience = rounds
@@ -543,11 +534,6 @@ func BenchmarkSolveE13(b *testing.B) {
 	solveBenchOn(b, bandedE13(), core.Options{Amortize: true, MaxPairsPerClass: 2000}, 3)
 }
 
-// BenchmarkSolveE13Warm is BenchmarkSolveE13 with the warm-started solver.
-func BenchmarkSolveE13Warm(b *testing.B) {
-	solveBenchOn(b, bandedE13(), core.Options{Amortize: true, MaxPairsPerClass: 2000, WarmStart: true}, 3)
-}
-
 // BenchmarkSolveE13CrossRound is the E13 band over enough rounds for the
 // round links to matter (6 instead of the tier's 3), cross-round delta
 // chaining on (the default since PR 7): each class's first build of a round
@@ -569,11 +555,6 @@ func BenchmarkSolveE13RoundLocal(b *testing.B) {
 // (E14), amortised cold-solver configuration.
 func BenchmarkSolveE14(b *testing.B) {
 	solveBenchOn(b, uniformE14(), core.Options{Amortize: true}, 3)
-}
-
-// BenchmarkSolveE14Warm is BenchmarkSolveE14 with the warm-started solver.
-func BenchmarkSolveE14Warm(b *testing.B) {
-	solveBenchOn(b, uniformE14(), core.Options{Amortize: true, WarmStart: true}, 3)
 }
 
 // BenchmarkRoundParallel is BenchmarkRound with the class sweep on a worker

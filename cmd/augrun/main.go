@@ -76,7 +76,7 @@ type flags struct {
 	algo, input       string
 	seed              int64
 	granularity       float64
-	amortize, warm    bool
+	amortize          bool
 	workers           int
 	snapshot          string
 	resume, asJSON    bool
@@ -95,7 +95,6 @@ func newFlagSet(f *flags) *flag.FlagSet {
 	fs.Int64Var(&f.seed, "seed", 1, "random seed")
 	fs.Float64Var(&f.granularity, "granularity", 0, "layered-graph granularity (0 = default 1/8)")
 	fs.BoolVar(&f.amortize, "amortize", false, "approx: use the cross-round amortised pipeline (bit-identical)")
-	fs.BoolVar(&f.warm, "warm", false, "approx: warm-start Hopcroft-Karp from the previous pair")
 	fs.IntVar(&f.workers, "workers", 0, "approx: per-class worker pool size (0 = sequential)")
 	fs.StringVar(&f.snapshot, "snapshot", "", "approx: persist a resumable checkpoint to this file after every round")
 	fs.BoolVar(&f.resume, "resume", false, "approx: resume from the -snapshot checkpoint; an unusable snapshot degrades to a cold start")
@@ -114,7 +113,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 	algo, input, seed, granularity := &f.algo, &f.input, &f.seed, &f.granularity
-	amortize, warm, workers := &f.amortize, &f.warm, &f.workers
+	amortize, workers := &f.amortize, &f.workers
 	snapshot, resume, asJSON := &f.snapshot, &f.resume, &f.asJSON
 	if *resume && *snapshot == "" {
 		return fmt.Errorf("-resume requires -snapshot")
@@ -163,7 +162,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	case "approx":
 		aopts := repro.ApproxOptions{
 			Seed: *seed, Granularity: *granularity,
-			Amortize: *amortize, WarmStart: *warm, Workers: *workers,
+			Amortize: *amortize, Workers: *workers,
 			DeltaCutover:      f.deltaCutover,
 			RepairCutover:     f.repairCutover,
 			CrossRoundCutover: f.crossRoundCutover,

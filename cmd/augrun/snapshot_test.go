@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // snapshotJSON is the slice of the -json output the snapshot tests consume.
@@ -124,6 +126,44 @@ func TestSnapshotForeignGraphDegradesToCold(t *testing.T) {
 	}
 	if !strings.Contains(foreign.Model.ColdStart, "different graph") {
 		t.Errorf("cold-start reason %q does not name the graph mismatch", foreign.Model.ColdStart)
+	}
+}
+
+// TestSnapshotWarmStartDegradesToCold: a checkpoint whose driver section
+// records warm-start=true, as builds that still had the option wrote it,
+// is refused and the run starts cold, reporting the retired option.
+func TestSnapshotWarmStartDegradesToCold(t *testing.T) {
+	graphPath := writeTestGraph(t)
+	snap := filepath.Join(t.TempDir(), "run.snap")
+	base := []string{"-algo", "approx", "-amortize", "-input", graphPath, "-snapshot", snap}
+	first := runSnapshotJSON(t, base...)
+
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version, sections, err := graph.DecodeSnapshot(data, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sections {
+		if sections[i].Name == "driver" {
+			sections[i].Data = append(sections[i].Data, "warm-start=true\n"...)
+		}
+	}
+	if err := os.WriteFile(snap, graph.EncodeSnapshot(version, sections), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cold := runSnapshotJSON(t, append(base, "-resume")...)
+	if cold.Model.Resumed {
+		t.Fatal("warm-start snapshot was resumed")
+	}
+	if !strings.Contains(cold.Model.ColdStart, "warm-start") {
+		t.Errorf("cold-start reason %q does not name the warm-start option", cold.Model.ColdStart)
+	}
+	if cold.Weight != first.Weight {
+		t.Errorf("cold weight %d != original %d", cold.Weight, first.Weight)
 	}
 }
 

@@ -18,19 +18,22 @@
 //	GET  /stats     the core.Stats ledger as a flat JSON object (reflective:
 //	                a counter added by a future PR appears automatically)
 //	POST /mutate    queue mutations: JSON array of {"op","u","v","w"}
-//	                (op: insert | delete | reweight; w ignored for delete)
+//	                (op: insert | delete | reweight; w ignored for delete);
+//	                an unknown op, a vertex outside [0, n), a self loop or
+//	                a w ≤ 0 is a 400, and the request queues nothing
 //	POST /tick      apply the queued batch and re-converge; reports the
 //	                ops applied, the augmentation gain, and the new weight
 //	POST /snapshot  persist a resumable checkpoint to the -snapshot path
 //
-// With -tick > 0 the server also ticks on a timer; with -tick 0 (the
-// default) ticks happen only on POST /tick, which is what the scripted CI
-// smoke drives. The restart story is the PR 6 snapshot container: the
-// checkpoint persists the post-edit graph, the matching, the accumulated
-// stats, and the Rng stream position (seed + draw count); -resume picks
-// all of it up and rebuilds the amortised context from scratch, the same
-// rebuild-twin equivalence the degradation ladder leans on. A missing or
-// corrupt snapshot degrades to a cold start, never an error.
+// With -tick > 0 the server also ticks on a timer, logging a failed tick
+// to standard error; with -tick 0 (the default) ticks happen only on
+// POST /tick, which is what the scripted CI smoke drives. The restart
+// story is the PR 6 snapshot container: the checkpoint persists the
+// post-edit graph, the matching, the accumulated stats, and the Rng
+// stream position (seed + draw count); -resume picks all of it up and
+// rebuilds the amortised context from scratch, the same rebuild-twin
+// equivalence the degradation ladder leans on. A missing or corrupt
+// snapshot degrades to a cold start, never an error.
 package main
 
 import (
@@ -38,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
 	"net/http"
 	"os"
@@ -153,6 +157,17 @@ func (s *server) tick() (applied int, gain graph.Weight, err error) {
 	return s.stats.MutationsApplied - before, gain, err
 }
 
+// timedTick is one tick of the -tick timer. A failed tick is logged with
+// its tick number and applied count: POST /tick returns those to its
+// client, but the timer has no client to tell.
+func (s *server) timedTick(logger *log.Logger) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if applied, _, err := s.tick(); err != nil {
+		logger.Printf("tick %d failed after %d applied ops: %v", s.ticks, applied, err)
+	}
+}
+
 // mutationReq is the wire form of one queued edit.
 type mutationReq struct {
 	Op string       `json:"op"`
@@ -218,18 +233,28 @@ func (s *server) handler() http.Handler {
 		// appended straight into s.pending and bailed mid-iteration on an
 		// unknown op, so a 400 response could leave the request's valid
 		// prefix queued for the next tick — the client retries the fixed
-		// request and the prefix applies twice.
+		// request and the prefix applies twice. Each op must also pass the
+		// graph's edge rules here: a queued op that fails them stops the
+		// next tick, and the ops other clients queued behind it are lost.
+		// The vertex count never changes, so reading it needs no lock.
+		n := s.g.N()
 		var batch core.MutationBatch
-		for _, q := range reqs {
+		for i, q := range reqs {
+			e := graph.Edge{U: q.U, V: q.V, W: q.W}
 			switch q.Op {
 			case "insert":
 				batch.InsertEdge(q.U, q.V, q.W)
 			case "delete":
 				batch.DeleteEdge(q.U, q.V)
+				e.W = 1 // a delete ignores w: only its endpoints are checked
 			case "reweight":
 				batch.ReweightEdge(q.U, q.V, q.W)
 			default:
 				http.Error(w, fmt.Sprintf("unknown op %q", q.Op), http.StatusBadRequest)
+				return
+			}
+			if err := graph.CheckEdge(n, e); err != nil {
+				http.Error(w, fmt.Sprintf("op %d: %v", i, err), http.StatusBadRequest)
 				return
 			}
 		}
@@ -325,11 +350,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "cold start (snapshot unusable: %s)\n", s.coldMsg)
 	}
 	if cfg.tick > 0 {
+		logger := log.New(os.Stderr, "augserve: ", log.LstdFlags)
 		go func() {
 			for range time.Tick(cfg.tick) {
-				s.mu.Lock()
-				s.tick()
-				s.mu.Unlock()
+				s.timedTick(logger)
 			}
 		}()
 	}

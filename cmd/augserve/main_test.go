@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -214,11 +215,12 @@ func TestServeSnapshotRestart(t *testing.T) {
 }
 
 // TestMutateRejectQueuesNothing is the regression for the /mutate
-// partial-queue seam bug (PR 9): a request rejected with 400 — here a
-// valid prefix followed by an unknown op — must leave the pending queue
-// untouched. The old handler appended ops as it validated and bailed
-// mid-loop, so the rejected request's prefix applied on the next tick;
-// a client that fixed and retried the request would apply it twice.
+// partial-queue seam bug (PR 9): a request rejected with 400 — a valid
+// prefix followed by an unknown op, or by an op that breaks the graph's
+// edge rules — must leave the pending queue untouched. The old handler
+// appended ops as it validated and bailed mid-loop, so the rejected
+// request's prefix applied on the next tick; a client that fixed and
+// retried the request would apply it twice.
 func TestMutateRejectQueuesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	inst := graph.RandomGraph(12, 30, 16, rng)
@@ -228,32 +230,106 @@ func TestMutateRejectQueuesNothing(t *testing.T) {
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	bad := []mutationReq{
+	e0 := inst.G.EdgeAt(0)
+	prefix := []mutationReq{
 		{Op: "insert", U: 1, V: 7, W: 40},
-		{Op: "delete", U: inst.G.EdgeAt(0).U, V: inst.G.EdgeAt(0).V},
+		{Op: "delete", U: e0.U, V: e0.V},
+	}
+	for _, bad := range []mutationReq{
 		{Op: "sideways", U: 2, V: 3},
+		{Op: "insert", U: 3, V: 12, W: 5}, // vertex out of range
+		{Op: "insert", U: -1, V: 4, W: 5}, // negative vertex
+		{Op: "insert", U: 5, V: 5, W: 5},  // self loop
+		{Op: "insert", U: 2, V: 9, W: 0},  // zero weight
+		{Op: "reweight", U: e0.U, V: e0.V, W: -3},
+		{Op: "delete", U: 0, V: 40}, // vertex out of range
+	} {
+		req := append(append([]mutationReq(nil), prefix...), bad)
+		if resp := postJSON(t, ts.URL+"/mutate", req, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("batch ending in %+v: status %d, want 400", bad, resp.StatusCode)
+		}
+		var tick struct {
+			Applied int
+			Error   string
+		}
+		postJSON(t, ts.URL+"/tick", nil, &tick)
+		if tick.Applied != 0 || tick.Error != "" {
+			t.Fatalf("request ending in %+v left ops behind: tick applied %d (error %q), want 0",
+				bad, tick.Applied, tick.Error)
+		}
 	}
+
+	// The corrected retry applies exactly its own ops.
+	var queued struct{ Queued int }
+	postJSON(t, ts.URL+"/mutate", prefix, &queued)
+	if queued.Queued != 2 {
+		t.Fatalf("queued = %d, want 2", queued.Queued)
+	}
+	var tick struct{ Applied int }
+	postJSON(t, ts.URL+"/tick", nil, &tick)
+	if tick.Applied != 2 {
+		t.Fatalf("retry applied %d ops, want 2", tick.Applied)
+	}
+}
+
+// TestMutateBadOpSparesOtherClients is the regression for one client's
+// bad op costing another client its ops: /mutate used to accept an insert
+// with an out-of-range vertex, the next tick stopped on it, and a valid
+// insert queued behind it by a second request was dropped unapplied.
+func TestMutateBadOpSparesOtherClients(t *testing.T) {
+	inst := graph.RandomGraph(12, 20, 16, rand.New(rand.NewSource(9)))
+	cfg := config{seed: 2}
+	cfg.opts = cfg.options()
+	s := newServer(inst.G.Clone(), cfg)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	bad := []mutationReq{{Op: "insert", U: 3, V: 99, W: 40}}
 	if resp := postJSON(t, ts.URL+"/mutate", bad, nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("mixed batch: status %d, want 400", resp.StatusCode)
+		t.Fatalf("out-of-range insert: status %d, want 400", resp.StatusCode)
 	}
+	postJSON(t, ts.URL+"/mutate", []mutationReq{{Op: "insert", U: 3, V: 7, W: 40}}, nil)
 	var tick struct {
 		Applied int
 		Error   string
 	}
 	postJSON(t, ts.URL+"/tick", nil, &tick)
-	if tick.Applied != 0 || tick.Error != "" {
-		t.Fatalf("rejected request left ops behind: tick applied %d (error %q), want 0", tick.Applied, tick.Error)
+	var matching struct{ M int }
+	getJSON(t, ts.URL+"/matching", &matching)
+	if tick.Error != "" || tick.Applied != 1 || matching.M != inst.G.M()+1 {
+		t.Fatalf("tick applied %d (error %q), graph has %d edges; want the valid insert applied, %d edges",
+			tick.Applied, tick.Error, matching.M, inst.G.M()+1)
+	}
+}
+
+// TestTimedTickLogsFailure: a failed tick of the -tick timer is logged
+// with its tick number and applied count instead of being dropped.
+func TestTimedTickLogsFailure(t *testing.T) {
+	inst := graph.RandomGraph(10, 20, 16, rand.New(rand.NewSource(5)))
+	cfg := config{seed: 2}
+	cfg.opts = cfg.options()
+	s := newServer(inst.G.Clone(), cfg)
+	var logged bytes.Buffer
+	logger := log.New(&logged, "", 0)
+
+	s.pending.InsertEdge(0, 1, 7)
+	s.timedTick(logger)
+	if logged.Len() != 0 {
+		t.Fatalf("clean tick logged %q", logged.String())
 	}
 
-	// The corrected retry applies exactly its own ops.
-	var queued struct{ Queued int }
-	postJSON(t, ts.URL+"/mutate", bad[:2], &queued)
-	if queued.Queued != 2 {
-		t.Fatalf("queued = %d, want 2", queued.Queued)
+	// A delete of an absent edge passes /mutate's checks and fails only
+	// when the tick applies it, after the insert queued ahead of it.
+	u, v := 2, 3
+	for _, ok := inst.G.FindEdge(u, v); ok; _, ok = inst.G.FindEdge(u, v) {
+		v++
 	}
-	postJSON(t, ts.URL+"/tick", nil, &tick)
-	if tick.Applied != 2 {
-		t.Fatalf("retry applied %d ops, want 2", tick.Applied)
+	s.pending.InsertEdge(0, 1, 9)
+	s.pending.DeleteEdge(u, v)
+	s.timedTick(logger)
+	want := "tick 2 failed after 1 applied ops: " + core.ErrNoSuchEdge.Error()
+	if !strings.Contains(logged.String(), want) {
+		t.Fatalf("log %q does not contain %q", logged.String(), want)
 	}
 }
 

@@ -12,10 +12,9 @@ import (
 // The E13/E14 experiments probe the solver-bound regime of the reduction:
 // instance families whose layered graphs are dense enough that the
 // unweighted Hopcroft–Karp subroutine — not the bucketing or enumeration —
-// dominates round time. They are the measurement bed for the warm-started
-// solver (core.Options.WarmStart), whose phase savings only show against
-// solver-bound rounds; on bucket-bound workloads like E12 warming is a
-// measured net loss (see the ROADMAP perf ledger).
+// dominates round time. Even here the layered graphs' bounded depth keeps
+// cold Hopcroft–Karp at about one phase per call (see the ROADMAP
+// solver-bound ledger).
 
 // solverBoundRun executes one fixed-budget Solve and reports the wall time
 // alongside the pipeline counters.
@@ -75,8 +74,7 @@ func solverBoundTable(id, title, claim string, runs []solverBoundRun) Table {
 // octave, so the covering classes see many populated τ units at once and the
 // good-pair enumeration yields large viable sets over large buckets. Run
 // with a raised MaxPairsPerClass so the pair limit does not clip the dense
-// classes. Cold and warm-started Hopcroft–Karp run the same budget; their
-// ratio is the ledger's warm-start sign on this tier.
+// classes.
 func E13SolverBound(cfg Config) []Table {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -85,24 +83,15 @@ func E13SolverBound(cfg Config) []Table {
 		n, rounds = 60, 2
 	}
 	inst := graph.BandedWeights(n, 8*n, 100, rng)
-	base := core.Options{Amortize: true, MaxPairsPerClass: 2000}
-	seed := cfg.Seed + int64(rng.Intn(1<<20)) // shared: cold and warm draw identical bipartitions
+	opts := core.Options{Amortize: true, MaxPairsPerClass: 2000}
+	seed := cfg.Seed + int64(rng.Intn(1<<20))
 	var runs []solverBoundRun
-	for _, c := range []struct {
-		label string
-		warm  bool
-	}{{"cold", false}, {"warm", true}} {
-		opts := base
-		opts.WarmStart = c.warm
-		r, err := runSolverBound(inst.G, opts, c.label, seed, rounds)
-		if err != nil {
-			continue
-		}
+	if r, err := runSolverBound(inst.G, opts, "cold", seed, rounds); err == nil {
 		runs = append(runs, r)
 	}
 	return []Table{solverBoundTable(
 		"E13",
-		"solver-bound tier — dense one-octave band (warm vs cold HK)",
+		"solver-bound tier — dense one-octave band",
 		"L' graphs dense enough that Hopcroft-Karp dominates round time",
 		runs,
 	)}
@@ -111,8 +100,7 @@ func E13SolverBound(cfg Config) []Table {
 // E14UniformClass probes the uniform-heavy-class family: every edge the same
 // weight, so each covering class collapses to a handful of good pairs whose
 // layered graphs each span the full crossing subgraph — the round is
-// effectively repeated maximum-cardinality solves. Consecutive pairs of a
-// class share almost their whole layered graph, the warm path's best case.
+// effectively repeated maximum-cardinality solves.
 func E14UniformClass(cfg Config) []Table {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -126,18 +114,15 @@ func E14UniformClass(cfg Config) []Table {
 	var runs []solverBoundRun
 	for _, c := range []struct {
 		label string
-		warm  bool
 		gate  int
 	}{
-		{"cold", false, 0},
+		{"cold", 0},
 		// The hit-rate gate's before/after: uniform tiers never hit the
 		// cross-class cache, so cold rounds used to digest large buckets
 		// for nothing — the no-gate row is that pre-gate behaviour.
-		{"cold nogate", false, -1},
-		{"warm", true, 0},
+		{"cold nogate", -1},
 	} {
 		opts := base
-		opts.WarmStart = c.warm
 		opts.CacheGate = c.gate
 		r, err := runSolverBound(inst.G, opts, c.label, seed, rounds)
 		if err != nil {
@@ -147,7 +132,7 @@ func E14UniformClass(cfg Config) []Table {
 	}
 	return []Table{solverBoundTable(
 		"E14",
-		"solver-bound tier — uniform heavy class (warm vs cold HK)",
+		"solver-bound tier — uniform heavy class",
 		"uniform weights collapse each class to few pairs over the full crossing subgraph",
 		runs,
 	)}

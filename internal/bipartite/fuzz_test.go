@@ -20,12 +20,12 @@ func fuzzBip(seed int64) (*Bip, *rand.Rand) {
 }
 
 // FuzzWarmStartHK feeds the seeded solver arbitrary — including invalid —
-// seeds and checks the warm-start contract: the result is always a valid
+// seeds and checks the seeding contract: the result is always a valid
 // matching of the instance with exactly the cold solver's cardinality
 // (both are maximum), regardless of how stale or malformed the seed list
 // is. The script bytes select seed edges, corrupt endpoints, and mismatch
-// edge indices, modelling a previous pair's matching whose edges partially
-// survived.
+// or negate edge indices, modelling a previous matching whose edges
+// partially survived.
 func FuzzWarmStartHK(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2})
 	f.Add(int64(2), []byte{0xff, 0x01, 0x80, 0x40})
@@ -45,8 +45,8 @@ func FuzzWarmStartHK(f *testing.F) {
 			}
 			sd := Seed{L: int32(l), R: int32(r), EdgeIndex: int32(ei)}
 			// Corrupt a fraction of the seeds: wrong edge index, swapped
-			// sides, out-of-range ids, endpoint-only seeds the solver must
-			// resolve itself (including unresolvable non-adjacent pairs).
+			// sides, out-of-range ids, and negative edge indices, which the
+			// solver must skip whatever the endpoints.
 			switch script[i+1] % 7 {
 			case 1:
 				sd.EdgeIndex = int32(script[i+1]) // likely mismatched
@@ -57,9 +57,9 @@ func FuzzWarmStartHK(f *testing.F) {
 			case 4:
 				sd.R = -1
 			case 5:
-				sd.EdgeIndex = -1 // adjacency-resolved endpoint seed
+				sd.EdgeIndex = -1 // negative index on a real edge: must be skipped
 			case 6:
-				sd.EdgeIndex = -1 // likely non-adjacent: must be skipped
+				sd.EdgeIndex = -1 // negative index, likely non-adjacent pair: must be skipped
 				sd.R = int32(b.Edges[int(script[i+1])%len(b.Edges)].V)
 				if !b.Side[sd.R] {
 					sd.R = sd.L
@@ -96,8 +96,8 @@ func FuzzWarmStartHK(f *testing.F) {
 }
 
 // TestSeededHKWarmStartSavesPhases seeds the solver with the full cold
-// solution and checks the re-solve pays zero phases — the property the
-// per-class warm start exploits when consecutive pairs coincide.
+// solution and checks the re-solve pays zero phases: a seed that is already
+// maximum leaves no augmenting path to search for.
 func TestSeededHKWarmStartSavesPhases(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		b, _ := fuzzBip(seed)
@@ -124,7 +124,7 @@ func TestSeededHKWarmStartSavesPhases(t *testing.T) {
 
 // TestSeededHKEmptySeedIsCold checks a nil seed list reproduces the cold
 // solver exactly (same matching, same phase count): cold is the zero point
-// of the warm-start axis, which the differential suite relies on.
+// of the seeding axis, which the differential suite relies on.
 func TestSeededHKEmptySeedIsCold(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		b, _ := fuzzBip(seed)

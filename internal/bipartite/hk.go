@@ -114,43 +114,35 @@ func HopcroftKarpScratch(b *Bip, s *Scratch) Result {
 	return boundedHK(b, math.MaxInt32, s, nil)
 }
 
-// HopcroftKarpRescan is HopcroftKarp running the pre-PR 9 cursor-free
-// greedy DFS: every DFS entry rescans the vertex's adjacency from the
-// start instead of resuming from the per-phase cursor. It is retained as
-// the live reference of the iterator-per-phase DFS — the E19 experiment
-// and the CI micro-benchmark gate measure the iterator form against it in
-// the same run, and the Invariant 26 differential (TestIteratorDFS*,
-// internal/solvertest) asserts the two return bit-identical results —
-// same matching, same phase count — on every family, because the cursor
-// provably skips only edges already dead for the phase.
-func HopcroftKarpRescan(b *Bip) Result {
-	return boundedHKRescan(b, math.MaxInt32, nil, nil)
-}
-
-// HopcroftKarpRescanScratch is HopcroftKarpRescan reusing the given
-// arena's storage.
+// HopcroftKarpRescanScratch is HopcroftKarpScratch running the pre-PR 9
+// cursor-free greedy DFS: every DFS entry rescans the vertex's adjacency
+// from the start instead of resuming from the per-phase cursor. It is
+// retained as the live reference of the iterator-per-phase DFS — the E19
+// experiment and the CI micro-benchmark gate measure the iterator form
+// against it in the same run, and the Invariant 26 differential
+// (TestIteratorDFS*, internal/solvertest) asserts the two return
+// bit-identical results — same matching, same phase count — on every
+// family, because the cursor provably skips only edges already dead for
+// the phase.
 func HopcroftKarpRescanScratch(b *Bip, s *Scratch) Result {
 	return boundedHKRescan(b, math.MaxInt32, s, nil)
 }
 
 // HopcroftKarpRescanSeeded is HopcroftKarpSeeded through the cursor-free
 // reference DFS, so the iterator equivalence is checkable (and measurable)
-// on warm-started runs too.
+// on seeded runs too.
 func HopcroftKarpRescanSeeded(b *Bip, s *Scratch, seeds []Seed) Result {
 	return boundedHKRescan(b, math.MaxInt32, s, seeds)
 }
 
-// Seed pre-matches one edge of a warm-started solve: left vertex L matched
-// to right vertex R via edge EdgeIndex of b.Edges. EdgeIndex −1 asks the
-// solver to resolve the edge itself from its adjacency (an O(deg(L)) scan),
-// which spares callers that know only the endpoint pair an O(|E|) lookup
-// structure per solve; if no L–R edge exists the seed is skipped.
+// Seed pre-matches one edge of a seeded solve: left vertex L matched to
+// right vertex R via edge EdgeIndex of b.Edges.
 type Seed struct {
 	L, R      int32
 	EdgeIndex int32
 }
 
-// HopcroftKarpSeeded is HopcroftKarpScratch warm-started from a partial
+// HopcroftKarpSeeded is HopcroftKarpScratch started from a partial
 // matching: the seeds are installed before the first phase, so when they
 // approximate a maximum matching the search pays only the few phases that
 // augment the difference instead of rebuilding from empty. Any valid
@@ -158,9 +150,9 @@ type Seed struct {
 // its starting point), and the result is still exactly maximum — though not
 // necessarily the same maximum matching a cold run returns, since the seed
 // shifts which augmenting paths are found first. Seeds that do not fit
-// (out of range, endpoint already seeded, edge not crossing L-R) are
-// skipped, so a stale seed degrades to a colder start, never to a wrong
-// answer.
+// (vertex or edge index out of range, endpoint already seeded, edge not
+// joining L and R) are skipped, so a stale seed degrades to a colder
+// start, never to a wrong answer.
 func HopcroftKarpSeeded(b *Bip, s *Scratch, seeds []Seed) Result {
 	return boundedHK(b, math.MaxInt32, s, seeds)
 }
@@ -249,7 +241,7 @@ func (s *Scratch) prepare(b *Bip) {
 }
 
 // boundedHK runs HK phases while the shortest augmenting path length is at
-// most maxLen, optionally warm-started from seeds. It invalidates any
+// most maxLen, optionally starting from seeds. It invalidates any
 // retained repair baseline: the arena's CSR now describes this instance,
 // not the one a caller-held RepairInfo refers to.
 func boundedHK(b *Bip, maxLen int, s *Scratch, seeds []Seed) Result {
@@ -265,7 +257,7 @@ func boundedHK(b *Bip, maxLen int, s *Scratch, seeds []Seed) Result {
 }
 
 // boundedHKRescan is boundedHK through the cursor-free reference DFS
-// (see HopcroftKarpRescan).
+// (see HopcroftKarpRescanScratch).
 func boundedHKRescan(b *Bip, maxLen int, s *Scratch, seeds []Seed) Result {
 	if s == nil {
 		s = NewScratch()
@@ -289,8 +281,8 @@ func (s *Scratch) run(b *Bip, maxLen int, seeds []Seed) int {
 // runLoop is run with the DFS strategy explicit: rescan = true restores the
 // pre-PR 9 cursor-free greedy DFS (every entry rescans the adjacency from
 // off[u]). It exists as the live reference the iterator-per-phase DFS is
-// measured and equivalence-checked against (HopcroftKarpRescan); production
-// callers always pass false.
+// measured and equivalence-checked against (HopcroftKarpRescanScratch);
+// production callers always pass false.
 func (s *Scratch) runLoop(b *Bip, maxLen int, seeds []Seed, rescan bool) int {
 	nLeft := 0
 	for i := range s.matchL {
@@ -305,18 +297,6 @@ func (s *Scratch) runLoop(b *Bip, maxLen int, seeds []Seed, rescan bool) int {
 	for _, sd := range seeds {
 		if sd.L < 0 || int(sd.L) >= b.N || sd.R < 0 || int(sd.R) >= b.N {
 			continue
-		}
-		if sd.EdgeIndex == -1 {
-			// Resolve the edge from the CSR adjacency built by prepare.
-			if b.Side[sd.L] {
-				continue
-			}
-			for j := s.off[sd.L]; j < s.off[sd.L+1]; j++ {
-				if s.to[j] == sd.R {
-					sd.EdgeIndex = s.eidx[j]
-					break
-				}
-			}
 		}
 		if sd.EdgeIndex < 0 || int(sd.EdgeIndex) >= len(b.Edges) {
 			continue

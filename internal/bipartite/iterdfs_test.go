@@ -86,7 +86,7 @@ func TestIteratorDFSScratchReuse(t *testing.T) {
 // augments in ONE phase, so the whole instance saturates with Phases == 1
 // and the rescan form demonstrably pays its Θ(m·p) re-entry bill inside
 // that phase — and extends the iterator ≡ rescan differential to the
-// seeded (warm-start) entry points.
+// seeded entry points.
 func TestFunnelBip(t *testing.T) {
 	for _, mp := range [][2]int{{3, 3}, {8, 2}, {2, 8}, {64, 64}} {
 		m, p := mp[0], mp[1]

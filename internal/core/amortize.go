@@ -1,11 +1,10 @@
 package core
 
 // This file holds the amortised cross-round machinery a Runner threads
-// through Algorithm 3 when Options.Amortize or Options.WarmStart is set.
-// Each piece keeps its naive twin alive as the differential oracle: the
-// incremental index against the per-(round, class) BucketIndex rebuild, the
-// cross-class cache against an uncached sweep, and the warm-started solver
-// against a cold Hopcroft–Karp — see internal/solvertest and the core
+// through Algorithm 3 when Options.Amortize is set. Each piece keeps its
+// naive twin alive as the differential oracle: the incremental index
+// against the per-(round, class) BucketIndex rebuild, and the cross-class
+// cache against an uncached sweep — see internal/solvertest and the core
 // differential tests for the equivalences each pair is held to.
 
 import (
@@ -42,10 +41,9 @@ func newAmortizer(g *graph.Graph, opts Options) *amortizer {
 	}
 	// The cache replays a pair's candidates without consulting the solver,
 	// which is only sound when the solver is the stateless deterministic
-	// default: a caller-installed Solver may count passes or draw
-	// randomness, and a warm-started solver depends on the seed history the
-	// cache key does not cover.
-	if !opts.customSolver() && !opts.WarmStart {
+	// default: a caller-installed solver may count passes or draw
+	// randomness.
+	if opts.Solver == nil && opts.PhasedSolverFactory == nil {
 		am.cache = &pairCache{m: make(map[string]cacheEntry)}
 	}
 	am.ctxs = make([]amortClassCtx, len(weights))
@@ -54,11 +52,6 @@ func newAmortizer(g *graph.Graph, opts Options) *amortizer {
 			view:  am.inc.View(i),
 			cache: am.cache,
 			enum:  layered.NewPairScratch(),
-		}
-		// Cross-round warm state only for the seedable default solver (the
-		// same gate newClassWorker applies on the naive path).
-		if opts.WarmStart && !opts.customSolver() {
-			am.ctxs[i].warm = newWarmState(bipartite.NewScratch())
 		}
 	}
 	return am
@@ -112,27 +105,21 @@ func (am *amortizer) safeBeginRound(par *layered.Parametrized) (err error) {
 
 // amortClassCtx is the per-class slice of the amortised state handed to
 // classAugmentations; nil means the naive path. The enum scratch backs the
-// probe-guided pair enumeration of its class, and warm (Options.WarmStart)
-// carries the class's Hopcroft–Karp warm state across rounds — the class
-// list is fixed for a Solve run, so "the previous pair of this class" may
-// live in the previous round, where a near-converged matching means the old
-// solution seeds most of the new one. All of it is class-private state, so
-// the sweep's worker pool needs no locking and results stay invariant under
-// the worker count.
+// probe-guided pair enumeration of its class. All of it is class-private
+// state, so the sweep's worker pool needs no locking and results stay
+// invariant under the worker count.
 type amortClassCtx struct {
 	view  *layered.IncView
 	cache *pairCache
 	enum  *layered.PairScratch
-	warm  *warmState
 
 	// Cross-round delta chaining (Options.CrossRoundCutover ≥ 0): the
 	// class's build arena, its last build, and its repair arena live here —
 	// per class, Solve-lifetime — instead of on the round-scoped worker,
 	// so the chain's baseline survives the bipartition redraw. prevLay
 	// points into scratch's retained build; both are lazily created by the
-	// class's first sweep. rep shadows the worker's repairState under the
-	// same precedence warm uses. All class-private, so worker-count
-	// invariance is preserved exactly as for warm.
+	// class's first sweep. rep shadows the worker's repairState for the
+	// class.
 	scratch *layered.Scratch
 	prevLay *layered.Layered
 	rep     *repairState
@@ -326,60 +313,4 @@ func (rs *repairState) solve(lay *layered.Layered, bip *bipartite.Bip, cutover i
 func (rs *repairState) record(lay *layered.Layered) {
 	rs.baseTok = rs.hk.SolveToken()
 	rs.baseSeq = lay.BuildSeq()
-}
-
-// warmState carries one class's Hopcroft–Karp warm start: the previous
-// (τA, τB) pair's matching in (layer, original-vertex) coordinates, mapped
-// onto the next pair's surviving edges as solver seeds. The state resets at
-// every class boundary, so results stay invariant under the worker count
-// (a worker's previous class leaks nothing into the next).
-type warmState struct {
-	hk    *bipartite.Scratch
-	prev  []warmEdge
-	seeds []bipartite.Seed
-}
-
-// warmEdge is one matched edge of the previous pair's solution, endpoint
-// copies identified by (layer, original vertex) — the coordinates that
-// survive from one layered graph to the next while compact ids do not.
-type warmEdge struct {
-	tu, u, tv, v int32
-}
-
-func newWarmState(hk *bipartite.Scratch) *warmState {
-	return &warmState{hk: hk}
-}
-
-func (ws *warmState) resetClass() { ws.prev = ws.prev[:0] }
-
-// solve runs the seeded exact solver on the pair's bipartite view: the
-// previous pair's matching is restricted to the edges that survive in this
-// build (both endpoint copies present), installed as endpoint seeds — the
-// solver resolves each against its adjacency and drops pairs whose edge did
-// not survive into L' — and the result recorded for the next pair. It
-// returns the phase count alongside the matching (Stats.SolverPhases).
-func (ws *warmState) solve(lay *layered.Layered, bip *bipartite.Bip) (*graph.Matching, int) {
-	seeds := ws.seeds[:0]
-	for _, pe := range ws.prev {
-		lu := lay.ID(int(pe.tu), int(pe.u))
-		lv := lay.ID(int(pe.tv), int(pe.v))
-		if lu < 0 || lv < 0 {
-			continue
-		}
-		l, r := lu, lv
-		if bip.Side[l] {
-			l, r = r, l
-		}
-		seeds = append(seeds, bipartite.Seed{L: int32(l), R: int32(r), EdgeIndex: -1})
-	}
-	ws.seeds = seeds
-	res := bipartite.HopcroftKarpSeeded(bip, ws.hk, seeds)
-	ws.prev = ws.prev[:0]
-	for _, e := range res.M.Edges() {
-		ws.prev = append(ws.prev, warmEdge{
-			tu: int32(lay.LayerOf(e.U)), u: int32(lay.Orig(e.U)),
-			tv: int32(lay.LayerOf(e.V)), v: int32(lay.Orig(e.V)),
-		})
-	}
-	return res.M, res.Phases
 }

@@ -91,9 +91,8 @@ func ApproxSolver(delta float64) Solver {
 
 // PhasedSolver is a Solver that additionally reports the subroutine phase
 // count of the call — the unit Stats.SolverPhases accumulates. Installed
-// via Options.PhasedSolverFactory; a plain Solver or SolverFactory closure
-// has no channel for its phase counts, which leaves the ledger's phase
-// column silently zero (the bug this type fixes).
+// via Options.PhasedSolverFactory; a plain Solver closure has no channel
+// for its phase counts, which leaves the ledger's phase column zero.
 type PhasedSolver func(b *bipartite.Bip) (*graph.Matching, int, error)
 
 // ExactPhasedSolver returns a scratch-backed exact Hopcroft–Karp
@@ -134,25 +133,20 @@ type Options struct {
 	// Workers bounds the worker pool of Round's per-class sweep
 	// (augmentation classes are independent until the final merge). 0 or 1
 	// runs the sweep sequentially. The sweep is forced sequential when a
-	// single Solver closure is installed without a SolverFactory — one
-	// closure cannot safely serve several workers. Results are merged in
-	// descending class-weight order, so for a fixed Rng seed the outcome is
-	// bit-for-bit identical at any worker count.
+	// single Solver closure is installed without a PhasedSolverFactory —
+	// one closure cannot safely serve several workers. Results are merged
+	// in descending class-weight order, so for a fixed Rng seed the outcome
+	// is bit-for-bit identical at any worker count.
 	Workers int
-	// SolverFactory, when set, takes precedence over Solver: it is invoked
-	// once per augmentation class with that class's private Rng (split
-	// deterministically from Options.Rng in class order) and returns the
-	// Solver for the class. It is how randomized or stateful subroutines
-	// stay reproducible under the parallel sweep. When neither Solver nor
-	// SolverFactory is set, each worker uses an exact Hopcroft–Karp solver
-	// backed by its own scratch arena.
-	SolverFactory func(rng *rand.Rand) Solver
-	// PhasedSolverFactory, when set, takes precedence over SolverFactory
-	// and Solver: like SolverFactory, but the returned solver reports each
-	// call's phase count, which the sweep folds into Stats.SolverPhases
-	// (per worker, then merged — no atomics on the hot path). This is how
-	// installed subroutines keep the phase ledger honest; with a plain
-	// SolverFactory the field stays 0.
+	// PhasedSolverFactory, when set, takes precedence over Solver: it is
+	// invoked once per augmentation class with that class's private Rng
+	// (split deterministically from Options.Rng in class order) and returns
+	// the PhasedSolver for the class. It is how randomized or stateful
+	// subroutines stay reproducible under the parallel sweep, and each
+	// call's phase count is folded into Stats.SolverPhases (per worker,
+	// then merged — no atomics on the hot path). When neither Solver nor
+	// PhasedSolverFactory is set, each worker uses an exact Hopcroft–Karp
+	// solver backed by its own scratch arena.
 	PhasedSolverFactory func(rng *rand.Rand) PhasedSolver
 	// Amortize enables the cross-round amortised pipeline: the incremental
 	// viability index (window bucketing computed once per edge and
@@ -196,8 +190,8 @@ type Options struct {
 	// bit-identical to the fresh one — same matching, same phase count —
 	// because the patched CSR is byte-identical to the rebuilt one
 	// (Invariant 21); see Stats.RepairSolves / RepairEdgesKept. Ignored
-	// when a Solver/SolverFactory/PhasedSolverFactory closure or WarmStart
-	// is installed — only the default exact solver retains repair state.
+	// when a Solver or PhasedSolverFactory closure is installed — only the
+	// default exact solver retains repair state.
 	RepairCutover int
 	// CrossRoundCutover gates the cross-round extension of the delta chain
 	// (PR 7): with it enabled each class's builds chain on a class-private
@@ -227,37 +221,10 @@ type Options struct {
 	// lookup keys and digests, the pre-gate behaviour). The cache is
 	// transparent either way, so results are unchanged at any setting.
 	CacheGate int
-	// WarmStart seeds the exact Hopcroft–Karp solver with the previous
-	// (τA, τB) pair's matching restricted to the surviving edges, within
-	// each class. Consecutive pairs of a class share most of their layered
-	// graph, so the warm solve pays only the phases that augment the
-	// difference; with Amortize the warm state lives on the per-class
-	// amortised context and additionally persists across rounds (without
-	// it, state resets at each class boundary of the sweep). Either way it
-	// never crosses classes, so results stay invariant under the worker
-	// count. The result is still an exact maximum matching, but not
-	// necessarily the same one a cold solve returns (the seed shifts which
-	// augmenting paths are found first), so warm runs are held to the
-	// cardinality and quality equivalences rather than bit-identity, and
-	// the cross-class cache is disabled while warm-starting (its key does
-	// not cover the seed history). Ignored when Solver or SolverFactory is
-	// installed — only the default exact solver is seedable. Measured sign
-	// per workload tier in the ROADMAP ledger (E12/E13/E14).
-	WarmStart bool
 	// Trace, when non-nil, receives the matching weight after every round
 	// (convergence curves for the E12 experiment).
 	Trace func(round int, weight graph.Weight)
 }
-
-// hasFactory reports whether a per-class solver factory (phased or plain)
-// is installed; customSolver whether any caller-installed subroutine is —
-// the configurations that disable the default solver's warm/repair/cache
-// machinery.
-func (o Options) hasFactory() bool {
-	return o.SolverFactory != nil || o.PhasedSolverFactory != nil
-}
-
-func (o Options) customSolver() bool { return o.Solver != nil || o.hasFactory() }
 
 func (o Options) withDefaults() Options {
 	o.Layered = o.Layered.WithDefaults()
@@ -293,9 +260,8 @@ type Stats struct {
 	// (W, τ-pair) combination).
 	SolverCalls int
 	// SolverPhases accumulates the Hopcroft–Karp phase counts of those
-	// invocations — the unit of work a warm start saves. Tracked only for
-	// the default (scratch-backed or warm-started) exact solvers; installed
-	// Solver/SolverFactory closures leave it 0.
+	// invocations. Tracked for the default exact solver and for
+	// PhasedSolverFactory solvers; an installed Solver closure leaves it 0.
 	SolverPhases int
 	// LayeredBuilt counts layered graphs constructed (= SolverCalls plus
 	// those skipped for having no augmenting structure). Amortised runs
@@ -501,16 +467,10 @@ type classWorker struct {
 	scratch   *layered.Scratch
 	newSolver func(rng *rand.Rand) Solver
 
-	// warm, when non-nil, replaces the solver with the seeded exact solver
-	// carrying the previous pair's matching (Options.WarmStart with the
-	// default solver configuration).
-	warm *warmState
-
 	// repair, when non-nil, replaces the solver with the retained exact
 	// solver that patches the previous solve's CSR for delta-built
 	// instances (Options.RepairCutover ≥ 0 with the default solver
-	// configuration; mutually exclusive with warm, which changes outputs
-	// while repair is bit-identical).
+	// configuration).
 	repair *repairState
 
 	// used is the class-level conflict set as a stamp array over original
@@ -518,9 +478,9 @@ type classWorker struct {
 	used      []uint32
 	usedStamp uint32
 
-	// lastPhases is the phase count of the most recent default-solver call,
-	// recorded by the solver closure for Stats.SolverPhases (installed
-	// solvers leave it 0).
+	// lastPhases is the phase count of the most recent solver call,
+	// recorded for Stats.SolverPhases by the default solver and by the
+	// PhasedSolverFactory adapter (a plain installed Solver leaves it 0).
 	lastPhases int
 }
 
@@ -578,8 +538,6 @@ func newClassWorker(opts Options) *classWorker {
 				return m, err
 			}
 		}
-	case opts.SolverFactory != nil:
-		w.newSolver = opts.SolverFactory
 	case opts.Solver != nil:
 		w.newSolver = func(*rand.Rand) Solver { return opts.Solver }
 	default:
@@ -593,10 +551,7 @@ func newClassWorker(opts Options) *classWorker {
 			return res.M, nil
 		})
 		w.newSolver = func(*rand.Rand) Solver { return solver }
-		switch {
-		case opts.WarmStart:
-			w.warm = newWarmState(hk)
-		case opts.RepairCutover >= 0:
+		if opts.RepairCutover >= 0 {
 			w.repair = &repairState{hk: hk}
 		}
 	}
@@ -696,7 +651,7 @@ func (r *Runner) Round(m *graph.Matching, stats *Stats) (graph.Weight, error) {
 	// split is skipped to keep the Rng stream (and thus all fixed-seed
 	// results) identical to the sequential code path.
 	var seeds []int64
-	if opts.hasFactory() {
+	if opts.PhasedSolverFactory != nil {
 		seeds = make([]int64, len(weights))
 		for i := range seeds {
 			seeds[i] = opts.Rng.Int63()
@@ -704,7 +659,7 @@ func (r *Runner) Round(m *graph.Matching, stats *Stats) (graph.Weight, error) {
 	}
 
 	workers := opts.Workers
-	if !opts.hasFactory() && opts.Solver != nil {
+	if opts.PhasedSolverFactory == nil && opts.Solver != nil {
 		workers = 1
 	}
 	if workers > len(weights) {
@@ -884,7 +839,7 @@ func FindClassAugmentations(
 	par := layered.Parametrize(g.N(), g.Edges(), m, opts.Rng)
 	cw := newClassWorker(opts)
 	var rng *rand.Rand
-	if opts.hasFactory() {
+	if opts.PhasedSolverFactory != nil {
 		rng = rand.New(rand.NewSource(opts.Rng.Int63()))
 	}
 	return classAugmentations(par, m, w, cw.newSolver(rng), cw, opts, stats, nil)
@@ -911,7 +866,7 @@ func oracleOf(ac *amortClassCtx) (layered.SurvivalOracle, bool) {
 // rejects pairs whose layered graph would have no Y edge (exactly the
 // pairs the naive loop builds and then skips), the cross-class cache
 // replays the candidates of an identical layered graph solved earlier this
-// round, and a warm solver seeds Hopcroft–Karp from the previous pair.
+// round, and the repair solver patches the previous solve's retained CSR.
 //
 // Note: Algorithm 4 as analysed returns only the single best pair's set
 // A(τA,τB); the union with a shared conflict set is pointwise at least as
@@ -987,14 +942,6 @@ func classAugmentations(
 	if len(pairs) > opts.MaxPairsPerClass {
 		pairs = pairs[:opts.MaxPairsPerClass]
 	}
-	// Warm state: the amortised context's (per class, carried across rounds)
-	// takes precedence over the worker's (reset at each class boundary).
-	warm := cw.warm
-	if ac != nil && ac.warm != nil {
-		warm = ac.warm
-	} else if warm != nil {
-		warm.resetClass()
-	}
 	rep := cw.repair
 	if rep != nil && crossRound {
 		// Like the build arena, the repair baseline must be class-private to
@@ -1005,9 +952,6 @@ func classAugmentations(
 			ac.rep = &repairState{hk: bipartite.NewScratch()}
 		}
 		rep = ac.rep
-	}
-	if warm != nil {
-		rep = nil
 	}
 	var cands []candidate
 	var key []byte
@@ -1100,10 +1044,6 @@ func classAugmentations(
 		stats.SolverCalls++
 		var mPrime *graph.Matching
 		switch {
-		case warm != nil:
-			var phases int
-			mPrime, phases = warm.solve(lay, bip)
-			stats.SolverPhases += phases
 		case rep != nil:
 			var phases int
 			repairedBefore := stats.RepairSolves

@@ -17,17 +17,18 @@ func fallbackTestInstance() *graph.Graph {
 	return graph.RandomGraph(50, 180, 64, rng).G
 }
 
-// panickyFactory returns a SolverFactory whose produced solvers panic while
-// *arm is nonzero (decrementing it per panic), and solve exactly like the
-// default solver otherwise. The panic is side-effect-free, so a ladder
+// panickyFactory returns a PhasedSolverFactory whose produced solvers panic
+// while *arm is nonzero (decrementing it per panic), and solve exactly like
+// the default solver otherwise. The panic is side-effect-free, so a ladder
 // re-run of the class reproduces the clean run's result bit-for-bit.
-func panickyFactory(arm *atomic.Int64) func(*rand.Rand) Solver {
-	return func(*rand.Rand) Solver {
-		return func(b *bipartite.Bip) (*graph.Matching, error) {
+func panickyFactory(arm *atomic.Int64) func(*rand.Rand) PhasedSolver {
+	return func(*rand.Rand) PhasedSolver {
+		return func(b *bipartite.Bip) (*graph.Matching, int, error) {
 			if arm.Load() > 0 && arm.Add(-1) >= 0 {
 				panic("installed solver blew up")
 			}
-			return bipartite.HopcroftKarp(b).M, nil
+			res := bipartite.HopcroftKarp(b)
+			return res.M, res.Phases, nil
 		}
 	}
 }
@@ -41,7 +42,7 @@ func panickyFactory(arm *atomic.Int64) func(*rand.Rand) Solver {
 func TestWorkerPanicRecoveredAtWorkers4(t *testing.T) {
 	g := fallbackTestInstance()
 	var noArm atomic.Int64
-	clean := Options{Workers: 4, MaxRounds: 6, SolverFactory: panickyFactory(&noArm),
+	clean := Options{Workers: 4, MaxRounds: 6, PhasedSolverFactory: panickyFactory(&noArm),
 		Rng: rand.New(rand.NewSource(9))}
 	want, err := Solve(g, nil, clean)
 	if err != nil {
@@ -50,7 +51,7 @@ func TestWorkerPanicRecoveredAtWorkers4(t *testing.T) {
 
 	var arm atomic.Int64
 	arm.Store(1) // exactly the first solver call panics
-	faulty := Options{Workers: 4, MaxRounds: 6, SolverFactory: panickyFactory(&arm),
+	faulty := Options{Workers: 4, MaxRounds: 6, PhasedSolverFactory: panickyFactory(&arm),
 		Rng: rand.New(rand.NewSource(9))}
 	got, err := Solve(g, nil, faulty)
 	if err != nil {
@@ -74,7 +75,7 @@ func TestPersistentPanicSurfacesAsError(t *testing.T) {
 	g := fallbackTestInstance()
 	var arm atomic.Int64
 	arm.Store(1 << 40)
-	opts := Options{Workers: 4, MaxRounds: 3, SolverFactory: panickyFactory(&arm),
+	opts := Options{Workers: 4, MaxRounds: 3, PhasedSolverFactory: panickyFactory(&arm),
 		Rng: rand.New(rand.NewSource(2))}
 	done := make(chan struct{})
 	var solveErr error

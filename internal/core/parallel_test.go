@@ -60,14 +60,16 @@ func TestParallelRoundDeterministic(t *testing.T) {
 // because seeds are drawn up-front in class order.
 func TestParallelRoundDeterministicWithFactory(t *testing.T) {
 	inst := graph.PlantedMatching(60, 300, 100, 200, rand.New(rand.NewSource(4)))
-	factory := func(rng *rand.Rand) Solver {
-		return func(b *bipartite.Bip) (*graph.Matching, error) {
+	factory := func(rng *rand.Rand) PhasedSolver {
+		return func(b *bipartite.Bip) (*graph.Matching, int, error) {
 			// Class-seeded randomness decides the oracle quality, so any
 			// scheduling dependence would surface as a different matching.
 			if rng.Intn(2) == 0 {
-				return bipartite.HopcroftKarp(b).M, nil
+				res := bipartite.HopcroftKarp(b)
+				return res.M, res.Phases, nil
 			}
-			return bipartite.Approx(b, 0.5).M, nil
+			res := bipartite.Approx(b, 0.5)
+			return res.M, res.Phases, nil
 		}
 	}
 	seqRng := rand.New(rand.NewSource(33))
@@ -76,10 +78,10 @@ func TestParallelRoundDeterministicWithFactory(t *testing.T) {
 	mPar := graph.NewMatching(inst.G.N())
 	var statsSeq, statsPar Stats
 	for round := 0; round < 4; round++ {
-		if _, err := Round(inst.G, mSeq, Options{Rng: seqRng, SolverFactory: factory}, &statsSeq); err != nil {
+		if _, err := Round(inst.G, mSeq, Options{Rng: seqRng, PhasedSolverFactory: factory}, &statsSeq); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Round(inst.G, mPar, Options{Rng: parRng, SolverFactory: factory, Workers: 5}, &statsPar); err != nil {
+		if _, err := Round(inst.G, mPar, Options{Rng: parRng, PhasedSolverFactory: factory, Workers: 5}, &statsPar); err != nil {
 			t.Fatal(err)
 		}
 		sameMatching(t, "factory round", mSeq, mPar)

@@ -17,13 +17,6 @@ package core
 // and incapable of smuggling corrupted amortised state across a restart —
 // a corrupted snapshot is caught by the container checksum and degrades to
 // a cold start (the bottom rung of the degradation ladder).
-//
-// The one configuration excluded from the bit-identity claim is WarmStart:
-// its cross-round solver seeds are history, not a function of (graph,
-// matching), so a resumed warm run re-converges from cold seeds — still an
-// exact solve per pair, same quality guarantees, but not the uninterrupted
-// run's bit pattern (warm runs are held to cardinality/quality
-// equivalences everywhere else too).
 
 import (
 	"errors"
@@ -99,38 +92,39 @@ func (s *CountingSource) Draws() uint64 { return s.draws }
 // under. ResumeSolve refuses a checkpoint whose fingerprint disagrees with
 // the options it is handed (Workers excepted: results are invariant under
 // the worker count, so a resume may rescale the pool freely).
+// CrossRoundCutover reads as 0 from snapshots that predate its key.
 type CheckpointMeta struct {
-	Granularity   float64
-	MaxLayers     int
-	SumCap        float64
-	ClassBase     float64
-	MaxRounds     int
-	Patience      int
-	MaxPairs      int
-	Workers       int
-	Amortize      bool
-	WarmStart     bool
-	DeltaCutover  int
-	RepairCutover int
-	CacheGate     int
+	Granularity       float64
+	MaxLayers         int
+	SumCap            float64
+	ClassBase         float64
+	MaxRounds         int
+	Patience          int
+	MaxPairs          int
+	Workers           int
+	Amortize          bool
+	DeltaCutover      int
+	RepairCutover     int
+	CrossRoundCutover int
+	CacheGate         int
 }
 
 func metaOf(opts Options) CheckpointMeta {
 	opts = opts.withDefaults()
 	return CheckpointMeta{
-		Granularity:   opts.Layered.Granularity,
-		MaxLayers:     opts.Layered.MaxLayers,
-		SumCap:        opts.Layered.SumCap,
-		ClassBase:     opts.ClassBase,
-		MaxRounds:     opts.MaxRounds,
-		Patience:      opts.Patience,
-		MaxPairs:      opts.MaxPairsPerClass,
-		Workers:       opts.Workers,
-		Amortize:      opts.Amortize,
-		WarmStart:     opts.WarmStart,
-		DeltaCutover:  opts.DeltaCutover,
-		RepairCutover: opts.RepairCutover,
-		CacheGate:     opts.CacheGate,
+		Granularity:       opts.Layered.Granularity,
+		MaxLayers:         opts.Layered.MaxLayers,
+		SumCap:            opts.Layered.SumCap,
+		ClassBase:         opts.ClassBase,
+		MaxRounds:         opts.MaxRounds,
+		Patience:          opts.Patience,
+		MaxPairs:          opts.MaxPairsPerClass,
+		Workers:           opts.Workers,
+		Amortize:          opts.Amortize,
+		DeltaCutover:      opts.DeltaCutover,
+		RepairCutover:     opts.RepairCutover,
+		CrossRoundCutover: opts.CrossRoundCutover,
+		CacheGate:         opts.CacheGate,
 	}
 }
 
@@ -271,9 +265,9 @@ func encodeDriver(cp *Checkpoint) []byte {
 	kv("max-pairs", strconv.Itoa(m.MaxPairs))
 	kv("workers", strconv.Itoa(m.Workers))
 	kv("amortize", strconv.FormatBool(m.Amortize))
-	kv("warm-start", strconv.FormatBool(m.WarmStart))
 	kv("delta-cutover", strconv.Itoa(m.DeltaCutover))
 	kv("repair-cutover", strconv.Itoa(m.RepairCutover))
+	kv("crossround-cutover", strconv.Itoa(m.CrossRoundCutover))
 	kv("cache-gate", strconv.Itoa(m.CacheGate))
 	return []byte(b.String())
 }
@@ -333,9 +327,27 @@ func decodeDriver(data []byte, cp *Checkpoint) error {
 		func() (err error) { m.MaxPairs, err = geti("max-pairs"); return },
 		func() (err error) { m.Workers, err = geti("workers"); return },
 		func() (err error) { m.Amortize, err = getb("amortize"); return },
-		func() (err error) { m.WarmStart, err = getb("warm-start"); return },
+		func() error {
+			// Snapshots written before the warm-start option was retired
+			// record it. A warm run cannot be continued: this build has no
+			// seeded solver, and warm runs were never bit-reproducible.
+			if _, ok := vals["warm-start"]; !ok {
+				return nil
+			}
+			warm, err := getb("warm-start")
+			if err == nil && warm {
+				err = fmt.Errorf("%w: warm-start=true, and the warm-start option is retired", ErrCheckpointOptions)
+			}
+			return err
+		},
 		func() (err error) { m.DeltaCutover, err = geti("delta-cutover"); return },
 		func() (err error) { m.RepairCutover, err = geti("repair-cutover"); return },
+		func() (err error) {
+			if _, ok := vals["crossround-cutover"]; ok {
+				m.CrossRoundCutover, err = geti("crossround-cutover")
+			}
+			return
+		},
 		func() (err error) { m.CacheGate, err = geti("cache-gate"); return },
 	}
 	for _, step := range steps {
@@ -421,8 +433,8 @@ func SolveCheckpointed(g *graph.Graph, initial *graph.Matching, opts Options, se
 // stall counters, stats and Rng stream pick up exactly where the
 // checkpoint left them, the amortised context is rebuilt from (graph,
 // matching), and the remaining rounds run to the same termination rule.
-// For every deterministic configuration (anything but WarmStart) the final
-// matching and stats are bit-identical to the uninterrupted run's. opts
+// With a deterministic solver (the default is one) the final matching and
+// stats are bit-identical to the uninterrupted run's. opts
 // must describe the same run (see CheckpointMeta; Workers may differ), and
 // opts.Rng must be unset. The save callback may be nil to resume without
 // further checkpointing.

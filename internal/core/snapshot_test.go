@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -231,19 +232,24 @@ func chainEffortNormalized(s Stats) Stats {
 // worker-count invariant, so the pool may be rescaled).
 func TestResumeRejectsForeignOptions(t *testing.T) {
 	g := snapshotTestInstance(t)
+	firstCheckpoint := func(opts Options) *Checkpoint {
+		t.Helper()
+		var persisted []byte
+		_, err := SolveCheckpointed(g, nil, opts, 3, func(cp *Checkpoint) error {
+			persisted = EncodeCheckpoint(cp)
+			return errors.New("stop after first round")
+		})
+		if err == nil {
+			t.Fatal("run was not stopped")
+		}
+		cp, err := DecodeCheckpoint(persisted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
 	opts := snapshotTestOptions()
-	var persisted []byte
-	_, err := SolveCheckpointed(g, nil, opts, 3, func(cp *Checkpoint) error {
-		persisted = EncodeCheckpoint(cp)
-		return errors.New("stop after first round")
-	})
-	if err == nil {
-		t.Fatal("run was not stopped")
-	}
-	cp, err := DecodeCheckpoint(persisted)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := firstCheckpoint(opts)
 
 	foreign := opts
 	foreign.ClassBase = 3
@@ -255,6 +261,65 @@ func TestResumeRejectsForeignOptions(t *testing.T) {
 	rescaled.Workers = 4
 	if _, err := ResumeSolve(cp, rescaled, nil); err != nil {
 		t.Fatalf("rescaled workers: %v", err)
+	}
+
+	// A round-local run resumed with the round link on would chain builds
+	// the uninterrupted run never chained.
+	roundLocal := opts
+	roundLocal.CrossRoundCutover = -1
+	if _, err := ResumeSolve(firstCheckpoint(roundLocal), opts, nil); !errors.Is(err, ErrCheckpointOptions) {
+		t.Fatalf("CrossRoundCutover -1 resumed under 0: err = %v, want ErrCheckpointOptions", err)
+	}
+}
+
+// encodeWithDriver is EncodeCheckpoint with the driver section passed
+// through edit, to forge the driver keys of snapshots from earlier builds.
+func encodeWithDriver(cp *Checkpoint, edit func(string) string) []byte {
+	return graph.EncodeSnapshot(checkpointVersion, []graph.SnapshotSection{
+		{Name: sectGraph, Data: graph.EncodeGraphSection(cp.Graph)},
+		{Name: sectMatching, Data: graph.EncodeMatchingSection(cp.M)},
+		{Name: sectDriver, Data: []byte(edit(string(encodeDriver(cp))))},
+		{Name: sectStats, Data: encodeStats(cp.Stats)},
+	})
+}
+
+// TestLegacyDriverKeys pins how snapshots from earlier builds load: one
+// taken with the retired warm-start option on is refused with a reason
+// naming the option, warm-start=false loads as before, and a snapshot
+// without the crossround-cutover key reads it as 0.
+func TestLegacyDriverKeys(t *testing.T) {
+	g := snapshotTestInstance(t)
+	cp := &Checkpoint{
+		Graph: g, M: graph.NewMatching(g.N()),
+		Round: 2, RngSeed: 5, RngDraws: 7,
+		Meta: metaOf(snapshotTestOptions()),
+	}
+
+	_, err := DecodeCheckpoint(encodeWithDriver(cp, func(d string) string { return d + "warm-start=true\n" }))
+	if !errors.Is(err, ErrCheckpointOptions) || !strings.Contains(err.Error(), "warm-start") {
+		t.Fatalf("warm-start=true: err = %v, want ErrCheckpointOptions naming warm-start", err)
+	}
+	dec, err := DecodeCheckpoint(encodeWithDriver(cp, func(d string) string { return d + "warm-start=false\n" }))
+	if err != nil {
+		t.Fatalf("warm-start=false: %v", err)
+	}
+	if dec.Meta != cp.Meta {
+		t.Fatalf("warm-start=false: meta %+v, want %+v", dec.Meta, cp.Meta)
+	}
+
+	cp.Meta.CrossRoundCutover = -1
+	dec, err = DecodeCheckpoint(encodeWithDriver(cp, func(d string) string {
+		const line = "crossround-cutover=-1\n"
+		if !strings.Contains(d, line) {
+			t.Fatalf("driver section lacks %q:\n%s", line, d)
+		}
+		return strings.Replace(d, line, "", 1)
+	}))
+	if err != nil {
+		t.Fatalf("no crossround-cutover key: %v", err)
+	}
+	if dec.Meta.CrossRoundCutover != 0 {
+		t.Fatalf("missing crossround-cutover read as %d, want 0", dec.Meta.CrossRoundCutover)
 	}
 }
 

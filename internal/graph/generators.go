@@ -180,9 +180,9 @@ func BandedWeights(n, m int, low Weight, rng *rand.Rand) Instance {
 // weighted matching degenerates to maximum cardinality, each augmentation
 // class collapses to a handful of good pairs, and every one of those pairs'
 // layered graphs spans the full crossing subgraph — the whole round is one
-// heavy class handed to the unweighted solver. This is the E14 family; with
-// warm starts the consecutive pairs of a class share almost their entire
-// layered graph. OPT is unknown (OptExact=false).
+// heavy class handed to the unweighted solver. This is the E14 family;
+// consecutive pairs of a class share almost their entire layered graph.
+// OPT is unknown (OptExact=false).
 func UniformWeights(n, m int, w Weight, rng *rand.Rand) Instance {
 	if w < 1 {
 		w = 1

@@ -124,16 +124,26 @@ var (
 	ErrNonPositiveWeight = errors.New("graph: non-positive edge weight")
 )
 
-// AddEdge appends an edge after validating it.
-func (g *Graph) AddEdge(e Edge) error {
+// CheckEdge validates e as an edge of a graph on n vertices: no self loop,
+// both endpoints in [0, n), positive weight. It is AddEdge's rule set,
+// exported so a caller can reject an edge before it reaches a graph.
+func CheckEdge(n int, e Edge) error {
 	if e.U == e.V {
 		return fmt.Errorf("%w: %v", ErrSelfLoop, e)
 	}
-	if e.U < 0 || e.U >= g.n || e.V < 0 || e.V >= g.n {
-		return fmt.Errorf("%w: %v (n=%d)", ErrVertexRange, e, g.n)
+	if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+		return fmt.Errorf("%w: %v (n=%d)", ErrVertexRange, e, n)
 	}
 	if e.W <= 0 {
 		return fmt.Errorf("%w: %v", ErrNonPositiveWeight, e)
+	}
+	return nil
+}
+
+// AddEdge appends an edge after validating it (see CheckEdge).
+func (g *Graph) AddEdge(e Edge) error {
+	if err := CheckEdge(g.n, e); err != nil {
+		return err
 	}
 	g.edges = append(g.edges, e)
 	g.adj = nil

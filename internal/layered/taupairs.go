@@ -16,12 +16,6 @@ type TauPair struct {
 // K returns the number of unmatched (τB) layers.
 func (t TauPair) K() int { return len(t.BUnits) }
 
-// TauA returns τA_i as a fraction of W.
-func (t TauPair) TauA(i int, p Params) float64 { return float64(t.AUnits[i]) * p.Granularity }
-
-// TauB returns τB_i as a fraction of W.
-func (t TauPair) TauB(i int, p Params) float64 { return float64(t.BUnits[i]) * p.Granularity }
-
 // IsGood checks the six Table-1 constraints against p:
 //
 //	(A) |τA| ≤ MaxLayers,

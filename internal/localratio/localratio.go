@@ -97,9 +97,6 @@ func (p *Processor) Freeze() { p.frozen = true }
 // Frozen reports whether Freeze has been called.
 func (p *Processor) Frozen() bool { return p.frozen }
 
-// StackLen returns the current number of stacked edges.
-func (p *Processor) StackLen() int { return len(p.stack) }
-
 // PeakStackLen returns the maximum stack size observed (Lemma 3.15's |S|).
 func (p *Processor) PeakStackLen() int { return p.peak }
 

@@ -172,9 +172,6 @@ type ApproxOptions struct {
 	// cross-class solve cache) — bit-identical results, see
 	// core.Options.Amortize.
 	Amortize bool
-	// WarmStart seeds Hopcroft–Karp from the previous pair's matching
-	// (exact but tie-breaks may differ; see core.Options.WarmStart).
-	WarmStart bool
 	// Workers bounds the per-class worker pool (see core.Options.Workers).
 	Workers int
 	// DeltaCutover, RepairCutover and CrossRoundCutover tune (or, negative,
@@ -196,7 +193,6 @@ func (o ApproxOptions) coreOptions() core.Options {
 		MaxRounds:         o.MaxRounds,
 		Patience:          o.Patience,
 		Amortize:          o.Amortize,
-		WarmStart:         o.WarmStart,
 		Workers:           o.Workers,
 		DeltaCutover:      o.DeltaCutover,
 		RepairCutover:     o.RepairCutover,
