@@ -12,7 +12,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Weight is the edge-weight type used throughout the repository. The paper
@@ -227,17 +226,16 @@ func (g *Graph) IsBipartiteWith(side []bool) bool {
 }
 
 // SortedEdges returns a copy of the edges sorted by descending weight,
-// breaking ties by (U, V) for determinism.
+// breaking ties by (U, V) for determinism: the greedy order of OrderKey.
 func (g *Graph) SortedEdges() []Edge {
-	out := g.CopyEdges()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].W != out[j].W {
-			return out[i].W > out[j].W
-		}
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	keys := make([]OrderKey, len(g.edges))
+	for i, e := range g.edges {
+		keys[i] = MakeOrderKey(e.W, e.U, e.V)
+	}
+	keys, _ = SortOrderKeys(keys, nil)
+	out := make([]Edge, len(keys))
+	for i, k := range keys {
+		out[i] = Edge{U: k.U(), V: k.V(), W: k.Key()}
+	}
 	return out
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -130,6 +131,29 @@ func TestSortedEdges(t *testing.T) {
 	// Original order untouched.
 	if g.Edges()[0].W != 1 {
 		t.Error("SortedEdges mutated the graph")
+	}
+
+	// Tied weights fall back to U, then V, ascending, with each edge's
+	// endpoint orientation kept.
+	tied, err := FromEdges(5, []Edge{
+		{U: 3, V: 1, W: 5},
+		{U: 0, V: 4, W: 5},
+		{U: 2, V: 4, W: 7},
+		{U: 0, V: 2, W: 5},
+		{U: 1, V: 4, W: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Edge{
+		{U: 2, V: 4, W: 7},
+		{U: 0, V: 2, W: 5},
+		{U: 0, V: 4, W: 5},
+		{U: 1, V: 4, W: 5},
+		{U: 3, V: 1, W: 5},
+	}
+	if got := tied.SortedEdges(); !slices.Equal(got, want) {
+		t.Errorf("tied SortedEdges = %v, want %v", got, want)
 	}
 }
 

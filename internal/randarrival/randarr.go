@@ -2,7 +2,6 @@ package randarrival
 
 import (
 	"math/rand"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/localratio"
@@ -11,13 +10,15 @@ import (
 
 // Arena owns the reusable per-run state of RandArrMatching: the local-ratio
 // processor, the Wgt-Aug-Paths instance (with its 65-slot class table and
-// per-class finder pools), and the T-set buffer. A zero Arena is ready to
+// per-class finder pools), and the T-set buffers. A zero Arena is ready to
 // use; passing the same Arena to successive runs retains every internal
 // allocation, so steady-state runs allocate only for the output matchings.
 type Arena struct {
 	proc *localratio.Processor
 	wap  WgtAugPaths
-	tSet []graph.Edge
+	// tKeys holds T as greedy-order sort records of (w”, U, V), the form
+	// finalize sorts; tScratch is the radix sort's swap buffer.
+	tKeys, tScratch []graph.OrderKey
 }
 
 // WeightedOptions configures RandArrMatching (Algorithm 2).
@@ -37,8 +38,9 @@ type WeightedOptions struct {
 	// charges into whatever state the accountant arrives with, so callers
 	// comparing runs should Reset it between them.
 	Account *stream.Accountant
-	// Arena, when non-nil, supplies reusable per-run state (the PR 1
-	// Scratch idiom lifted to the whole per-arrival path).
+	// Arena, when non-nil, supplies reusable per-run state (the Scratch
+	// idiom lifted to the whole per-arrival path); a nil Arena runs on a
+	// fresh one.
 	Arena *Arena
 	// Naive runs the retained map-backed Wgt-Aug-Paths reference form
 	// instead of the flat arena form. Invariant 27 pins the two to
@@ -112,17 +114,16 @@ func RandArrMatching(n int, s stream.EdgeStream, opts WeightedOptions) WeightedR
 	total := s.Len()
 	prefix := int(opts.PrefixFraction * float64(total))
 
-	var proc *localratio.Processor
-	if a := opts.Arena; a != nil {
-		if a.proc == nil {
-			a.proc = localratio.New(n)
-		} else {
-			a.proc.Reset(n)
-		}
-		proc = a.proc
-	} else {
-		proc = localratio.New(n)
+	a := opts.Arena
+	if a == nil {
+		a = &Arena{}
 	}
+	if a.proc == nil {
+		a.proc = localratio.New(n)
+	} else {
+		a.proc.Reset(n)
+	}
+	proc := a.proc
 	proc.SetAccountant(acct)
 	for i := 0; i < prefix; i++ {
 		e, ok := s.Next()
@@ -134,47 +135,36 @@ func RandArrMatching(n int, s stream.EdgeStream, opts WeightedOptions) WeightedR
 	m0 := proc.Unwind()
 	proc.Freeze()
 
-	var wap feeder
-	switch {
-	case opts.Naive:
+	var wap feeder = &a.wap
+	if opts.Naive {
 		wap = NewNaiveWgtAugPaths(m0, opts.Beta, opts.Rng, acct)
-	case opts.Arena != nil:
-		opts.Arena.wap.Init(m0, opts.Beta, opts.Rng, acct)
-		wap = &opts.Arena.wap
-	default:
-		w := &WgtAugPaths{}
-		w.Init(m0, opts.Beta, opts.Rng, acct)
-		wap = w
+	} else {
+		a.wap.Init(m0, opts.Beta, opts.Rng, acct)
 	}
 
-	var tSet []graph.Edge
-	if opts.Arena != nil {
-		tSet = opts.Arena.tSet[:0]
-	}
+	tKeys := a.tKeys[:0]
 	for {
 		e, ok := s.Next()
 		if !ok {
 			break
 		}
-		if proc.Residual(e) > 0 {
-			tSet = append(tSet, e)
+		if r := proc.Residual(e); r > 0 {
+			tKeys = append(tKeys, graph.MakeOrderKey(r, e.U, e.V))
 			if acct != nil {
 				acct.Hold(1)
 			}
 		}
 		wap.Feed(e)
 	}
-	if opts.Arena != nil {
-		opts.Arena.tSet = tSet
-	}
+	a.tKeys = tKeys
 
-	m1 := buildStackMatching(n, proc, tSet)
+	m1 := buildStackMatching(n, proc, a)
 	m2 := wap.Finalize()
 
 	res := WeightedResult{
 		M0Weight:  m0.Weight(),
 		StackSize: proc.PeakStackLen(),
-		TSize:     len(tSet),
+		TSize:     len(tKeys),
 		Passes:    s.Passes() - passes0,
 	}
 	if acct != nil {
@@ -197,33 +187,19 @@ func RandArrMatching(n int, s stream.EdgeStream, opts WeightedOptions) WeightedR
 // so we use the greedy 1/2-approximation on w” (sorted by residual), which
 // is all the Case-2 analysis (Lemma 3.13) consumes up to a constant factor
 // in c. See DESIGN.md, substitution table.
-func buildStackMatching(n int, proc *localratio.Processor, tSet []graph.Edge) *graph.Matching {
-	type resEdge struct {
-		e graph.Edge
-		r graph.Weight
-	}
-	byResidual := make([]resEdge, len(tSet))
-	for i, e := range tSet {
-		byResidual[i] = resEdge{e, proc.Residual(e)}
-	}
-	// The key (residual desc, U, V) is a total order on distinct edges, so
-	// the comparison-sort algorithm cannot change the greedy outcome.
-	slices.SortFunc(byResidual, func(a, b resEdge) int {
-		if a.r != b.r {
-			if a.r > b.r {
-				return -1
-			}
-			return 1
-		}
-		if a.e.U != b.e.U {
-			return a.e.U - b.e.U
-		}
-		return a.e.V - b.e.V
-	})
+//
+// T arrives as a.tKeys, one graph.OrderKey of (w”, U, V) per edge, so the
+// greedy order is a radix sort of the records; each taken edge gets its
+// weight back as w” + α_U + α_V, which int64 wrap-around makes exact even
+// where the subtraction overflowed.
+func buildStackMatching(n int, proc *localratio.Processor, a *Arena) *graph.Matching {
+	var sorted []graph.OrderKey
+	sorted, a.tScratch = graph.SortOrderKeys(a.tKeys, a.tScratch)
 	m1 := graph.NewMatching(n)
-	for _, re := range byResidual {
-		if !m1.IsMatched(re.e.U) && !m1.IsMatched(re.e.V) {
-			mustAdd(m1, re.e)
+	for _, k := range sorted {
+		u, v := k.U(), k.V()
+		if !m1.IsMatched(u) && !m1.IsMatched(v) {
+			mustAdd(m1, graph.Edge{U: u, V: v, W: k.Key() + proc.Potential(u) + proc.Potential(v)})
 		}
 	}
 	proc.UnwindInto(m1)

@@ -5,11 +5,12 @@ package stream
 // corruption is detected exactly the way snapshot corruption is, see
 // internal/graph/snapshot.go), followed by fixed-width binary edge
 // records, followed by a CRC64-ECMA trailer over the record bytes. Open
-// verifies the header and scans the payload checksum before handing out a
-// single edge, so a damaged file degrades to an error, never to a wrong
-// stream. Multi-pass reads are buffered sequential scans; memory is O(1)
-// records regardless of file size, which is what lets the E20 ledger run
-// 10^7-edge streams that genuinely never fit in RAM.
+// verifies the header, scans the payload checksum and checks every record
+// with graph.CheckEdge before handing out a single edge, so a damaged file
+// degrades to an error, never to a wrong stream. Multi-pass reads are
+// buffered sequential scans; memory is O(1) records regardless of file
+// size, which is what lets the E20 ledger run 10^7-edge streams that
+// genuinely never fit in RAM.
 //
 // The companion writer ShuffleToFile materialises a uniformly random
 // arrival order (the Theorem 1.1 model) in external memory: edges are
@@ -38,6 +39,11 @@ const (
 	// recordSize is the fixed width of one edge record: u uint32, v
 	// uint32, w int64, little-endian.
 	recordSize = 16
+	// maxVertices is the largest vertex count uint32 ids can address.
+	maxVertices = 1 << 32
+	// verifyBlock is the number of records OpenFile reads, checksums and
+	// checks per read.
+	verifyBlock = 1 << 12
 	// headerSection names the container section carrying the stream
 	// geometry (n, m, record width as three int64s).
 	headerSection = "estream"
@@ -58,7 +64,8 @@ var (
 	// (wraps the graph.ErrSnapshot* cause when the container detected it).
 	ErrFileStreamHeader = errors.New("stream: bad stream-file header")
 	// ErrFileStreamPayload: the record region fails its CRC64 trailer or
-	// its declared length — at least one bit changed since the write.
+	// its declared length — at least one bit changed since the write — or
+	// holds a record graph.CheckEdge rejects.
 	ErrFileStreamPayload = errors.New("stream: stream-file payload corrupt")
 )
 
@@ -100,7 +107,14 @@ func headerBytes(n, m int) []byte {
 // records written. Memory is O(1) records: the edge count need not be
 // known up front — a fixed-size header region is reserved and patched
 // after the records and CRC trailer land.
+//
+// Every edge must pass graph.CheckEdge against n; the first that does not
+// stops the write with that error, naming its record index. The format's
+// uint32 ids cap n at 2^32.
 func WriteFile(path string, n int, next func() (graph.Edge, bool)) (int, error) {
+	if n < 0 || uint64(n) > maxVertices {
+		return 0, fmt.Errorf("stream: %d vertices outside the format's [0, 2^32]", n)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
@@ -121,6 +135,9 @@ func WriteFile(path string, n int, next func() (graph.Edge, bool)) (int, error) 
 		e, ok := next()
 		if !ok {
 			break
+		}
+		if err := graph.CheckEdge(n, e); err != nil {
+			return 0, fmt.Errorf("stream: record %d: %w", m, err)
 		}
 		encodeRecord(rec[:], e)
 		if _, err := w.Write(rec[:]); err != nil {
@@ -183,7 +200,7 @@ func SliceSource(edges []graph.Edge) func() (graph.Edge, bool) {
 // Next cannot return an error by signature, so a mid-pass read fault ends
 // the pass early (ok=false) and parks the cause on Err; drivers that care
 // check Err after draining. Corrupt files never get this far: OpenFile
-// verifies the header and the payload CRC before returning.
+// verifies the header, the payload CRC and every record before returning.
 type FileStream struct {
 	f       *os.File
 	r       *bufio.Reader
@@ -192,15 +209,19 @@ type FileStream struct {
 	pos     int
 	passes  int
 	err     error
+	// rec is Next's read buffer; a local one would escape through
+	// io.ReadFull and cost an allocation per record.
+	rec [recordSize]byte
 }
 
 var _ EdgeStream = (*FileStream)(nil)
 
 // OpenFile opens and fully verifies a stream file: the AUGSNAP header
 // (magic, version ceiling, CRC), the declared geometry against the file
-// size, and the CRC64 trailer over every record byte (one buffered
-// sequential scan). A file that fails any check yields an error and no
-// stream — corruption degrades to an error, never to wrong edges.
+// size, the CRC64 trailer over every record byte, and every record
+// against graph.CheckEdge (one blocked sequential scan). A file that fails
+// any check yields an error and no stream — corruption degrades to an
+// error, never to wrong edges.
 func OpenFile(path string) (*FileStream, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -251,13 +272,24 @@ func openVerified(f *os.File) (*FileStream, error) {
 		return nil, fmt.Errorf("%w: %d bytes on disk, header declares %d", ErrFileStreamPayload, st.Size(), want)
 	}
 
-	// Verify the payload checksum in one buffered scan.
+	// Verify the payload checksum and every record in one blocked scan.
 	if _, err := f.Seek(dataOff, io.SeekStart); err != nil {
 		return nil, err
 	}
 	crc := crc64.New(fileCRC)
-	if _, err := io.CopyN(crc, bufio.NewReaderSize(f, 1<<20), int64(m)*recordSize); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFileStreamPayload, err)
+	block := make([]byte, verifyBlock*recordSize)
+	for done := 0; done < m; {
+		b := block[:min(m-done, verifyBlock)*recordSize]
+		if _, err := io.ReadFull(f, b); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrFileStreamPayload, err)
+		}
+		crc.Write(b)
+		for off := 0; off < len(b); off += recordSize {
+			if err := graph.CheckEdge(n, decodeRecord(b[off:])); err != nil {
+				return nil, fmt.Errorf("%w: record %d: %w", ErrFileStreamPayload, done+off/recordSize, err)
+			}
+		}
+		done += len(b) / recordSize
 	}
 	var trailer [8]byte
 	if _, err := f.ReadAt(trailer[:], st.Size()-8); err != nil {
@@ -295,13 +327,12 @@ func (s *FileStream) Next() (graph.Edge, bool) {
 	if s.pos >= s.m || s.err != nil {
 		return graph.Edge{}, false
 	}
-	var rec [recordSize]byte
-	if _, err := io.ReadFull(s.r, rec[:]); err != nil {
+	if _, err := io.ReadFull(s.r, s.rec[:]); err != nil {
 		s.err = fmt.Errorf("%w: %v", ErrFileStreamPayload, err)
 		return graph.Edge{}, false
 	}
 	s.pos++
-	return decodeRecord(rec[:]), true
+	return decodeRecord(s.rec[:]), true
 }
 
 // Reset implements EdgeStream.
@@ -417,6 +448,9 @@ func ShuffleToFile(path string, n int, next func() (graph.Edge, bool), rng *rand
 	fen := newFenwick(counts)
 	remaining := total
 	var mergeErr error
+	// One record buffer for the whole merge: declared per call, it would
+	// escape through io.ReadFull and cost an allocation per record.
+	var rec [recordSize]byte
 	m, err := WriteFile(path, n, func() (graph.Edge, bool) {
 		if remaining == 0 || mergeErr != nil {
 			return graph.Edge{}, false
@@ -424,7 +458,6 @@ func ShuffleToFile(path string, n int, next func() (graph.Edge, bool), rng *rand
 		c := fen.selectNth(rng.Intn(remaining))
 		fen.add(c, -1)
 		remaining--
-		var rec [recordSize]byte
 		if _, err := io.ReadFull(readers[c], rec[:]); err != nil {
 			mergeErr = err
 			return graph.Edge{}, false

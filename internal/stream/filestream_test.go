@@ -8,10 +8,15 @@ package stream_test
 // stream half; DESIGN.md PR 10).
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc64"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -118,6 +123,103 @@ func TestWriteFileUnknownCount(t *testing.T) {
 	}
 	if got := len(drain(t, fs)); got != m {
 		t.Fatalf("drained %d edges, want %d", got, m)
+	}
+}
+
+// TestFileStreamNextAllocs: reading a record from an open file allocates
+// nothing, so a pass over a million-edge stream puts no garbage on the heap.
+func TestFileStreamNextAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	inst := graph.RandomGraph(100, 2000, 50, rng)
+	fs, err := stream.OpenFile(writeTempStream(t, inst.G.N(), inst.G.Edges()))
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
+	}
+	defer fs.Close()
+	if got := testing.AllocsPerRun(1000, func() {
+		if _, ok := fs.Next(); !ok {
+			t.Fatal("stream ended early")
+		}
+	}); got != 0 {
+		t.Fatalf("FileStream.Next allocates %v times per record, want 0", got)
+	}
+}
+
+// forgeRecord overwrites record i of the stream file at path with e and
+// rewrites the CRC trailer to match, producing a file whose checksums all
+// hold around a record WriteFile would refuse.
+func forgeRecord(t *testing.T, path string, i int, e graph.Edge) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataOff := 4 + int(binary.LittleEndian.Uint32(data))
+	rec := data[dataOff+16*i:]
+	binary.LittleEndian.PutUint32(rec[0:], uint32(e.U))
+	binary.LittleEndian.PutUint32(rec[4:], uint32(e.V))
+	binary.LittleEndian.PutUint64(rec[8:], uint64(e.W))
+	records := data[dataOff : len(data)-8]
+	binary.LittleEndian.PutUint64(data[len(data)-8:], crc64.Checksum(records, crc64.MakeTable(crc64.ECMA)))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamFilesRefuseInvalidRecords: a record graph.CheckEdge rejects
+// never becomes part of a stream. WriteFile (and ShuffleToFile through it)
+// refuses to write it, naming the record, and OpenFile refuses a file that
+// carries one under valid checksums, before any consumer indexes by it.
+func TestStreamFilesRefuseInvalidRecords(t *testing.T) {
+	const n = 10
+	valid := []graph.Edge{{U: 0, V: 1, W: 3}, {U: 2, V: 3, W: 4}, {U: 5, V: 9, W: 1}}
+	cases := []struct {
+		name string
+		bad  graph.Edge
+		want error
+	}{
+		{"vertex out of range", graph.Edge{U: 1, V: 50, W: 3}, graph.ErrVertexRange},
+		{"self loop", graph.Edge{U: 4, V: 4, W: 9}, graph.ErrSelfLoop},
+		{"zero weight", graph.Edge{U: 1, V: 2, W: 0}, graph.ErrNonPositiveWeight},
+		{"negative weight", graph.Edge{U: 1, V: 2, W: -7}, graph.ErrNonPositiveWeight},
+	}
+	dir := t.TempDir()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			edges := []graph.Edge{valid[0], valid[1], c.bad, valid[2]}
+			path := filepath.Join(dir, "bad.estream")
+			err := stream.WriteFileEdges(path, n, edges)
+			if !errors.Is(err, c.want) {
+				t.Fatalf("WriteFile: got %v, want %v", err, c.want)
+			}
+			if !strings.HasPrefix(err.Error(), "stream: record 2: ") {
+				t.Fatalf("WriteFile error %q does not name record 2", err)
+			}
+			if _, err := stream.ShuffleToFile(path, n, stream.SliceSource(edges),
+				rand.New(rand.NewSource(1)), 2); !errors.Is(err, c.want) {
+				t.Fatalf("ShuffleToFile: got %v, want %v", err, c.want)
+			}
+
+			if err := stream.WriteFileEdges(path, n, valid); err != nil {
+				t.Fatal(err)
+			}
+			forgeRecord(t, path, 1, c.bad)
+			fs, err := stream.OpenFile(path)
+			if err == nil {
+				fs.Close()
+				t.Fatal("OpenFile accepted a file with an invalid record")
+			}
+			if !errors.Is(err, stream.ErrFileStreamPayload) || !errors.Is(err, c.want) {
+				t.Fatalf("OpenFile: got %v, want %v and %v", err, stream.ErrFileStreamPayload, c.want)
+			}
+		})
+	}
+	if strconv.IntSize == 64 {
+		wide := uint64(1)<<32 + 1
+		if _, err := stream.WriteFile(filepath.Join(dir, "wide.estream"), int(wide),
+			stream.SliceSource(valid)); err == nil {
+			t.Fatal("WriteFile accepted more vertices than uint32 ids address")
+		}
 	}
 }
 
@@ -293,7 +395,8 @@ func TestShuffleToFileUniform(t *testing.T) {
 
 // FuzzFileStream: arbitrary bytes never panic the opener and never yield
 // an inconsistent stream — Open either rejects the file or returns a
-// stream whose passes repeat bit-identically and agree with Len.
+// stream whose passes repeat bit-identically, agree with Len, and carry
+// only edges graph.CheckEdge accepts.
 func FuzzFileStream(f *testing.F) {
 	rng := rand.New(rand.NewSource(20))
 	inst := graph.RandomGraph(8, 12, 30, rng)
@@ -334,6 +437,11 @@ func FuzzFileStream(f *testing.F) {
 		first := drain(t, fs)
 		if len(first) != fs.Len() {
 			t.Fatalf("accepted stream drained %d edges, Len says %d", len(first), fs.Len())
+		}
+		for i, e := range first {
+			if err := graph.CheckEdge(fs.N(), e); err != nil {
+				t.Fatalf("accepted stream replays invalid record %d: %v", i, err)
+			}
 		}
 		fs.Reset()
 		second := drain(t, fs)
