@@ -534,23 +534,6 @@ func BenchmarkSolveE13(b *testing.B) {
 	solveBenchOn(b, bandedE13(), core.Options{Amortize: true, MaxPairsPerClass: 2000}, 3)
 }
 
-// BenchmarkSolveE13CrossRound is the E13 band over enough rounds for the
-// round links to matter (6 instead of the tier's 3), cross-round delta
-// chaining on (the default since PR 7): each class's first build of a round
-// deltas over the previous round's retained baseline instead of starting
-// the chain from scratch.
-func BenchmarkSolveE13CrossRound(b *testing.B) {
-	solveBenchOn(b, bandedE13(), core.Options{Amortize: true, MaxPairsPerClass: 2000}, 6)
-}
-
-// BenchmarkSolveE13RoundLocal is BenchmarkSolveE13CrossRound with chaining
-// confined to a single round (CrossRoundCutover = −1, exactly the PR 4–6
-// pipeline) — the A/B baseline for the E17 ledger row, bit-identical output
-// by Invariant 24.
-func BenchmarkSolveE13RoundLocal(b *testing.B) {
-	solveBenchOn(b, bandedE13(), core.Options{Amortize: true, MaxPairsPerClass: 2000, CrossRoundCutover: -1}, 6)
-}
-
 // BenchmarkSolveE14 is the uniform heavy class of the solver-bound tier
 // (E14), amortised cold-solver configuration.
 func BenchmarkSolveE14(b *testing.B) {

@@ -8,16 +8,16 @@
 //	augrun -algo approx -input g.txt -granularity 0.0625
 //	augrun -algo approx -amortize -json -input g.txt
 //	augrun -algo approx -snapshot run.snap -resume -input g.txt
-//	augrun -algo approx -amortize -crossround-cutover -1 -input g.txt
 //
 // Algorithms: greedy, localratio, blossom, exact, randarrival,
 // randarrival-unweighted, approx, streaming, mpc.
 //
-// The -delta-cutover, -repair-cutover, -crossround-cutover and
-// -cache-gate flags tune the amortised path's differential machinery
-// (negative disables the respective layer — the E15/E16/E17 measurement
-// baselines); every setting is bit-identity-preserving. The golden -help
-// test (TestHelpGolden) pins this flag surface against drift.
+// -amortize runs the amortised pipeline with all of its differential
+// machinery on (delta-chained builds, Hopcroft–Karp repair, the round
+// link); -cache-gate tunes the one remaining knob, the cross-class
+// cache's hit-rate gate. Every setting is bit-identity-preserving. The
+// golden -help test (TestHelpGolden) pins this flag surface against
+// drift.
 //
 // The reduction-driven algorithms (approx, streaming, mpc) print the full
 // core.Stats counter ledger, one key=value pair per counter, generated by
@@ -73,17 +73,14 @@ func printStats(w io.Writer, stats core.Stats) {
 
 // flags is augrun's parsed flag surface.
 type flags struct {
-	algo, input       string
-	seed              int64
-	granularity       float64
-	amortize          bool
-	workers           int
-	snapshot          string
-	resume, asJSON    bool
-	deltaCutover      int
-	repairCutover     int
-	crossRoundCutover int
-	cacheGate         int
+	algo, input    string
+	seed           int64
+	granularity    float64
+	amortize       bool
+	workers        int
+	snapshot       string
+	resume, asJSON bool
+	cacheGate      int
 }
 
 // newFlagSet declares augrun's flags over f. Split from run so the golden
@@ -98,9 +95,6 @@ func newFlagSet(f *flags) *flag.FlagSet {
 	fs.IntVar(&f.workers, "workers", 0, "approx: per-class worker pool size (0 = sequential)")
 	fs.StringVar(&f.snapshot, "snapshot", "", "approx: persist a resumable checkpoint to this file after every round")
 	fs.BoolVar(&f.resume, "resume", false, "approx: resume from the -snapshot checkpoint; an unusable snapshot degrades to a cold start")
-	fs.IntVar(&f.deltaCutover, "delta-cutover", 0, "approx: differential-build gate (0 = default, negative disables delta chaining)")
-	fs.IntVar(&f.repairCutover, "repair-cutover", 0, "approx: incremental HK repair gate (0 = default, negative disables repair)")
-	fs.IntVar(&f.crossRoundCutover, "crossround-cutover", 0, "approx: cross-round chain gate (0 = default, negative restarts chains each round)")
 	fs.IntVar(&f.cacheGate, "cache-gate", 0, "approx: cross-class cache hit-rate gate in lookups (0 = default 8, negative disables the gate)")
 	fs.BoolVar(&f.asJSON, "json", false, "emit the run as one JSON object (stats round-trip core.Stats)")
 	return fs
@@ -163,10 +157,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		aopts := repro.ApproxOptions{
 			Seed: *seed, Granularity: *granularity,
 			Amortize: *amortize, Workers: *workers,
-			DeltaCutover:      f.deltaCutover,
-			RepairCutover:     f.repairCutover,
-			CrossRoundCutover: f.crossRoundCutover,
-			CacheGate:         f.cacheGate,
+			CacheGate: f.cacheGate,
 		}
 		var res repro.ApproxResult
 		var rerr error

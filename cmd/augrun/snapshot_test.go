@@ -129,9 +129,12 @@ func TestSnapshotForeignGraphDegradesToCold(t *testing.T) {
 	}
 }
 
-// TestSnapshotWarmStartDegradesToCold: a checkpoint whose driver section
-// records warm-start=true, as builds that still had the option wrote it,
-// is refused and the run starts cold, reporting the retired option.
+// TestSnapshotWarmStartDegradesToCold covers the retired driver keys —
+// warm-start and the three cutover keys — end to end. A checkpoint that
+// records one at a value this build no longer runs, as builds that still
+// had the option wrote it, is refused and the run starts cold, reporting
+// the key. A checkpoint laid out as the previous build wrote it, with all
+// three cutover keys at 0, resumes.
 func TestSnapshotWarmStartDegradesToCold(t *testing.T) {
 	graphPath := writeTestGraph(t)
 	snap := filepath.Join(t.TempDir(), "run.snap")
@@ -146,24 +149,46 @@ func TestSnapshotWarmStartDegradesToCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sections {
-		if sections[i].Name == "driver" {
-			sections[i].Data = append(sections[i].Data, "warm-start=true\n"...)
+	// withDriver rewrites the snapshot with its driver section passed
+	// through edit (a cold run rewrites the file, so each case starts from
+	// the first run's bytes).
+	withDriver := func(edit func(string) string) {
+		t.Helper()
+		forged := append([]graph.SnapshotSection(nil), sections...)
+		for i := range forged {
+			if forged[i].Name == "driver" {
+				forged[i].Data = []byte(edit(string(forged[i].Data)))
+			}
+		}
+		if err := os.WriteFile(snap, graph.EncodeSnapshot(version, forged), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := os.WriteFile(snap, graph.EncodeSnapshot(version, sections), 0o644); err != nil {
-		t.Fatal(err)
+
+	for _, kv := range []string{"warm-start=true", "delta-cutover=-1", "repair-cutover=4", "crossround-cutover=-1"} {
+		withDriver(func(d string) string { return d + kv + "\n" })
+		cold := runSnapshotJSON(t, append(base, "-resume")...)
+		if cold.Model.Resumed {
+			t.Fatalf("%s: snapshot was resumed", kv)
+		}
+		key, _, _ := strings.Cut(kv, "=")
+		if !strings.Contains(cold.Model.ColdStart, key) {
+			t.Errorf("%s: cold-start reason %q does not name the key", kv, cold.Model.ColdStart)
+		}
+		if cold.Weight != first.Weight {
+			t.Errorf("%s: cold weight %d != original %d", kv, cold.Weight, first.Weight)
+		}
 	}
 
-	cold := runSnapshotJSON(t, append(base, "-resume")...)
-	if cold.Model.Resumed {
-		t.Fatal("warm-start snapshot was resumed")
+	withDriver(func(d string) string {
+		return strings.Replace(d, "cache-gate=", "delta-cutover=0\nrepair-cutover=0\ncrossround-cutover=0\ncache-gate=", 1)
+	})
+	resumed := runSnapshotJSON(t, append(base, "-resume")...)
+	if !resumed.Model.Resumed || resumed.Model.ColdStart != "" {
+		t.Fatalf("parent-layout snapshot did not resume: %+v", resumed.Model)
 	}
-	if !strings.Contains(cold.Model.ColdStart, "warm-start") {
-		t.Errorf("cold-start reason %q does not name the warm-start option", cold.Model.ColdStart)
-	}
-	if cold.Weight != first.Weight {
-		t.Errorf("cold weight %d != original %d", cold.Weight, first.Weight)
+	if resumed.Weight != first.Weight {
+		t.Errorf("resumed weight %d != original %d", resumed.Weight, first.Weight)
 	}
 }
 

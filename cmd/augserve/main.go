@@ -20,7 +20,8 @@
 //	POST /mutate    queue mutations: JSON array of {"op","u","v","w"}
 //	                (op: insert | delete | reweight; w ignored for delete);
 //	                an unknown op, a vertex outside [0, n), a self loop or
-//	                a w ≤ 0 is a 400, and the request queues nothing
+//	                a w ≤ 0 is a 400, a body over 1 MiB is a 413, and a
+//	                rejected request queues nothing
 //	POST /tick      apply the queued batch and re-converge; reports the
 //	                ops applied, the augmentation gain, and the new weight
 //	POST /snapshot  persist a resumable checkpoint to the -snapshot path
@@ -38,6 +39,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -168,6 +170,11 @@ func (s *server) timedTick(logger *log.Logger) {
 	}
 }
 
+// maxMutateBody caps a /mutate request body at 1 MiB, about 25,000 ops.
+// The decoder reads the body into memory, so without a cap one request
+// could claim unbounded memory; a larger body is refused with 413.
+const maxMutateBody = 1 << 20
+
 // mutationReq is the wire form of one queued edit.
 type mutationReq struct {
 	Op string       `json:"op"`
@@ -224,8 +231,13 @@ func (s *server) handler() http.Handler {
 
 	mux.HandleFunc("POST /mutate", func(w http.ResponseWriter, r *http.Request) {
 		var reqs []mutationReq
-		if err := json.NewDecoder(r.Body).Decode(&reqs); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		body := http.MaxBytesReader(w, r.Body, maxMutateBody)
+		if err := json.NewDecoder(body).Decode(&reqs); err != nil {
+			status := http.StatusBadRequest
+			if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		// Validate the whole request into a local batch before touching the

@@ -220,7 +220,8 @@ func TestServeSnapshotRestart(t *testing.T) {
 // edge rules — must leave the pending queue untouched. The old handler
 // appended ops as it validated and bailed mid-loop, so the rejected
 // request's prefix applied on the next tick; a client that fixed and
-// retried the request would apply it twice.
+// retried the request would apply it twice. A body over the size cap is
+// rejected the same way, with 413.
 func TestMutateRejectQueuesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	inst := graph.RandomGraph(12, 30, 16, rng)
@@ -259,13 +260,29 @@ func TestMutateRejectQueuesNothing(t *testing.T) {
 		}
 	}
 
+	// A body over the 1 MiB cap is refused with 413 and queues nothing,
+	// even though it is a well-formed array of one valid op.
+	huge := `[{"op":"insert","u":1,"v":7,"w":40}` + strings.Repeat(" ", maxMutateBody) + "]"
+	resp, err := http.Post(ts.URL+"/mutate", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	var tick struct{ Applied int }
+	postJSON(t, ts.URL+"/tick", nil, &tick)
+	if tick.Applied != 0 {
+		t.Fatalf("oversized body left %d ops behind, want 0", tick.Applied)
+	}
+
 	// The corrected retry applies exactly its own ops.
 	var queued struct{ Queued int }
 	postJSON(t, ts.URL+"/mutate", prefix, &queued)
 	if queued.Queued != 2 {
 		t.Fatalf("queued = %d, want 2", queued.Queued)
 	}
-	var tick struct{ Applied int }
 	postJSON(t, ts.URL+"/tick", nil, &tick)
 	if tick.Applied != 2 {
 		t.Fatalf("retry applied %d ops, want 2", tick.Applied)

@@ -104,9 +104,6 @@ func Registry() map[string]Runner {
 		"E12": E12Convergence,
 		"E13": E13SolverBound,
 		"E14": E14UniformClass,
-		"E15": E15DeltaBuild,
-		"E16": E16RepairHK,
-		"E17": E17CrossRound,
 		"E18": E18EditStream,
 		"E19": E19SolverMicroarch,
 		"E20": E20StreamScale,

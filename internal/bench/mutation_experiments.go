@@ -104,7 +104,7 @@ func runEditStream(g *graph.Graph, opts core.Options, seed int64, updates []*cor
 }
 
 // E18EditStream measures the PR 8 tentpole: the fully-dynamic mutation
-// stream over the epoch-keyed pipeline. The bed is the E13/E17 banded tier
+// stream over the epoch-keyed pipeline. The bed is the E13 banded tier
 // with a converged matching absorbing a stream of single-edit updates —
 // insert-only, delete-only, reweight-only, and mixed regimes — where each
 // update is one ApplyMutations plus the rounds to re-converge. The

@@ -113,13 +113,12 @@ type amortClassCtx struct {
 	cache *pairCache
 	enum  *layered.PairScratch
 
-	// Cross-round delta chaining (Options.CrossRoundCutover ≥ 0): the
-	// class's build arena, its last build, and its repair arena live here —
-	// per class, Solve-lifetime — instead of on the round-scoped worker,
-	// so the chain's baseline survives the bipartition redraw. prevLay
-	// points into scratch's retained build; both are lazily created by the
-	// class's first sweep. rep shadows the worker's repairState for the
-	// class.
+	// The delta chain: the class's build arena, its last build, and its
+	// repair arena live here — per class, Solve-lifetime — instead of on
+	// the round-scoped worker, so the chain's baseline survives the
+	// bipartition redraw. prevLay points into scratch's retained build;
+	// both are lazily created by the class's first sweep. rep shadows the
+	// worker's repairState for the class.
 	scratch *layered.Scratch
 	prevLay *layered.Layered
 	rep     *repairState
@@ -247,16 +246,16 @@ func (pc *pairCache) put(key []byte, cands []candidate) {
 	pc.mu.Unlock()
 }
 
-// repairState carries a worker's incremental Hopcroft–Karp repair chain
-// (Options.RepairCutover): the retained bipartite arena plus the identity
-// of the instance it last solved — the solve token the arena issued and the
-// BuildSeq of the layered graph the instance came from. A solve whose
-// layered graph was delta-built directly over that instance
-// (DeltaInfo.BaseSeq matches) patches the retained CSR; everything else
-// runs a full retained solve. Both paths return the bit-identical matching
-// and phase count of a fresh HopcroftKarpScratch (Invariant 21), so the
-// sweep's results are invariant under the worker count even though the
-// chain itself is worker-local.
+// repairState carries an incremental Hopcroft–Karp repair chain — a
+// worker's, or an amortised class's: the retained bipartite arena plus the
+// identity of the instance it last solved — the solve token the arena
+// issued and the BuildSeq of the layered graph the instance came from. A
+// solve whose layered graph was delta-built directly over that instance
+// (DeltaInfo.BaseSeq matches) with a non-empty kept L′ prefix patches the
+// retained CSR; everything else runs a full retained solve. Both paths
+// return the bit-identical matching and phase count of a fresh
+// HopcroftKarpScratch (Invariant 21), so the sweep's results are invariant
+// under the worker count even though the chain itself is not shared.
 type repairState struct {
 	hk *bipartite.Scratch
 	// baseTok is the arena's SolveToken after the last retained solve;
@@ -270,40 +269,33 @@ type repairState struct {
 // view. The returned matching is arena-owned and valid only until the next
 // solve on this worker — classAugmentations consumes it within the
 // iteration.
-func (rs *repairState) solve(lay *layered.Layered, bip *bipartite.Bip, cutover int, stats *Stats) (*graph.Matching, int) {
-	if d := lay.Delta; d.Valid && rs.baseTok != 0 && d.BaseSeq == rs.baseSeq {
-		// Default gate: patch whenever anything is shared — the E16 table
-		// measured the patch-always extreme at or slightly ahead of
-		// fraction gates on both shapes (the single-scan patch never costs
-		// meaningfully more than prepare).
-		min := cutover
-		if min <= 0 {
-			min = 1
+func (rs *repairState) solve(lay *layered.Layered, bip *bipartite.Bip, stats *Stats) (*graph.Matching, int) {
+	// Patch whenever anything is shared: the retained arena saves the
+	// per-solve allocations either way, and the single-scan patch never
+	// costs meaningfully more than a full prepare.
+	if d := lay.Delta; d.Valid && rs.baseTok != 0 && d.BaseSeq == rs.baseSeq && d.KeptLPrime > 0 {
+		info := bipartite.RepairInfo{
+			BaseToken: rs.baseTok,
+			KeptVerts: d.KeptIDs,
+			KeptEdges: d.KeptLPrime,
 		}
-		if d.KeptLPrime >= min {
-			info := bipartite.RepairInfo{
-				BaseToken: rs.baseTok,
-				KeptVerts: d.KeptIDs,
-				KeptEdges: d.KeptLPrime,
-			}
-			// Hazard site (chaos testing): corrupt the kept-prefix
-			// descriptor the way a damaged DeltaInfo would. RepairHK's
-			// bounds check rejects it (ErrRepairInfo) before touching the
-			// arena, so the fall-through below takes over.
-			if faultinject.Fire(faultinject.RepairInfo) {
-				info.KeptEdges = int(^uint32(0) >> 1)
-			}
-			if res, err := bipartite.RepairHK(bip, rs.hk, info); err == nil {
-				stats.RepairSolves++
-				stats.RepairEdgesKept += d.KeptLPrime
-				rs.record(lay)
-				return res.M, res.Phases
-			}
-			// Solve rung of the ladder: a rejected baseline (ErrRepair*,
-			// real or injected) degrades to the full retained solve below,
-			// never to a wrong matching or an error.
-			stats.FallbackSolves++
+		// Hazard site (chaos testing): corrupt the kept-prefix descriptor
+		// the way a damaged DeltaInfo would. RepairHK's bounds check
+		// rejects it (ErrRepairInfo) before touching the arena, so the
+		// fall-through below takes over.
+		if faultinject.Fire(faultinject.RepairInfo) {
+			info.KeptEdges = int(^uint32(0) >> 1)
 		}
+		if res, err := bipartite.RepairHK(bip, rs.hk, info); err == nil {
+			stats.RepairSolves++
+			stats.RepairEdgesKept += d.KeptLPrime
+			rs.record(lay)
+			return res.M, res.Phases
+		}
+		// Solve rung of the ladder: a rejected baseline (ErrRepair*, real
+		// or injected) degrades to the full retained solve below, never to
+		// a wrong matching or an error.
+		stats.FallbackSolves++
 	}
 	res := bipartite.HopcroftKarpRetained(bip, rs.hk)
 	rs.record(lay)

@@ -148,70 +148,35 @@ type Options struct {
 	// PhasedSolverFactory is set, each worker uses an exact Hopcroft–Karp
 	// solver backed by its own scratch arena.
 	PhasedSolverFactory func(rng *rand.Rand) PhasedSolver
-	// Amortize enables the cross-round amortised pipeline: the incremental
-	// viability index (window bucketing computed once per edge and
-	// maintained by matched/unmatched deltas instead of rebuilt per round
-	// and class), the probe-guided pair enumeration (doomed (τA, τB)
-	// subtrees are pruned during generation, see Stats.EnumPruned), and the
-	// per-round cross-class solve cache (classes whose windows coincide
-	// share one solve). The amortised path returns the bit-identical
-	// matching of the naive path for a fixed Rng seed; the differential
-	// suite (internal/solvertest, TestAmortizedRoundBitIdentical) asserts
-	// it. Stats.LayeredBuilt counts probe-rejected pairs as built so the
-	// two paths stay comparable. Granularities finer than 1/255 exceed the
-	// index's compact unit storage and silently fall back to the naive
-	// path (layered.CanIndexIncrementally).
+	// Amortize enables the cross-round amortised pipeline:
+	//   - the incremental viability index (window bucketing computed once
+	//     per edge and maintained by matched/unmatched deltas instead of
+	//     rebuilt per round and class);
+	//   - the probe-guided pair enumeration (doomed (τA, τB) subtrees are
+	//     pruned during generation, see Stats.EnumPruned);
+	//   - the per-round cross-class solve cache (classes whose windows
+	//     coincide share one solve, see CacheGate);
+	//   - the delta chain: every build of a class after its first is
+	//     layered.BuildDelta patching the class's previous build on a
+	//     class-private arena, across the bipartition redraw too (the round
+	//     link keeps exactly the segments the index proves unchanged,
+	//     layered.RoundChainer); see Stats.DeltaBuilds and
+	//     CrossRoundDeltaBuilds;
+	//   - the incremental Hopcroft–Karp repair: the default exact solver
+	//     retains its CSR per class, and a solve whose layered graph was
+	//     delta-built over the previous solve's instance with a non-empty
+	//     kept L′ prefix patches it (bipartite.RepairHK); see
+	//     Stats.RepairSolves and CrossRoundRepairs.
+	// The amortised path returns the bit-identical matching of the naive
+	// path for a fixed Rng seed, and with no cache hit the identical phase
+	// count: delta builds and repairs are bit-identical to from-scratch
+	// builds and solves (Invariants 19, 21 and 24). The differential suite
+	// (internal/solvertest) asserts it. Stats.LayeredBuilt counts
+	// probe-rejected pairs as built so the two paths stay comparable.
+	// Granularities finer than 1/255 exceed the index's compact unit
+	// storage and silently fall back to the naive path
+	// (layered.CanIndexIncrementally).
 	Amortize bool
-	// DeltaCutover tunes the differential layered-graph builder the
-	// amortised path chains within each class-round: consecutive surviving
-	// (τA, τB) pairs share most of their layers, so every pair after the
-	// first is built by layered.BuildDelta — patching only the layers whose
-	// windows changed against the previous pair's build — whenever at least
-	// DeltaCutover layer segments are reusable (see Stats.DeltaBuilds /
-	// DeltaLayersReused). 0 uses the default gate (chain always; the
-	// grouped Y-stage lookup pays off even with nothing to reuse), negative
-	// disables delta chaining entirely (every pair rebuilds from scratch) —
-	// the measurement baseline of the E15 experiment. The delta builds are
-	// bit-identical to from-scratch builds by construction, asserted by
-	// TestBuildDeltaMatchesBuildIndexed and FuzzBuildDelta.
-	DeltaCutover int
-	// RepairCutover tunes the incremental Hopcroft–Karp repair, the
-	// solver-side twin of the delta chain: with the default exact solver,
-	// every solve retains its adjacency CSR and result arena
-	// (bipartite.HopcroftKarpRetained), and a solve whose layered graph was
-	// delta-built over the instance of the previous solve patches the
-	// retained CSR (bipartite.RepairHK) instead of rebuilding it — whenever
-	// at least RepairCutover edges of the L' list are byte-shared with the
-	// baseline (DeltaInfo.KeptLPrime). 0 uses the default gate (patch
-	// whenever anything is shared; the retained arena saves the per-solve
-	// allocations either way), negative disables the repair path
-	// entirely (every solve is a fresh HopcroftKarpScratch) — the
-	// measurement baseline of the E16 experiment. The repaired solve is
-	// bit-identical to the fresh one — same matching, same phase count —
-	// because the patched CSR is byte-identical to the rebuilt one
-	// (Invariant 21); see Stats.RepairSolves / RepairEdgesKept. Ignored
-	// when a Solver or PhasedSolverFactory closure is installed — only the
-	// default exact solver retains repair state.
-	RepairCutover int
-	// CrossRoundCutover gates the cross-round extension of the delta chain
-	// (PR 7): with it enabled each class's builds chain on a class-private
-	// arena that survives the round boundary, so the first build of a
-	// class-round is delta-built over the previous round's last build — the
-	// chain crosses the bipartition redraw, keeping exactly the segments
-	// whose buckets the incremental index proves unchanged
-	// (layered.RoundChainer) — and the incremental Hopcroft–Karp repair
-	// extends across rounds with it (DeltaInfo already names the base
-	// build). 0 uses the default gate (chain across the redraw whenever
-	// anything is reusable); a positive value requires at least that many
-	// reusable segments at the round link before chaining (below it the
-	// link build rebuilds in place, exactly as a too-small same-round delta
-	// does); negative disables the extension — every class chain restarts at
-	// each BeginRound, the round-local behaviour of PRs 4–6 and the
-	// measurement baseline of the E17 experiment. Cross-round chained builds
-	// and repairs are bit-identical to round-local ones by construction
-	// (Invariant 24); see Stats.CrossRoundDeltaBuilds / CrossRoundRepairs.
-	// Ignored unless Amortize is set and DeltaCutover ≥ 0.
-	CrossRoundCutover int
 	// CacheGate tunes the per-class hit-rate gate on the cross-class solve
 	// cache: a class whose cache lookups have produced zero hits after
 	// CacheGate lookups stops computing pair keys (and so stops digesting
@@ -292,7 +257,7 @@ type Stats struct {
 	// RepairSolves counts solver calls served by the incremental repair
 	// path (layered.DeltaInfo handed to bipartite.RepairHK: CSR patched
 	// from the previous solve instead of rebuilt — bit-identical result,
-	// always 0 on the naive path and at RepairCutover < 0).
+	// always 0 on the naive path and under an installed solver).
 	RepairSolves int
 	// RepairEdgesKept accumulates the byte-shared L' edge-list prefix
 	// lengths across all RepairSolves — the adjacency entries the repair
@@ -303,13 +268,12 @@ type Stats struct {
 	// CrossRoundDeltaBuilds counts delta builds whose baseline was the
 	// class's last build of a PREVIOUS round: the chain crossed a
 	// bipartition redraw instead of restarting at BeginRound (always 0 on
-	// the naive path and at CrossRoundCutover < 0). Every such build is
-	// also counted in DeltaBuilds.
+	// the naive path). Every such build is also counted in DeltaBuilds.
 	CrossRoundDeltaBuilds int
 	// CrossRoundRepairs counts RepairSolves whose patched baseline solve
 	// belonged to a previous round — the repair chain extended across the
-	// redraw together with the build chain (always 0 unless both the
-	// repair path and cross-round chaining are on).
+	// redraw together with the build chain (always 0 on the naive path
+	// and under an installed solver).
 	CrossRoundRepairs int
 	// ClassesSkippedDirty counts (round, class) combinations the
 	// round-scoped dirty gate skipped outright: classes whose τ windows
@@ -464,13 +428,16 @@ func ClassWeights(g *graph.Graph, base float64, prm layered.Params) []float64 {
 // scratch arena, a stamped conflict set, and the solver source, so parallel
 // workers share nothing.
 type classWorker struct {
-	scratch   *layered.Scratch
+	scratch *layered.Scratch
+	// newSolver builds an installed solver (Options.Solver or
+	// PhasedSolverFactory) for a class; nil under the default solver
+	// configuration, which solves through repair instead.
 	newSolver func(rng *rand.Rand) Solver
 
-	// repair, when non-nil, replaces the solver with the retained exact
-	// solver that patches the previous solve's CSR for delta-built
-	// instances (Options.RepairCutover ≥ 0 with the default solver
-	// configuration).
+	// repair is the default configuration's exact solver: Hopcroft–Karp
+	// retained on a worker-private arena, patching the previous solve's
+	// CSR for delta-built instances. Amortised classes swap in their own
+	// class-private repairState (amortClassCtx.rep).
 	repair *repairState
 
 	// used is the class-level conflict set as a stamp array over original
@@ -478,9 +445,9 @@ type classWorker struct {
 	used      []uint32
 	usedStamp uint32
 
-	// lastPhases is the phase count of the most recent solver call,
-	// recorded for Stats.SolverPhases by the default solver and by the
-	// PhasedSolverFactory adapter (a plain installed Solver leaves it 0).
+	// lastPhases is the phase count of the most recent installed-solver
+	// call, recorded for Stats.SolverPhases by the PhasedSolverFactory
+	// adapter (a plain installed Solver leaves it 0).
 	lastPhases int
 }
 
@@ -544,16 +511,7 @@ func newClassWorker(opts Options) *classWorker {
 		// Default oracle: exact Hopcroft–Karp over a worker-private arena,
 		// so the hundreds of solver calls per round stop allocating their
 		// adjacency and search state.
-		hk := bipartite.NewScratch()
-		solver := Solver(func(b *bipartite.Bip) (*graph.Matching, error) {
-			res := bipartite.HopcroftKarpScratch(b, hk)
-			w.lastPhases = res.Phases
-			return res.M, nil
-		})
-		w.newSolver = func(*rand.Rand) Solver { return solver }
-		if opts.RepairCutover >= 0 {
-			w.repair = &repairState{hk: hk}
-		}
+		w.repair = &repairState{hk: bipartite.NewScratch()}
 	}
 	return w
 }
@@ -684,7 +642,7 @@ func (r *Runner) Round(m *graph.Matching, stats *Stats) (graph.Weight, error) {
 			}
 		}
 		perClass[i], perErr[i] = classAugmentations(
-			par, m, weights[i], w.newSolver(rng), w, opts, &perStats[i], ac)
+			par, m, weights[i], rng, w, opts, &perStats[i], ac)
 	}
 	// safeRunClass contains a worker panic: the recovered value is recorded
 	// as a *PanicError for the fallback pass below, and ok = false tells
@@ -821,7 +779,7 @@ func (r *Runner) classFallback(
 	if seeds != nil {
 		rng = rand.New(rand.NewSource(seeds[i]))
 	}
-	return classAugmentations(par, m, r.weights[i], w.newSolver(rng), w, r.opts, st, nil)
+	return classAugmentations(par, m, r.weights[i], rng, w, r.opts, st, nil)
 }
 
 // FindClassAugmentations is Algorithm 4 as a standalone entry point: it
@@ -842,7 +800,7 @@ func FindClassAugmentations(
 	if opts.PhasedSolverFactory != nil {
 		rng = rand.New(rand.NewSource(opts.Rng.Int63()))
 	}
-	return classAugmentations(par, m, w, cw.newSolver(rng), cw, opts, stats, nil)
+	return classAugmentations(par, m, w, rng, cw, opts, stats, nil)
 }
 
 // oracleOf unwraps the class context's survival oracle: non-nil only on the
@@ -861,12 +819,14 @@ func oracleOf(ac *amortClassCtx) (layered.SurvivalOracle, bool) {
 // G, decompose (Lemma 4.11), and keep the best component per path. The
 // vertex-disjoint union across pairs is returned.
 //
-// With an amortised class context, three short-circuits precede the
-// build+solve, none of which changes the returned set: the survival probe
-// rejects pairs whose layered graph would have no Y edge (exactly the
+// With an amortised class context, four short-circuits precede or shorten
+// the build+solve, none of which changes the returned set: the survival
+// probe rejects pairs whose layered graph would have no Y edge (exactly the
 // pairs the naive loop builds and then skips), the cross-class cache
 // replays the candidates of an identical layered graph solved earlier this
-// round, and the repair solver patches the previous solve's retained CSR.
+// round, the delta chain patches the class's previous build (across the
+// redraw too), and the repair solver patches the previous solve's retained
+// CSR. rng is the class's Rng split, handed to an installed solver factory.
 //
 // Note: Algorithm 4 as analysed returns only the single best pair's set
 // A(τA,τB); the union with a shared conflict set is pointwise at least as
@@ -876,7 +836,7 @@ func classAugmentations(
 	par *layered.Parametrized,
 	m *graph.Matching,
 	w float64,
-	solver Solver,
+	rng *rand.Rand,
 	cw *classWorker,
 	opts Options,
 	stats *Stats,
@@ -891,26 +851,19 @@ func classAugmentations(
 		panic("faultinject: injected worker panic in class sweep")
 	}
 	var ix layered.Index
-	crossRound := false
 	if ac != nil {
 		ix = ac.view
-		if opts.DeltaCutover >= 0 {
-			if opts.CrossRoundCutover >= 0 {
-				// Cross-round chaining: the class's delta chain lives on a
-				// class-private arena so its baseline survives the round
-				// boundary (worker arenas are recreated every Round and
-				// shuffle between classes under the pool). Lazy — a class
-				// that never sweeps never pays for one.
-				if ac.scratch == nil {
-					ac.scratch = layered.NewScratch()
-				}
-				scratch = ac.scratch
-				crossRound = true
-			}
-			// The sweep delta-chains this class's builds, so the first
-			// pair's from-scratch build must record the diff watermarks.
-			scratch.EnableDeltaBaseline()
+		// The class's delta chain lives on a class-private arena so its
+		// baseline survives the round boundary (worker arenas are recreated
+		// every Round and shuffle between classes under the pool). Lazy — a
+		// class that never sweeps never pays for one.
+		if ac.scratch == nil {
+			ac.scratch = layered.NewScratch()
 		}
+		scratch = ac.scratch
+		// The sweep delta-chains this class's builds, so the first pair's
+		// from-scratch build must record the diff watermarks.
+		scratch.EnableDeltaBaseline()
 	} else {
 		ix = scratch.Index(par, w, opts.Layered)
 	}
@@ -943,7 +896,7 @@ func classAugmentations(
 		pairs = pairs[:opts.MaxPairsPerClass]
 	}
 	rep := cw.repair
-	if rep != nil && crossRound {
+	if rep != nil && ac != nil {
 		// Like the build arena, the repair baseline must be class-private to
 		// survive the round boundary; the worker's arena would hand class A's
 		// retained CSR to class B next round (the token check would catch it,
@@ -953,6 +906,10 @@ func classAugmentations(
 		}
 		rep = ac.rep
 	}
+	var solver Solver
+	if rep == nil {
+		solver = cw.newSolver(rng)
+	}
 	var cands []candidate
 	var key []byte
 
@@ -960,11 +917,11 @@ func classAugmentations(
 	// builder: every surviving pair after the first patches the previous
 	// pair's build (bit-identical to a from-scratch build by construction).
 	// Pairs served by the cache never build, so prevLay stays the arena's
-	// latest build across hits. Under cross-round chaining it is seeded
-	// from the class context, so the first build of a class-round deltas
-	// over the previous round's last build — across the redraw.
+	// latest build across hits. It is seeded from the class context, so
+	// the first build of a class-round deltas over the previous round's
+	// last build — across the redraw.
 	var prevLay *layered.Layered
-	if crossRound {
+	if ac != nil {
 		prevLay = ac.prevLay
 	}
 	for _, tau := range pairs {
@@ -1005,16 +962,11 @@ func classAugmentations(
 		}
 		var lay *layered.Layered
 		crossBuilt := false
-		if ac != nil && prevLay != nil && opts.DeltaCutover >= 0 {
-			cut := opts.DeltaCutover
-			if cut == 0 {
-				cut = 1
-			}
+		if ac != nil && prevLay != nil {
 			link := prevLay.Par != par // baseline from a previous round
-			if link && opts.CrossRoundCutover > cut {
-				cut = opts.CrossRoundCutover
-			}
-			if dl, reusedSegs, derr := layered.BuildDelta(ix, prevLay, tau, scratch, cut); derr == nil {
+			// Cutover 1 chains always: the grouped Y-stage lookup pays off
+			// even with no segment to reuse.
+			if dl, reusedSegs, derr := layered.BuildDelta(ix, prevLay, tau, scratch, 1); derr == nil {
 				lay = dl
 				stats.DeltaBuilds++
 				stats.DeltaLayersReused += reusedSegs
@@ -1047,7 +999,7 @@ func classAugmentations(
 		case rep != nil:
 			var phases int
 			repairedBefore := stats.RepairSolves
-			mPrime, phases = rep.solve(lay, bip, opts.RepairCutover, stats)
+			mPrime, phases = rep.solve(lay, bip, stats)
 			if crossBuilt && stats.RepairSolves > repairedBefore {
 				// The patched baseline solve belonged to the previous
 				// round: the repair chain crossed the redraw too.
@@ -1073,7 +1025,7 @@ func classAugmentations(
 			ac.cache.put(key, cands[start:])
 		}
 	}
-	if crossRound {
+	if ac != nil {
 		// Hand the chain tail to the class context so next round's first
 		// build can link onto it across the redraw.
 		ac.prevLay = prevLay

@@ -8,41 +8,51 @@ import (
 	"repro/internal/layered"
 )
 
-// TestCrossRoundChaining is the core-level differential for the PR 7
-// tentpole: with cross-round chaining on (the default) a Solve must return
-// the bit-identical matching, gain, and solver phase count of the
-// round-local baseline (CrossRoundCutover < 0), while actually linking
-// chains across the bipartition redraw (CrossRoundDeltaBuilds > 0) — and
-// the baseline must never link (the counter pins the knob's off semantics).
+// TestCrossRoundChaining is the core-level differential for the round link
+// (Invariant 24): an amortised Solve, whose class chains cross every
+// bipartition redraw (CrossRoundDeltaBuilds > 0), must return the
+// bit-identical matching and gain of the naive path, with every naive
+// solve accounted for by a solve or a cache hit, and — when no cache hit
+// replaced a whole solve — the identical phase count.
 func TestCrossRoundChaining(t *testing.T) {
 	g := fallbackTestInstance()
-	on := Options{Amortize: true, MaxRounds: 8, Rng: rand.New(rand.NewSource(21))}
-	got, err := Solve(g, nil, on)
+	got, err := Solve(g, nil, Options{Amortize: true, MaxRounds: 8, Rng: rand.New(rand.NewSource(21))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := Options{Amortize: true, MaxRounds: 8, CrossRoundCutover: -1,
-		Rng: rand.New(rand.NewSource(21))}
-	want, err := Solve(g, nil, off)
+	want, err := Solve(g, nil, Options{MaxRounds: 8, Rng: rand.New(rand.NewSource(21))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalMatchings(got.M, want.M) {
-		t.Fatalf("cross-round run diverged: weight %d vs %d", got.M.Weight(), want.M.Weight())
-	}
-	if got.Stats.Gain != want.Stats.Gain || got.Stats.SolverPhases != want.Stats.SolverPhases ||
-		got.Stats.SolverCalls != want.Stats.SolverCalls || got.Stats.Rounds != want.Stats.Rounds {
-		t.Fatalf("cross-round run's result counters diverged:\n got %+v\nwant %+v", got.Stats, want.Stats)
-	}
+	assertMatchesNaive(t, "cross-round run", got, want)
 	if got.Stats.CrossRoundDeltaBuilds == 0 {
-		t.Error("cross-round chaining on, but no chain crossed a round boundary")
-	}
-	if want.Stats.CrossRoundDeltaBuilds != 0 || want.Stats.CrossRoundRepairs != 0 {
-		t.Errorf("CrossRoundCutover=-1 still linked across rounds: %+v", want.Stats)
+		t.Error("no chain crossed a round boundary")
 	}
 	// Healthy chains never touch the ladder, cross-round links included.
 	if got.Stats.FallbackBuilds != 0 || got.Stats.FallbackSolves != 0 {
 		t.Errorf("healthy cross-round run hit fallback rungs: %+v", got.Stats)
+	}
+}
+
+// assertMatchesNaive holds an amortised Solve to the naive one over the
+// same Rng stream: the identical matching, gain and round count; every
+// naive solve served by a solve or a cache hit; and, when no cache hit
+// replaced a whole solve, the identical phase count — delta builds,
+// repairs and round links are phase-neutral (Invariants 21 and 24).
+func assertMatchesNaive(t *testing.T, what string, got, naive Result) {
+	t.Helper()
+	if !equalMatchings(got.M, naive.M) {
+		t.Fatalf("%s diverged from the naive path: weight %d vs %d", what, got.M.Weight(), naive.M.Weight())
+	}
+	g, n := got.Stats, naive.Stats
+	if g.Gain != n.Gain || g.Rounds != n.Rounds || g.AppliedAugmentations != n.AppliedAugmentations {
+		t.Fatalf("%s result counters diverged:\n got %+v\nnaive %+v", what, g, n)
+	}
+	if g.SolverCalls+g.CacheHits != n.SolverCalls {
+		t.Fatalf("%s: %d solves + %d cache hits, naive %d solves", what, g.SolverCalls, g.CacheHits, n.SolverCalls)
+	}
+	if g.CacheHits == 0 && g.SolverPhases != n.SolverPhases {
+		t.Fatalf("%s: %d phases with no cache hit, naive %d", what, g.SolverPhases, n.SolverPhases)
 	}
 }
 
@@ -64,11 +74,11 @@ func (s *repeatSource) Int63() int64 {
 }
 func (s *repeatSource) Seed(int64) {}
 
-// TestCrossRoundRepairChains pins the repair side of the tentpole: under a
-// side-stable redraw the first build of a class-round deltas over the
+// TestCrossRoundRepairChains pins the repair side of the round link: under
+// a side-stable redraw the first build of a class-round deltas over the
 // previous round's last build with a non-empty kept prefix, and the repair
 // chain extends across the boundary with it (CrossRoundRepairs > 0) — with
-// results still bit-identical to the round-local baseline.
+// results still bit-identical to the naive path.
 func TestCrossRoundRepairChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := graph.BandedWeights(60, 8*60, 100, rng).G
@@ -88,41 +98,11 @@ func TestCrossRoundRepairChains(t *testing.T) {
 	if got.Stats.CrossRoundRepairs == 0 {
 		t.Fatalf("stable redraw produced no cross-round repairs: %+v", got.Stats)
 	}
-	off := Options{Amortize: true, MaxRounds: 6, CrossRoundCutover: -1,
-		Rng: rand.New(&repeatSource{vals: vals})}
-	want, err := Solve(g, nil, off)
+	want, err := Solve(g, nil, Options{MaxRounds: 6, Rng: rand.New(&repeatSource{vals: vals})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalMatchings(got.M, want.M) || got.Stats.SolverPhases != want.Stats.SolverPhases {
-		t.Fatalf("cross-round repair run diverged from round-local baseline:\n got %+v\nwant %+v",
-			got.Stats, want.Stats)
-	}
-}
-
-// TestCrossRoundCutoverGate pins the positive-value semantics: a link gate
-// higher than any real reuse forces every round link to rebuild in place
-// (the link build still counts — the chain stays connected — but reuses
-// nothing at the boundary), bit-identically.
-func TestCrossRoundCutoverGate(t *testing.T) {
-	g := fallbackTestInstance()
-	gated := Options{Amortize: true, MaxRounds: 6, CrossRoundCutover: 1 << 20,
-		Rng: rand.New(rand.NewSource(5))}
-	got, err := Solve(g, nil, gated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Options{Amortize: true, MaxRounds: 6, Rng: rand.New(rand.NewSource(5))}
-	want, err := Solve(g, nil, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalMatchings(got.M, want.M) {
-		t.Fatalf("gated run diverged: weight %d vs %d", got.M.Weight(), want.M.Weight())
-	}
-	if got.Stats.CrossRoundDeltaBuilds == 0 {
-		t.Error("gated link builds should still chain (rebuild in place), not restart")
-	}
+	assertMatchesNaive(t, "cross-round repair run", got, want)
 }
 
 // TestBeginRoundBusyAbsorbed: the index's BeginRound misuse sentinel

@@ -92,39 +92,32 @@ func (s *CountingSource) Draws() uint64 { return s.draws }
 // under. ResumeSolve refuses a checkpoint whose fingerprint disagrees with
 // the options it is handed (Workers excepted: results are invariant under
 // the worker count, so a resume may rescale the pool freely).
-// CrossRoundCutover reads as 0 from snapshots that predate its key.
 type CheckpointMeta struct {
-	Granularity       float64
-	MaxLayers         int
-	SumCap            float64
-	ClassBase         float64
-	MaxRounds         int
-	Patience          int
-	MaxPairs          int
-	Workers           int
-	Amortize          bool
-	DeltaCutover      int
-	RepairCutover     int
-	CrossRoundCutover int
-	CacheGate         int
+	Granularity float64
+	MaxLayers   int
+	SumCap      float64
+	ClassBase   float64
+	MaxRounds   int
+	Patience    int
+	MaxPairs    int
+	Workers     int
+	Amortize    bool
+	CacheGate   int
 }
 
 func metaOf(opts Options) CheckpointMeta {
 	opts = opts.withDefaults()
 	return CheckpointMeta{
-		Granularity:       opts.Layered.Granularity,
-		MaxLayers:         opts.Layered.MaxLayers,
-		SumCap:            opts.Layered.SumCap,
-		ClassBase:         opts.ClassBase,
-		MaxRounds:         opts.MaxRounds,
-		Patience:          opts.Patience,
-		MaxPairs:          opts.MaxPairsPerClass,
-		Workers:           opts.Workers,
-		Amortize:          opts.Amortize,
-		DeltaCutover:      opts.DeltaCutover,
-		RepairCutover:     opts.RepairCutover,
-		CrossRoundCutover: opts.CrossRoundCutover,
-		CacheGate:         opts.CacheGate,
+		Granularity: opts.Layered.Granularity,
+		MaxLayers:   opts.Layered.MaxLayers,
+		SumCap:      opts.Layered.SumCap,
+		ClassBase:   opts.ClassBase,
+		MaxRounds:   opts.MaxRounds,
+		Patience:    opts.Patience,
+		MaxPairs:    opts.MaxPairsPerClass,
+		Workers:     opts.Workers,
+		Amortize:    opts.Amortize,
+		CacheGate:   opts.CacheGate,
 	}
 }
 
@@ -265,11 +258,21 @@ func encodeDriver(cp *Checkpoint) []byte {
 	kv("max-pairs", strconv.Itoa(m.MaxPairs))
 	kv("workers", strconv.Itoa(m.Workers))
 	kv("amortize", strconv.FormatBool(m.Amortize))
-	kv("delta-cutover", strconv.Itoa(m.DeltaCutover))
-	kv("repair-cutover", strconv.Itoa(m.RepairCutover))
-	kv("crossround-cutover", strconv.Itoa(m.CrossRoundCutover))
 	kv("cache-gate", strconv.Itoa(m.CacheGate))
 	return []byte(b.String())
+}
+
+// retiredDriverKeys are the driver keys of retired options, each with the
+// only value this build still runs. Snapshots from earlier builds carry
+// them (the cutover keys at 0 unless the run set a knob): at that value
+// the key loads and is ignored; any other value records a run this build
+// cannot continue, so the snapshot is refused with the key named and the
+// caller starts cold.
+var retiredDriverKeys = []struct{ key, value string }{
+	{"warm-start", "false"},
+	{"delta-cutover", "0"},
+	{"repair-cutover", "0"},
+	{"crossround-cutover", "0"},
 }
 
 func decodeDriver(data []byte, cp *Checkpoint) error {
@@ -327,32 +330,17 @@ func decodeDriver(data []byte, cp *Checkpoint) error {
 		func() (err error) { m.MaxPairs, err = geti("max-pairs"); return },
 		func() (err error) { m.Workers, err = geti("workers"); return },
 		func() (err error) { m.Amortize, err = getb("amortize"); return },
-		func() error {
-			// Snapshots written before the warm-start option was retired
-			// record it. A warm run cannot be continued: this build has no
-			// seeded solver, and warm runs were never bit-reproducible.
-			if _, ok := vals["warm-start"]; !ok {
-				return nil
-			}
-			warm, err := getb("warm-start")
-			if err == nil && warm {
-				err = fmt.Errorf("%w: warm-start=true, and the warm-start option is retired", ErrCheckpointOptions)
-			}
-			return err
-		},
-		func() (err error) { m.DeltaCutover, err = geti("delta-cutover"); return },
-		func() (err error) { m.RepairCutover, err = geti("repair-cutover"); return },
-		func() (err error) {
-			if _, ok := vals["crossround-cutover"]; ok {
-				m.CrossRoundCutover, err = geti("crossround-cutover")
-			}
-			return
-		},
 		func() (err error) { m.CacheGate, err = geti("cache-gate"); return },
 	}
 	for _, step := range steps {
 		if err := step(); err != nil {
 			return err
+		}
+	}
+	for _, r := range retiredDriverKeys {
+		if v, ok := vals[r.key]; ok && v != r.value {
+			return fmt.Errorf("%w: %s=%s, and the option is retired (this build runs only %s=%s)",
+				ErrCheckpointOptions, r.key, v, r.key, r.value)
 		}
 	}
 	if cp.Round < 0 || cp.Stalled < 0 {

@@ -262,14 +262,6 @@ func TestResumeRejectsForeignOptions(t *testing.T) {
 	if _, err := ResumeSolve(cp, rescaled, nil); err != nil {
 		t.Fatalf("rescaled workers: %v", err)
 	}
-
-	// A round-local run resumed with the round link on would chain builds
-	// the uninterrupted run never chained.
-	roundLocal := opts
-	roundLocal.CrossRoundCutover = -1
-	if _, err := ResumeSolve(firstCheckpoint(roundLocal), opts, nil); !errors.Is(err, ErrCheckpointOptions) {
-		t.Fatalf("CrossRoundCutover -1 resumed under 0: err = %v, want ErrCheckpointOptions", err)
-	}
 }
 
 // encodeWithDriver is EncodeCheckpoint with the driver section passed
@@ -283,43 +275,73 @@ func encodeWithDriver(cp *Checkpoint, edit func(string) string) []byte {
 	})
 }
 
-// TestLegacyDriverKeys pins how snapshots from earlier builds load: one
-// taken with the retired warm-start option on is refused with a reason
-// naming the option, warm-start=false loads as before, and a snapshot
-// without the crossround-cutover key reads it as 0.
+// TestLegacyDriverKeys pins how snapshots from earlier builds load. Each
+// retired driver key loads at the one value this build still runs and is
+// refused at any other with ErrCheckpointOptions naming the key, and new
+// snapshots write none of them. A mid-run snapshot laid out byte for byte
+// the way the previous build wrote it — all three cutover keys at 0, as
+// every augserve snapshot of that build was — resumes bit-identically to
+// the uninterrupted run.
 func TestLegacyDriverKeys(t *testing.T) {
 	g := snapshotTestInstance(t)
-	cp := &Checkpoint{
-		Graph: g, M: graph.NewMatching(g.N()),
-		Round: 2, RngSeed: 5, RngDraws: 7,
-		Meta: metaOf(snapshotTestOptions()),
-	}
-
-	_, err := DecodeCheckpoint(encodeWithDriver(cp, func(d string) string { return d + "warm-start=true\n" }))
-	if !errors.Is(err, ErrCheckpointOptions) || !strings.Contains(err.Error(), "warm-start") {
-		t.Fatalf("warm-start=true: err = %v, want ErrCheckpointOptions naming warm-start", err)
-	}
-	dec, err := DecodeCheckpoint(encodeWithDriver(cp, func(d string) string { return d + "warm-start=false\n" }))
+	opts := snapshotTestOptions()
+	const seed = 11
+	full, err := SolveCheckpointed(g, nil, opts, seed, func(*Checkpoint) error { return nil })
 	if err != nil {
-		t.Fatalf("warm-start=false: %v", err)
+		t.Fatal(err)
 	}
-	if dec.Meta != cp.Meta {
-		t.Fatalf("warm-start=false: meta %+v, want %+v", dec.Meta, cp.Meta)
+	var cp *Checkpoint
+	SolveCheckpointed(g, nil, opts, seed, func(c *Checkpoint) error {
+		if c.Round < 2 {
+			return nil
+		}
+		cp, err = DecodeCheckpoint(EncodeCheckpoint(c))
+		return errors.New("killed")
+	})
+	if cp == nil || err != nil {
+		t.Fatalf("no round-2 checkpoint: %v", err)
+	}
+	driver := string(encodeDriver(cp))
+
+	for _, tc := range []struct{ key, loads, refused string }{
+		{"warm-start", "false", "true"},
+		{"delta-cutover", "0", "-1"},
+		{"repair-cutover", "0", "4"},
+		{"crossround-cutover", "0", "-1"},
+	} {
+		t.Run(tc.key, func(t *testing.T) {
+			if strings.Contains(driver, tc.key+"=") {
+				t.Fatalf("new snapshot still writes %s:\n%s", tc.key, driver)
+			}
+			with := func(v string) []byte {
+				return encodeWithDriver(cp, func(d string) string { return d + tc.key + "=" + v + "\n" })
+			}
+			dec, err := DecodeCheckpoint(with(tc.loads))
+			if err != nil {
+				t.Fatalf("%s=%s: %v", tc.key, tc.loads, err)
+			}
+			if dec.Meta != cp.Meta {
+				t.Fatalf("%s=%s: meta %+v, want %+v", tc.key, tc.loads, dec.Meta, cp.Meta)
+			}
+			_, err = DecodeCheckpoint(with(tc.refused))
+			if !errors.Is(err, ErrCheckpointOptions) || !strings.Contains(err.Error(), tc.key) {
+				t.Fatalf("%s=%s: err = %v, want ErrCheckpointOptions naming %s", tc.key, tc.refused, err, tc.key)
+			}
+		})
 	}
 
-	cp.Meta.CrossRoundCutover = -1
-	dec, err = DecodeCheckpoint(encodeWithDriver(cp, func(d string) string {
-		const line = "crossround-cutover=-1\n"
-		if !strings.Contains(d, line) {
-			t.Fatalf("driver section lacks %q:\n%s", line, d)
-		}
-		return strings.Replace(d, line, "", 1)
+	parent, err := DecodeCheckpoint(encodeWithDriver(cp, func(d string) string {
+		return strings.Replace(d, "cache-gate=", "delta-cutover=0\nrepair-cutover=0\ncrossround-cutover=0\ncache-gate=", 1)
 	}))
 	if err != nil {
-		t.Fatalf("no crossround-cutover key: %v", err)
+		t.Fatalf("parent-layout snapshot: %v", err)
 	}
-	if dec.Meta.CrossRoundCutover != 0 {
-		t.Fatalf("missing crossround-cutover read as %d, want 0", dec.Meta.CrossRoundCutover)
+	resumed, err := ResumeSolve(parent, opts, nil)
+	if err != nil {
+		t.Fatalf("parent-layout snapshot did not resume: %v", err)
+	}
+	if !equalMatchings(resumed.M, full.M) || chainEffortNormalized(resumed.Stats) != chainEffortNormalized(full.Stats) {
+		t.Fatalf("parent-layout resume diverged:\n got %+v\nwant %+v", resumed.Stats, full.Stats)
 	}
 }
 

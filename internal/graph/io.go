@@ -50,6 +50,9 @@ func Read(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad n: %w", line, err)
 			}
+			if n < 0 {
+				return nil, fmt.Errorf("graph: line %d: negative vertex count %d", line, n)
+			}
 			m, err := strconv.Atoi(fields[2])
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad m: %w", line, err)

@@ -35,6 +35,7 @@ func TestReadErrors(t *testing.T) {
 		{"empty", ""},
 		{"bad header", "q 3 1\n0 1 2\n"},
 		{"bad n", "p x 1\n0 1 2\n"},
+		{"negative n", "p -3 0\n"},
 		{"bad edge arity", "p 3 1\n0 1\n"},
 		{"edge count mismatch", "p 3 2\n0 1 2\n"},
 		{"out of range", "p 2 1\n0 5 2\n"},

@@ -40,7 +40,7 @@ func Workloads(rng *rand.Rand) []Workload {
 	geo := graph.GeometricWeights(40, 160, 2, 8, rng)
 	banded := graph.BandedWeights(40, 200, 100, rng)
 	uniform := graph.UniformWeights(36, 150, 64, rng)
-	// The E15 build-bound shape: the E13 one-octave band at 8n density, so
+	// The build-bound shape: the E13 one-octave band at 8n density, so
 	// surviving layered builds dominate round time and the differential
 	// builder (BuildDelta) is on the hot path at test scale.
 	bandedDense := graph.BandedWeights(32, 8*32, 100, rng)

@@ -10,10 +10,16 @@ import (
 )
 
 // TestAmortizedMatchesNaive is the headline differential: the amortised
-// pipeline (incremental index + survival probe + cross-class cache) must
-// return the bit-identical matching of the naive per-(round, class) rebuild
-// after every round, on every generator family, at several seeds.
+// pipeline (incremental index + survival probe + cross-class cache + delta
+// chain + Hopcroft–Karp repair + round link) must return the bit-identical
+// matching of the naive per-(round, class) rebuild after every round, on
+// every generator family, at several seeds. It is also the pipeline-level
+// reference of Invariants 19, 21 and 24: the matrix must actually
+// delta-build, cross a round boundary and repair, and at least one run
+// that repairs must have no cache hit, so that its phase count is held to
+// the naive one.
 func TestAmortizedMatchesNaive(t *testing.T) {
+	var deltaBuilds, crossBuilds, repairs, phaseCheckedRepairs int
 	for _, seed := range []int64{1, 2, 3} {
 		for _, w := range Workloads(rand.New(rand.NewSource(seed))) {
 			sN, sA := AssertBitIdentical(t, w,
@@ -41,7 +47,20 @@ func TestAmortizedMatchesNaive(t *testing.T) {
 				t.Errorf("%s seed %d: SolverPhases %d (naive) vs %d (amortised, no cache hits)",
 					w.Name, seed, sN.SolverPhases, sA.SolverPhases)
 			}
+			deltaBuilds += sA.DeltaBuilds
+			crossBuilds += sA.CrossRoundDeltaBuilds
+			repairs += sA.RepairSolves
+			if sA.CacheHits == 0 {
+				phaseCheckedRepairs += sA.RepairSolves
+			}
 		}
+	}
+	if deltaBuilds == 0 || crossBuilds == 0 || repairs == 0 {
+		t.Fatalf("matrix left a layer unexercised: %d delta builds, %d cross-round builds, %d repairs",
+			deltaBuilds, crossBuilds, repairs)
+	}
+	if phaseCheckedRepairs == 0 {
+		t.Fatal("no run without cache hits repaired: the phase check never covered the repair path")
 	}
 }
 
@@ -163,9 +182,9 @@ func TestPrunedEnumerationMatchesProbe(t *testing.T) {
 // scratch arena (BuildIndexed for the first pair, BuildDelta patching the
 // previous build after) and from scratch — and the X/Y/NumV snapshots must
 // be byte-identical, id for id and edge for edge (Invariant 19). The
-// end-to-end halves of the invariant (bit-identical matchings with
-// Options.Amortize on/off while the amortised path delta-chains) are
-// TestAmortizedMatchesNaive and TestDeltaDisabledBitIdentical.
+// end-to-end half of the invariant (bit-identical matchings with
+// Options.Amortize on/off while the amortised path delta-chains) is
+// TestAmortizedMatchesNaive.
 func TestBuildDeltaMatchesBuildIndexed(t *testing.T) {
 	prm := layered.Params{}.WithDefaults()
 	chained, reused := 0, 0
@@ -259,61 +278,6 @@ func equalLayered(got, want *layered.Layered) error {
 	return nil
 }
 
-// TestDeltaDisabledBitIdentical isolates the differential builder inside
-// the amortised pipeline: DeltaCutover = −1 rebuilds every surviving pair
-// from scratch while everything else (index, probe, cache) stays on, so
-// equal matchings here mean the delta chain itself — not the surrounding
-// pipeline — is output-transparent. The enabled run must actually chain.
-func TestDeltaDisabledBitIdentical(t *testing.T) {
-	deltaBuilds := 0
-	for _, w := range Workloads(rand.New(rand.NewSource(34))) {
-		sOff, sOn := AssertBitIdentical(t, w,
-			core.Options{Amortize: true, DeltaCutover: -1},
-			core.Options{Amortize: true},
-			35, 5)
-		if sOff.DeltaBuilds != 0 {
-			t.Errorf("%s: DeltaCutover=-1 still delta-built %d graphs", w.Name, sOff.DeltaBuilds)
-		}
-		deltaBuilds += sOn.DeltaBuilds
-		// The gate skips the same clean classes either way.
-		if sOff.ClassesSkippedDirty != sOn.ClassesSkippedDirty {
-			t.Errorf("%s: ClassesSkippedDirty %d (delta off) vs %d (delta on)",
-				w.Name, sOff.ClassesSkippedDirty, sOn.ClassesSkippedDirty)
-		}
-	}
-	if deltaBuilds == 0 {
-		t.Fatal("no workload exercised the delta chain")
-	}
-}
-
-// TestCrossRoundBitIdentical is the PR 7 differential over the whole
-// generator matrix: chaining delta baselines across the bipartition redraw
-// (the default) must be bit-identical — matching bytes, gain, and the full
-// phase/call counts — to the round-local chain (CrossRoundCutover = −1) on
-// every family, while actually crossing a round boundary somewhere in the
-// matrix. The baseline's cross counters must stay zero, pinning the knob's
-// off semantics (Invariant 24).
-func TestCrossRoundBitIdentical(t *testing.T) {
-	crossBuilds := 0
-	for _, w := range Workloads(rand.New(rand.NewSource(61))) {
-		sOn, sOff := AssertBitIdentical(t, w,
-			core.Options{Amortize: true},
-			core.Options{Amortize: true, CrossRoundCutover: -1},
-			62, 6)
-		if sOn.SolverPhases != sOff.SolverPhases || sOn.SolverCalls != sOff.SolverCalls {
-			t.Errorf("%s: solver effort diverged: phases %d/%d calls %d/%d",
-				w.Name, sOn.SolverPhases, sOff.SolverPhases, sOn.SolverCalls, sOff.SolverCalls)
-		}
-		if sOff.CrossRoundDeltaBuilds != 0 || sOff.CrossRoundRepairs != 0 {
-			t.Errorf("%s: CrossRoundCutover=-1 still linked across rounds: %+v", w.Name, sOff)
-		}
-		crossBuilds += sOn.CrossRoundDeltaBuilds
-	}
-	if crossBuilds == 0 {
-		t.Fatal("no workload's chain survived the bipartition redraw")
-	}
-}
-
 // TestClassesSkippedDirtyExact pins the dirty-gate counter: for every round
 // the amortised Runner executes, a twin Rng replays the identical
 // bipartition and recomputes, class by class from from-scratch BucketIndex
@@ -400,46 +364,14 @@ func optsWithRng(opts core.Options, seed int64) core.Options {
 	return opts
 }
 
-// TestRepairMatchesFromScratch is the acceptance differential of the
-// incremental Hopcroft–Karp repair (Invariant 21, repair-equals-fresh): on
-// every generator family, at every RepairCutover setting, the repaired runs
-// must match the repair-disabled run round-by-round in the full matching,
-// and at the end of the budget in every phase-visible counter — phases,
-// solver calls, and applied augmentations — because a repaired solve is
-// bit-for-bit the cold solve of the same instance.
-func TestRepairMatchesFromScratch(t *testing.T) {
-	for _, w := range Workloads(rand.New(rand.NewSource(6))) {
-		for _, cutover := range []int{0, 1, 4} {
-			off := core.Options{Amortize: true, RepairCutover: -1}
-			on := core.Options{Amortize: true, RepairCutover: cutover}
-			sOff, sOn := AssertBitIdentical(t, w, off, on, 21, 5)
-			if sOff.RepairSolves != 0 {
-				t.Errorf("%s: disabled run repaired %d times", w.Name, sOff.RepairSolves)
-			}
-			if sOn.SolverPhases != sOff.SolverPhases {
-				t.Errorf("%s cutover %d: phases %d (repair) vs %d (scratch)",
-					w.Name, cutover, sOn.SolverPhases, sOff.SolverPhases)
-			}
-			if sOn.SolverCalls != sOff.SolverCalls {
-				t.Errorf("%s cutover %d: solver calls %d vs %d",
-					w.Name, cutover, sOn.SolverCalls, sOff.SolverCalls)
-			}
-			if sOn.AppliedAugmentations != sOff.AppliedAugmentations {
-				t.Errorf("%s cutover %d: applied %d vs %d",
-					w.Name, cutover, sOn.AppliedAugmentations, sOff.AppliedAugmentations)
-			}
-		}
-	}
-}
-
-// TestRepairMatchesNaive closes the triangle: a repair-enabled amortised
-// run against the naive per-round rebuild — the repair must be invisible
-// through the whole pipeline, not just against its own scratch twin.
+// TestRepairMatchesNaive repeats the amortised-vs-naive differential on a
+// fresh draw of every family: the repair, which every amortised run with
+// the default solver takes, must be invisible through the whole pipeline.
 func TestRepairMatchesNaive(t *testing.T) {
 	for _, w := range Workloads(rand.New(rand.NewSource(7))) {
 		AssertBitIdentical(t, w,
 			core.Options{},
-			core.Options{Amortize: true, RepairCutover: 0},
+			core.Options{Amortize: true},
 			33, 5)
 	}
 }

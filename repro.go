@@ -169,18 +169,14 @@ type ApproxOptions struct {
 	MaxRounds, Patience int
 	// Amortize routes the run through the cross-round amortised pipeline
 	// (incremental viability index, probe-guided pair enumeration,
-	// cross-class solve cache) — bit-identical results, see
-	// core.Options.Amortize.
+	// cross-class solve cache, delta-chained builds, Hopcroft–Karp repair)
+	// — bit-identical results, see core.Options.Amortize.
 	Amortize bool
 	// Workers bounds the per-class worker pool (see core.Options.Workers).
 	Workers int
-	// DeltaCutover, RepairCutover and CrossRoundCutover tune (or, negative,
-	// disable) the amortised path's differential builder, incremental
-	// Hopcroft–Karp repair, and cross-round chain — the measurement
-	// baselines of E15/E16/E17. CacheGate tunes the cross-class cache's
-	// hit-rate gate. All four are bit-identity-preserving at any setting;
-	// see the matching core.Options fields.
-	DeltaCutover, RepairCutover, CrossRoundCutover, CacheGate int
+	// CacheGate tunes the cross-class cache's hit-rate gate; it is
+	// bit-identity-preserving at any setting (see core.Options.CacheGate).
+	CacheGate int
 }
 
 func (o ApproxOptions) coreOptions() core.Options {
@@ -189,15 +185,12 @@ func (o ApproxOptions) coreOptions() core.Options {
 			Granularity: o.Granularity,
 			MaxLayers:   o.MaxLayers,
 		},
-		Rng:               rand.New(rand.NewSource(o.Seed)),
-		MaxRounds:         o.MaxRounds,
-		Patience:          o.Patience,
-		Amortize:          o.Amortize,
-		Workers:           o.Workers,
-		DeltaCutover:      o.DeltaCutover,
-		RepairCutover:     o.RepairCutover,
-		CrossRoundCutover: o.CrossRoundCutover,
-		CacheGate:         o.CacheGate,
+		Rng:       rand.New(rand.NewSource(o.Seed)),
+		MaxRounds: o.MaxRounds,
+		Patience:  o.Patience,
+		Amortize:  o.Amortize,
+		Workers:   o.Workers,
+		CacheGate: o.CacheGate,
 	}
 }
 
