@@ -403,14 +403,11 @@ func BenchmarkHopcroftKarpOracle(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		solver := core.ExactSolver()
 		bip, err := graphBip(inst.G.N(), side, inst.G.Edges())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := solver(bip); err != nil {
-			b.Fatal(err)
-		}
+		bipartite.HopcroftKarp(bip)
 	}
 }
 

@@ -26,11 +26,12 @@ import (
 //     iterator's win is workload-shaped, not universal, and the table says
 //     so.
 //   - pipeline: the whole reduction on the E13 band with the DFS strategy
-//     the only difference, both sides installed as PhasedSolverFactory so
-//     the Rng streams — and therefore the instances solved — are identical
-//     (the same setup Invariant 26's differential uses). Weight and phase
-//     columns prove the runs did not diverge; the ratio isolates what the
-//     cursor is worth end-to-end, diluted by everything that is not DFS.
+//     the only difference, both sides installed as PhasedSolverFactory (a
+//     factory draws nothing from the Rng, so the bipartitions — and
+//     therefore the instances solved — are identical; the same setup
+//     Invariant 26's differential uses). Weight and phase columns prove
+//     the runs did not diverge; the ratio isolates what the cursor is worth
+//     end-to-end, diluted by everything that is not DFS.
 //
 // The pass's other two candidates (the flat open-addressed grouped-Y span
 // table and the word-parallel probe rows fed from it) replaced their map
@@ -108,23 +109,17 @@ func E19SolverMicroarch(cfg Config) []Table {
 	pipeline := Table{
 		ID:     "E19",
 		Title:  "iterator-per-phase DFS vs rescan through the full reduction (E13 band)",
-		Claim:  "identical Rng streams, identical outputs; the ratio isolates the DFS share of round time",
+		Claim:  "identical bipartitions, identical outputs; the ratio isolates the DFS share of round time",
 		Header: []string{"config", "ms/round", "speedup", "solver calls", "HK phases", "final weight"},
 	}
 	g := graph.BandedWeights(nBand, 8*nBand, 100, rng).G
 	seed := cfg.Seed + int64(rng.Intn(1<<20))
 	factories := []struct {
 		label   string
-		factory func(*rand.Rand) core.PhasedSolver
+		factory func() core.PhasedSolver
 	}{
-		{"iterator", func(*rand.Rand) core.PhasedSolver {
-			hk := bipartite.NewScratch()
-			return func(b *bipartite.Bip) (*graph.Matching, int, error) {
-				res := bipartite.HopcroftKarpScratch(b, hk)
-				return res.M, res.Phases, nil
-			}
-		}},
-		{"rescan", func(*rand.Rand) core.PhasedSolver {
+		{"iterator", core.ExactPhasedSolver},
+		{"rescan", func() core.PhasedSolver {
 			hk := bipartite.NewScratch()
 			return func(b *bipartite.Bip) (*graph.Matching, int, error) {
 				res := bipartite.HopcroftKarpRescanScratch(b, hk)

@@ -41,9 +41,8 @@ func newAmortizer(g *graph.Graph, opts Options) *amortizer {
 	}
 	// The cache replays a pair's candidates without consulting the solver,
 	// which is only sound when the solver is the stateless deterministic
-	// default: a caller-installed solver may count passes or draw
-	// randomness.
-	if opts.Solver == nil && opts.PhasedSolverFactory == nil {
+	// default: an installed solver may count passes or draw randomness.
+	if opts.PhasedSolverFactory == nil {
 		am.cache = &pairCache{m: make(map[string]cacheEntry)}
 	}
 	am.ctxs = make([]amortClassCtx, len(weights))

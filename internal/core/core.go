@@ -70,35 +70,18 @@ import (
 	"repro/internal/layered"
 )
 
-// Solver is the Unw-Bip-Matching black box of Algorithm 4: any algorithm
-// returning a large matching of a bipartite graph. The reduction only
-// consumes its (1−δ) guarantee.
-type Solver func(b *bipartite.Bip) (*graph.Matching, error)
-
-// ExactSolver adapts Hopcroft–Karp (δ = 0).
-func ExactSolver() Solver {
-	return func(b *bipartite.Bip) (*graph.Matching, error) {
-		return bipartite.HopcroftKarp(b).M, nil
-	}
-}
-
-// ApproxSolver adapts the bounded-phase (1−δ)-approximation.
-func ApproxSolver(delta float64) Solver {
-	return func(b *bipartite.Bip) (*graph.Matching, error) {
-		return bipartite.Approx(b, delta).M, nil
-	}
-}
-
-// PhasedSolver is a Solver that additionally reports the subroutine phase
-// count of the call — the unit Stats.SolverPhases accumulates. Installed
-// via Options.PhasedSolverFactory; a plain Solver closure has no channel
-// for its phase counts, which leaves the ledger's phase column zero.
+// PhasedSolver is the Unw-Bip-Matching black box of Algorithm 4: any
+// algorithm returning a large matching of a bipartite graph, together with
+// the call's phase count — the unit Stats.SolverPhases accumulates. The
+// reduction only consumes its (1−δ) guarantee. Installed via
+// Options.PhasedSolverFactory.
 type PhasedSolver func(b *bipartite.Bip) (*graph.Matching, int, error)
 
 // ExactPhasedSolver returns a scratch-backed exact Hopcroft–Karp
 // PhasedSolver: the factory-path equivalent of the default solver, phase
-// counts included. Each call to ExactPhasedSolver owns a private arena, so
-// a PhasedSolverFactory returning one per class is worker-safe.
+// counts included, so ExactPhasedSolver itself is a PhasedSolverFactory
+// with the default run's results. Each call owns a private arena, so the
+// solvers it returns are worker-safe.
 func ExactPhasedSolver() PhasedSolver {
 	hk := bipartite.NewScratch()
 	return func(b *bipartite.Bip) (*graph.Matching, int, error) {
@@ -114,8 +97,6 @@ type Options struct {
 	// ClassBase is the geometric step between augmentation-class weights
 	// (the paper's 1+ε⁴). Default 2.
 	ClassBase float64
-	// Solver is the unweighted subroutine. Default ExactSolver.
-	Solver Solver
 	// Rng drives the random bipartitions. Defaults to a fixed seed for
 	// reproducibility.
 	Rng *rand.Rand
@@ -132,22 +113,22 @@ type Options struct {
 	MaxPairsPerClass int
 	// Workers bounds the worker pool of Round's per-class sweep
 	// (augmentation classes are independent until the final merge). 0 or 1
-	// runs the sweep sequentially. The sweep is forced sequential when a
-	// single Solver closure is installed without a PhasedSolverFactory —
-	// one closure cannot safely serve several workers. Results are merged
-	// in descending class-weight order, so for a fixed Rng seed the outcome
-	// is bit-for-bit identical at any worker count.
+	// runs the sweep sequentially. Results are merged in descending
+	// class-weight order, so for a fixed Rng seed the outcome is bit-for-bit
+	// identical at any worker count.
 	Workers int
-	// PhasedSolverFactory, when set, takes precedence over Solver: it is
-	// invoked once per augmentation class with that class's private Rng
-	// (split deterministically from Options.Rng in class order) and returns
-	// the PhasedSolver for the class. It is how randomized or stateful
-	// subroutines stay reproducible under the parallel sweep, and each
-	// call's phase count is folded into Stats.SolverPhases (per worker,
-	// then merged — no atomics on the hot path). When neither Solver nor
-	// PhasedSolverFactory is set, each worker uses an exact Hopcroft–Karp
-	// solver backed by its own scratch arena.
-	PhasedSolverFactory func(rng *rand.Rand) PhasedSolver
+	// PhasedSolverFactory installs the unweighted subroutine: it is called
+	// once per class sweep, on the worker that runs the class, and the
+	// returned solver serves every pair of that sweep; each call's phase
+	// count is folded into Stats.SolverPhases (per class, then merged — no
+	// atomics on the hot path). Installing one draws nothing from Rng, so
+	// an installed solver sees the default run's bipartitions. Solvers that
+	// share state across classes must run at Workers 1. Unset, each worker
+	// solves with exact Hopcroft–Karp on its own retained arena
+	// (ExactPhasedSolver is the factory form of that solver); an installed
+	// solver also turns the cross-class cache and the Hopcroft–Karp repair
+	// off.
+	PhasedSolverFactory func() PhasedSolver
 	// Amortize enables the cross-round amortised pipeline:
 	//   - the incremental viability index (window bucketing computed once
 	//     per edge and maintained by matched/unmatched deltas instead of
@@ -186,9 +167,6 @@ type Options struct {
 	// lookup keys and digests, the pre-gate behaviour). The cache is
 	// transparent either way, so results are unchanged at any setting.
 	CacheGate int
-	// Trace, when non-nil, receives the matching weight after every round
-	// (convergence curves for the E12 experiment).
-	Trace func(round int, weight graph.Weight)
 }
 
 func (o Options) withDefaults() Options {
@@ -196,9 +174,6 @@ func (o Options) withDefaults() Options {
 	if o.ClassBase <= 1 {
 		o.ClassBase = 2
 	}
-	// Solver deliberately stays nil when unset: Round distinguishes "no
-	// solver configured" (scratch-backed exact solver per worker) from a
-	// caller-installed closure (forces the sweep sequential).
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
@@ -224,9 +199,10 @@ type Stats struct {
 	// SolverCalls counts Unw-Bip-Matching invocations (one per surviving
 	// (W, τ-pair) combination).
 	SolverCalls int
-	// SolverPhases accumulates the Hopcroft–Karp phase counts of those
-	// invocations. Tracked for the default exact solver and for
-	// PhasedSolverFactory solvers; an installed Solver closure leaves it 0.
+	// SolverPhases accumulates the phase counts of those invocations: the
+	// default exact solver's Hopcroft–Karp phases, or what an installed
+	// PhasedSolver reports (the streaming and MPC drivers' solvers report
+	// 0 — their cost is counted in passes and MPC rounds).
 	SolverPhases int
 	// LayeredBuilt counts layered graphs constructed (= SolverCalls plus
 	// those skipped for having no augmenting structure). Amortised runs
@@ -425,30 +401,22 @@ func ClassWeights(g *graph.Graph, base float64, prm layered.Params) []float64 {
 }
 
 // classWorker is the per-worker state of Round's class sweep: one layered
-// scratch arena, a stamped conflict set, and the solver source, so parallel
-// workers share nothing.
+// scratch arena, a stamped conflict set, and the default solver's arena, so
+// parallel workers share nothing.
 type classWorker struct {
 	scratch *layered.Scratch
-	// newSolver builds an installed solver (Options.Solver or
-	// PhasedSolverFactory) for a class; nil under the default solver
-	// configuration, which solves through repair instead.
-	newSolver func(rng *rand.Rand) Solver
 
 	// repair is the default configuration's exact solver: Hopcroft–Karp
 	// retained on a worker-private arena, patching the previous solve's
 	// CSR for delta-built instances. Amortised classes swap in their own
-	// class-private repairState (amortClassCtx.rep).
+	// class-private repairState (amortClassCtx.rep). Nil when
+	// Options.PhasedSolverFactory installs the solver.
 	repair *repairState
 
 	// used is the class-level conflict set as a stamp array over original
 	// vertices (advancing the stamp clears it in O(1) between classes).
 	used      []uint32
 	usedStamp uint32
-
-	// lastPhases is the phase count of the most recent installed-solver
-	// call, recorded for Stats.SolverPhases by the PhasedSolverFactory
-	// adapter (a plain installed Solver leaves it 0).
-	lastPhases int
 }
 
 func (w *classWorker) resetUsed(n int) {
@@ -491,23 +459,7 @@ func (w *classWorker) mark(a graph.Augmentation) {
 
 func newClassWorker(opts Options) *classWorker {
 	w := &classWorker{scratch: layered.NewScratch()}
-	switch {
-	case opts.PhasedSolverFactory != nil:
-		// Phase-reporting factory: the adapter records each call's phase
-		// count on the worker, where classAugmentations folds it into the
-		// per-class stats (merged per class afterwards, so the totals are
-		// worker-count invariant).
-		w.newSolver = func(rng *rand.Rand) Solver {
-			ps := opts.PhasedSolverFactory(rng)
-			return func(b *bipartite.Bip) (*graph.Matching, error) {
-				m, phases, err := ps(b)
-				w.lastPhases = phases
-				return m, err
-			}
-		}
-	case opts.Solver != nil:
-		w.newSolver = func(*rand.Rand) Solver { return opts.Solver }
-	default:
+	if opts.PhasedSolverFactory == nil {
 		// Default oracle: exact Hopcroft–Karp over a worker-private arena,
 		// so the hundreds of solver calls per round stop allocating their
 		// adjacency and search state.
@@ -603,35 +555,12 @@ func (r *Runner) Round(m *graph.Matching, stats *Stats) (graph.Weight, error) {
 		}
 	}
 
-	// Split the Rng per class up-front, in class order, so a factory-built
-	// solver sees the same stream no matter which worker runs its class.
-	// Without a factory the default solvers consume no randomness and the
-	// split is skipped to keep the Rng stream (and thus all fixed-seed
-	// results) identical to the sequential code path.
-	var seeds []int64
-	if opts.PhasedSolverFactory != nil {
-		seeds = make([]int64, len(weights))
-		for i := range seeds {
-			seeds[i] = opts.Rng.Int63()
-		}
-	}
-
-	workers := opts.Workers
-	if opts.PhasedSolverFactory == nil && opts.Solver != nil {
-		workers = 1
-	}
-	if workers > len(weights) {
-		workers = len(weights)
-	}
+	workers := min(opts.Workers, len(weights))
 
 	perClass := make([][]graph.Augmentation, len(weights))
 	perStats := make([]Stats, len(weights))
 	perErr := make([]error, len(weights))
 	runClass := func(w *classWorker, i int) {
-		var rng *rand.Rand
-		if seeds != nil {
-			rng = rand.New(rand.NewSource(seeds[i]))
-		}
 		var ac *amortClassCtx
 		if r.am != nil {
 			ac = &r.am.ctxs[i]
@@ -642,7 +571,7 @@ func (r *Runner) Round(m *graph.Matching, stats *Stats) (graph.Weight, error) {
 			}
 		}
 		perClass[i], perErr[i] = classAugmentations(
-			par, m, weights[i], rng, w, opts, &perStats[i], ac)
+			par, m, weights[i], w, opts, &perStats[i], ac)
 	}
 	// safeRunClass contains a worker panic: the recovered value is recorded
 	// as a *PanicError for the fallback pass below, and ok = false tells
@@ -718,11 +647,11 @@ func (r *Runner) Round(m *graph.Matching, stats *Stats) (graph.Weight, error) {
 	// Fallback pass (class rung of the ladder): a recoverable state fault —
 	// a recovered panic or an escaped corruption sentinel — quarantines the
 	// class's amortised state and re-runs the class through the cold path
-	// (naive bucket index, fresh worker arena, replayed class Rng), whose
-	// result is bit-identical to a healthy amortised sweep by the
-	// differential-suite equivalences. A fault that survives the cold
-	// re-run too (e.g. a deterministically panicking installed solver) is
-	// not a state fault and propagates as an error — never a crash.
+	// (naive bucket index, fresh worker arena), whose result is
+	// bit-identical to a healthy amortised sweep by the differential-suite
+	// equivalences. A fault that survives the cold re-run too (e.g. a
+	// deterministically panicking installed solver) is not a state fault
+	// and propagates as an error — never a crash.
 	for i := range weights {
 		if perErr[i] == nil || !recoverableFault(perErr[i]) {
 			continue
@@ -731,7 +660,7 @@ func (r *Runner) Round(m *graph.Matching, stats *Stats) (graph.Weight, error) {
 			r.am.ctxs[i].quarantined = true
 		}
 		perStats[i] = Stats{FallbackClasses: 1}
-		perClass[i], perErr[i] = r.classFallback(par, m, i, seeds, &perStats[i])
+		perClass[i], perErr[i] = r.classFallback(par, m, i, &perStats[i])
 	}
 
 	// Deterministic merge: class results concatenate in descending-W
@@ -757,16 +686,15 @@ func (r *Runner) Round(m *graph.Matching, stats *Stats) (graph.Weight, error) {
 }
 
 // classFallback is the cold re-run of one class after a recoverable fault:
-// a fresh worker arena, the naive bucket index (no amortised context), and
-// the class's replayed Rng stream, contained against a second panic. For
-// the default solver configuration the result is bit-identical to the
-// healthy sweep's; a persistent fault (the re-run failing too) is returned
-// as an error for the caller to surface.
+// a fresh worker arena (and a fresh installed solver) over the naive bucket
+// index (no amortised context), contained against a second panic. For the
+// default solver configuration the result is bit-identical to the healthy
+// sweep's; a persistent fault (the re-run failing too) is returned as an
+// error for the caller to surface.
 func (r *Runner) classFallback(
 	par *layered.Parametrized,
 	m *graph.Matching,
 	i int,
-	seeds []int64,
 	st *Stats,
 ) (augs []graph.Augmentation, err error) {
 	defer func() {
@@ -774,12 +702,7 @@ func (r *Runner) classFallback(
 			augs, err = nil, &PanicError{Class: i, Value: p, Stack: debug.Stack()}
 		}
 	}()
-	w := newClassWorker(r.opts)
-	var rng *rand.Rand
-	if seeds != nil {
-		rng = rand.New(rand.NewSource(seeds[i]))
-	}
-	return classAugmentations(par, m, r.weights[i], rng, w, r.opts, st, nil)
+	return classAugmentations(par, m, r.weights[i], newClassWorker(r.opts), r.opts, st, nil)
 }
 
 // FindClassAugmentations is Algorithm 4 as a standalone entry point: it
@@ -795,12 +718,7 @@ func FindClassAugmentations(
 ) ([]graph.Augmentation, error) {
 	opts = opts.withDefaults()
 	par := layered.Parametrize(g.N(), g.Edges(), m, opts.Rng)
-	cw := newClassWorker(opts)
-	var rng *rand.Rand
-	if opts.PhasedSolverFactory != nil {
-		rng = rand.New(rand.NewSource(opts.Rng.Int63()))
-	}
-	return classAugmentations(par, m, w, rng, cw, opts, stats, nil)
+	return classAugmentations(par, m, w, newClassWorker(opts), opts, stats, nil)
 }
 
 // oracleOf unwraps the class context's survival oracle: non-nil only on the
@@ -826,7 +744,7 @@ func oracleOf(ac *amortClassCtx) (layered.SurvivalOracle, bool) {
 // replays the candidates of an identical layered graph solved earlier this
 // round, the delta chain patches the class's previous build (across the
 // redraw too), and the repair solver patches the previous solve's retained
-// CSR. rng is the class's Rng split, handed to an installed solver factory.
+// CSR.
 //
 // Note: Algorithm 4 as analysed returns only the single best pair's set
 // A(τA,τB); the union with a shared conflict set is pointwise at least as
@@ -836,7 +754,6 @@ func classAugmentations(
 	par *layered.Parametrized,
 	m *graph.Matching,
 	w float64,
-	rng *rand.Rand,
 	cw *classWorker,
 	opts Options,
 	stats *Stats,
@@ -906,9 +823,9 @@ func classAugmentations(
 		}
 		rep = ac.rep
 	}
-	var solver Solver
+	var solver PhasedSolver
 	if rep == nil {
-		solver = cw.newSolver(rng)
+		solver = opts.PhasedSolverFactory()
 	}
 	var cands []candidate
 	var key []byte
@@ -995,9 +912,8 @@ func classAugmentations(
 		bip := &bipartite.Bip{N: lay.NumV, Side: lay.Sides(), Edges: lp}
 		stats.SolverCalls++
 		var mPrime *graph.Matching
-		switch {
-		case rep != nil:
-			var phases int
+		var phases int
+		if rep != nil {
 			repairedBefore := stats.RepairSolves
 			mPrime, phases = rep.solve(lay, bip, stats)
 			if crossBuilt && stats.RepairSolves > repairedBefore {
@@ -1005,16 +921,13 @@ func classAugmentations(
 				// round: the repair chain crossed the redraw too.
 				stats.CrossRoundRepairs++
 			}
-			stats.SolverPhases += phases
-		default:
-			cw.lastPhases = 0
+		} else {
 			var err error
-			mPrime, err = solver(bip)
-			if err != nil {
+			if mPrime, phases, err = solver(bip); err != nil {
 				return nil, err
 			}
-			stats.SolverPhases += cw.lastPhases
 		}
+		stats.SolverPhases += phases
 		start := len(cands)
 		lay.AugmentingWalks(mPrime, func(walk layered.Walk) {
 			if aug, gain, ok := scratch.BestAugmentation(m, walk); ok {
@@ -1090,32 +1003,50 @@ func effectiveBudget(n int, opts Options) (maxRounds, patience int) {
 	return maxRounds, patience
 }
 
-// Solve runs the Theorem 1.2 driver: start from the empty matching (or
-// initial if non-nil) and iterate Algorithm 3 rounds until MaxRounds or
-// until Patience consecutive rounds yield no gain.
-func Solve(g *graph.Graph, initial *graph.Matching, opts Options) (Result, error) {
-	opts = opts.withDefaults()
-	m := graph.NewMatching(g.N())
-	if initial != nil {
-		m = initial.Clone()
-	}
-	var stats Stats
-	maxRounds, patience := effectiveBudget(g.N(), opts)
-	runner := NewRunner(g, opts)
-	stalled := 0
-	for r := 0; r < maxRounds && stalled < patience; r++ {
-		gain, err := runner.Round(m, &stats)
+// converge is the Theorem 1.2 stopping rule, the one loop every driver
+// runs: from loop position (round, stalled) it runs rounds on m until the
+// round budget (effectiveBudget) is spent or Patience consecutive rounds
+// gain nothing. after, when non-nil, sees the position after every round —
+// round counts the completed rounds — and its error stops the loop. It
+// returns the total gain of the rounds it ran.
+func (r *Runner) converge(m *graph.Matching, stats *Stats, round, stalled int, after func(round, stalled int) error) (graph.Weight, error) {
+	maxRounds, patience := effectiveBudget(r.g.N(), r.opts)
+	var total graph.Weight
+	for ; round < maxRounds && stalled < patience; round++ {
+		gain, err := r.Round(m, stats)
 		if err != nil {
-			return Result{M: m, Stats: stats}, err
+			return total, err
 		}
-		if opts.Trace != nil {
-			opts.Trace(r, m.Weight())
-		}
+		total += gain
 		if gain == 0 {
 			stalled++
 		} else {
 			stalled = 0
 		}
+		if after != nil {
+			if err := after(round+1, stalled); err != nil {
+				return total, err
+			}
+		}
 	}
-	return Result{M: m, Stats: stats}, nil
+	return total, nil
+}
+
+// startMatching is a driver's working matching: a clone of initial, or the
+// empty matching when initial is nil.
+func startMatching(g *graph.Graph, initial *graph.Matching) *graph.Matching {
+	if initial != nil {
+		return initial.Clone()
+	}
+	return graph.NewMatching(g.N())
+}
+
+// Solve runs the Theorem 1.2 driver: start from the empty matching (or
+// initial if non-nil) and iterate Algorithm 3 rounds until MaxRounds or
+// until Patience consecutive rounds yield no gain.
+func Solve(g *graph.Graph, initial *graph.Matching, opts Options) (Result, error) {
+	m := startMatching(g, initial)
+	var stats Stats
+	_, err := NewRunner(g, opts).converge(m, &stats, 0, 0, nil)
+	return Result{M: m, Stats: stats}, err
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bipartite"
 	"repro/internal/graph"
 	"repro/internal/layered"
 	"repro/internal/matchutil"
@@ -201,8 +202,13 @@ func TestSolveWithApproxSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inst := graph.PlantedMatching(40, 150, 100, 150, rng)
 	res, err := Solve(inst.G, nil, Options{
-		Solver: ApproxSolver(0.2),
-		Rng:    rng,
+		PhasedSolverFactory: func() PhasedSolver {
+			return func(b *bipartite.Bip) (*graph.Matching, int, error) {
+				res := bipartite.Approx(b, 0.2)
+				return res.M, res.Phases, nil
+			}
+		},
+		Rng: rng,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,31 +275,6 @@ func TestViabilityFiltering(t *testing.T) {
 	for u := 0; u <= maxU; u++ {
 		if idx.ACount(u) != 0 {
 			t.Error("A units populated without matched edges")
-		}
-	}
-}
-
-func TestSolveTraceMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	inst := graph.PlantedMatching(30, 120, 100, 200, rng)
-	var curve []graph.Weight
-	_, err := Solve(inst.G, nil, Options{
-		Rng:       rng,
-		MaxRounds: 8,
-		Patience:  8,
-		Trace: func(round int, w graph.Weight) {
-			curve = append(curve, w)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) == 0 {
-		t.Fatal("trace not invoked")
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i] < curve[i-1] {
-			t.Fatalf("trace not monotone at round %d: %v", i, curve)
 		}
 	}
 }

@@ -123,3 +123,40 @@ func TestDriversMatchOfflineQuality(t *testing.T) {
 		t.Errorf("MPC ratio %.4f far below offline %.4f", mpR, offR)
 	}
 }
+
+// TestModelDriversIgnoreWorkers: the model drivers install one stateful
+// solver (pass or round ledger, shared Rng) and run the class sweep
+// sequentially themselves, so Core.Workers changes nothing — and under
+// -race a driver that let the pool share its solver would be reported.
+func TestModelDriversIgnoreWorkers(t *testing.T) {
+	inst := graph.PlantedMatching(40, 160, 100, 150, rand.New(rand.NewSource(6)))
+	opts := func(workers int) Options {
+		return Options{Rng: rand.New(rand.NewSource(7)), MaxRounds: 6, Patience: 3, Workers: workers}
+	}
+	st1, err := SolveStreaming(inst.G, nil, StreamingOptions{Core: opts(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st8, err := SolveStreaming(inst.G, nil, StreamingOptions{Core: opts(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st1.M.Weight() != st8.M.Weight() || st1.TotalPasses != st8.TotalPasses ||
+		st1.MaxRoundPasses != st8.MaxRoundPasses || st1.Stats != st8.Stats {
+		t.Fatalf("streaming at Workers 8 (weight %d, %d passes) differs from Workers 1 (weight %d, %d passes)",
+			st8.M.Weight(), st8.TotalPasses, st1.M.Weight(), st1.TotalPasses)
+	}
+	mp1, err := SolveMPC(inst.G, nil, MPCOptions{Core: opts(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp8, err := SolveMPC(inst.G, nil, MPCOptions{Core: opts(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mp1.M.Weight() != mp8.M.Weight() || mp1.TotalRounds != mp8.TotalRounds ||
+		mp1.MaxRoundRounds != mp8.MaxRoundRounds || mp1.Stats != mp8.Stats {
+		t.Fatalf("MPC at Workers 8 (weight %d, %d rounds) differs from Workers 1 (weight %d, %d rounds)",
+			mp8.M.Weight(), mp8.TotalRounds, mp1.M.Weight(), mp1.TotalRounds)
+	}
+}

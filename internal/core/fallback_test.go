@@ -21,8 +21,8 @@ func fallbackTestInstance() *graph.Graph {
 // while *arm is nonzero (decrementing it per panic), and solve exactly like
 // the default solver otherwise. The panic is side-effect-free, so a ladder
 // re-run of the class reproduces the clean run's result bit-for-bit.
-func panickyFactory(arm *atomic.Int64) func(*rand.Rand) PhasedSolver {
-	return func(*rand.Rand) PhasedSolver {
+func panickyFactory(arm *atomic.Int64) func() PhasedSolver {
+	return func() PhasedSolver {
 		return func(b *bipartite.Bip) (*graph.Matching, int, error) {
 			if arm.Load() > 0 && arm.Add(-1) >= 0 {
 				panic("installed solver blew up")

@@ -10,7 +10,10 @@ import (
 
 // MPCOptions configures SolveMPC, the Theorem 1.2(1) driver.
 type MPCOptions struct {
-	// Core carries the reduction parameters; its Solver field is ignored.
+	// Core carries the reduction parameters. Its PhasedSolverFactory and
+	// Workers are ignored: the driver installs the MPC bipartite solver,
+	// whose round ledger and Rng are shared by every instance, and so runs
+	// the class sweep sequentially.
 	Core Options
 	// Delta is the (1−δ) target handed to the unweighted MPC subroutine.
 	// Default 0.2.
@@ -56,9 +59,7 @@ func SolveMPC(g *graph.Graph, initial *graph.Matching, opts MPCOptions) (MPCResu
 		rng = rand.New(rand.NewSource(1))
 	}
 
-	coreOpts := opts.Core
-	coreOpts.Rng = rng
-	coreOpts.Solver = func(b *bipartite.Bip) (*graph.Matching, error) {
+	solver := func(b *bipartite.Bip) (*graph.Matching, int, error) {
 		machines := opts.Machines
 		if machines <= 0 {
 			machines = mpc.MachinesFor(len(b.Edges), b.N)
@@ -71,44 +72,30 @@ func SolveMPC(g *graph.Graph, initial *graph.Matching, opts MPCOptions) (MPCResu
 		}
 		mr, err := bipartite.MPC(b, opts.Delta, machines, mem, rng)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		if r := mr.Sim.Rounds(); r > roundRounds {
-			roundRounds = r
-		}
-		if r := mr.Sim.Rounds(); r > res.SubroutineRounds {
-			res.SubroutineRounds = r
-		}
-		if p := mr.Sim.PeakLoad(); p > res.PeakLoad {
-			res.PeakLoad = p
-		}
-		return mr.M, nil
+		// The matcher's cost is MPC rounds, not phases: it reports 0 phases.
+		roundRounds = max(roundRounds, mr.Sim.Rounds())
+		res.SubroutineRounds = max(res.SubroutineRounds, mr.Sim.Rounds())
+		res.PeakLoad = max(res.PeakLoad, mr.Sim.PeakLoad())
+		return mr.M, 0, nil
 	}
-	coreOpts = coreOpts.withDefaults()
+	coreOpts := opts.Core
+	coreOpts.Rng = rng
+	coreOpts.PhasedSolverFactory = func() PhasedSolver { return solver }
+	coreOpts.Workers = 1
 
-	m := graph.NewMatching(g.N())
-	if initial != nil {
-		m = initial.Clone()
-	}
-	maxRounds, patience := effectiveBudget(g.N(), coreOpts)
-	stalled := 0
-	for r := 0; r < maxRounds && stalled < patience; r++ {
-		roundRounds = 0
-		gain, err := Round(g, m, coreOpts, &res.Stats)
-		if err != nil {
-			return res, err
-		}
+	m := startMatching(g, initial)
+	_, err := NewRunner(g, coreOpts).converge(m, &res.Stats, 0, 0, func(int, int) error {
 		// One round distributes the bipartition and bucket index; the
 		// instances then run in parallel.
 		res.TotalRounds += 1 + roundRounds
-		if 1+roundRounds > res.MaxRoundRounds {
-			res.MaxRoundRounds = 1 + roundRounds
-		}
-		if gain == 0 {
-			stalled++
-		} else {
-			stalled = 0
-		}
+		res.MaxRoundRounds = max(res.MaxRoundRounds, 1+roundRounds)
+		roundRounds = 0
+		return nil
+	})
+	if err != nil {
+		return res, err
 	}
 	res.M = m
 	return res, nil

@@ -218,7 +218,7 @@ func (r *Runner) applyOne(op Mutation, m *graph.Matching, note bool) error {
 
 // Tick is the service loop step: apply one mutation batch, then run rounds
 // until the matching re-converges (Patience consecutive zero-gain rounds)
-// or the round budget is exhausted — the same stall policy Solve uses. It
+// or the round budget is exhausted — Solve's stopping rule (converge). It
 // returns the total gain of the tick's rounds; note that a delete of a
 // matched edge lowers the matching weight outside this total (gains count
 // augmentations, not edits).
@@ -226,22 +226,7 @@ func (r *Runner) Tick(m *graph.Matching, batch *MutationBatch, stats *Stats) (gr
 	if err := r.ApplyMutations(batch, m, stats); err != nil {
 		return 0, err
 	}
-	maxRounds, patience := effectiveBudget(r.g.N(), r.opts)
-	var total graph.Weight
-	stalled := 0
-	for i := 0; i < maxRounds && stalled < patience; i++ {
-		gain, err := r.Round(m, stats)
-		if err != nil {
-			return total, err
-		}
-		total += gain
-		if gain == 0 {
-			stalled++
-		} else {
-			stalled = 0
-		}
-	}
-	return total, nil
+	return r.converge(m, stats, 0, 0, nil)
 }
 
 func floatsEqual(a, b []float64) bool {

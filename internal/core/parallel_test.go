@@ -54,21 +54,24 @@ func TestParallelRoundDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelRoundDeterministicWithFactory exercises the per-class Rng
-// split: a factory-built solver whose behaviour depends on its class Rng
-// must still make the parallel sweep reproduce the sequential one exactly,
-// because seeds are drawn up-front in class order.
+// TestParallelRoundDeterministicWithFactory pins the factory contract: the
+// factory is called once per class sweep, so a stateful solver whose
+// answers depend on its own call history still makes the parallel sweep
+// reproduce the sequential one exactly — each class's solver sees the
+// class's pairs in the class's order, whichever worker runs it.
 func TestParallelRoundDeterministicWithFactory(t *testing.T) {
 	inst := graph.PlantedMatching(60, 300, 100, 200, rand.New(rand.NewSource(4)))
-	factory := func(rng *rand.Rand) PhasedSolver {
+	factory := func() PhasedSolver {
+		calls := 0
 		return func(b *bipartite.Bip) (*graph.Matching, int, error) {
-			// Class-seeded randomness decides the oracle quality, so any
-			// scheduling dependence would surface as a different matching.
-			if rng.Intn(2) == 0 {
-				res := bipartite.HopcroftKarp(b)
-				return res.M, res.Phases, nil
+			// The call history decides the answer — every third call
+			// returns the empty matching — so a solver shared across
+			// classes or workers would surface as a different matching.
+			calls++
+			if calls%3 == 0 {
+				return graph.NewMatching(b.N), 0, nil
 			}
-			res := bipartite.Approx(b, 0.5)
+			res := bipartite.HopcroftKarp(b)
 			return res.M, res.Phases, nil
 		}
 	}
@@ -88,6 +91,28 @@ func TestParallelRoundDeterministicWithFactory(t *testing.T) {
 	}
 	if statsSeq != statsPar {
 		t.Fatalf("stats %+v vs sequential %+v", statsPar, statsSeq)
+	}
+}
+
+// TestFactoryExactMatchesDefault: a factory draws nothing from the Rng, so
+// installing the exact solver through it sees the default run's
+// bipartitions and must reproduce the default run exactly — matching and
+// every Stats counter, phases included.
+func TestFactoryExactMatchesDefault(t *testing.T) {
+	inst := graph.PlantedMatching(60, 300, 100, 200, rand.New(rand.NewSource(5)))
+	for _, seed := range []int64{1, 2, 3} {
+		def, err := Solve(inst.G, nil, Options{Rng: rand.New(rand.NewSource(seed))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fac, err := Solve(inst.G, nil, Options{Rng: rand.New(rand.NewSource(seed)), PhasedSolverFactory: ExactPhasedSolver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMatching(t, "factory vs default", def.M, fac.M)
+		if fac.Stats != def.Stats {
+			t.Fatalf("seed %d: factory stats %+v, default %+v", seed, fac.Stats, def.Stats)
+		}
 	}
 }
 
@@ -131,26 +156,5 @@ func TestParallelRoundColdCache(t *testing.T) {
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCustomSolverForcesSequential documents the safety rule: a bare Solver
-// closure (no factory) disables the pool, so stateful driver closures (the
-// streaming and MPC drivers accumulate pass/round counts) stay data-race
-// free even when Workers is set.
-func TestCustomSolverForcesSequential(t *testing.T) {
-	inst := graph.PlantedMatching(30, 120, 50, 100, rand.New(rand.NewSource(7)))
-	calls := 0 // mutated without synchronisation: the sweep must be sequential
-	solver := func(b *bipartite.Bip) (*graph.Matching, error) {
-		calls++
-		return bipartite.HopcroftKarp(b).M, nil
-	}
-	m := graph.NewMatching(inst.G.N())
-	var stats Stats
-	if _, err := Round(inst.G, m, Options{Rng: rand.New(rand.NewSource(8)), Solver: solver, Workers: 8}, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if calls != stats.SolverCalls {
-		t.Fatalf("solver closure saw %d calls, stats recorded %d", calls, stats.SolverCalls)
 	}
 }

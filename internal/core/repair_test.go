@@ -87,11 +87,9 @@ func TestPhasedSolverFactoryCountsPhases(t *testing.T) {
 	}
 	// Ground truth: a sequential run whose solvers also accumulate their
 	// phase counts into a test-side counter — Stats.SolverPhases must be
-	// exactly that sum, not a silent zero. (Factory runs draw per-class
-	// Rng seeds, so their rounds are not comparable to the default
-	// config's; parity is asserted within the factory world.)
+	// exactly that sum, not a silent zero.
 	truth := 0
-	counting := func(*rand.Rand) PhasedSolver {
+	counting := func() PhasedSolver {
 		ps := ExactPhasedSolver()
 		return func(b *bipartite.Bip) (*graph.Matching, int, error) {
 			m, phases, err := ps(b)
@@ -106,7 +104,7 @@ func TestPhasedSolverFactoryCountsPhases(t *testing.T) {
 	if seq.SolverPhases != truth {
 		t.Fatalf("factory phases %d, solvers observed %d", seq.SolverPhases, truth)
 	}
-	par := run(Options{PhasedSolverFactory: func(*rand.Rand) PhasedSolver { return ExactPhasedSolver() }, Workers: 4})
+	par := run(Options{PhasedSolverFactory: ExactPhasedSolver, Workers: 4})
 	if par != seq {
 		t.Fatalf("parallel factory stats %+v, sequential %+v", par, seq)
 	}

@@ -105,7 +105,11 @@ type CheckpointMeta struct {
 	CacheGate   int
 }
 
-func metaOf(opts Options) CheckpointMeta {
+// MetaOf fingerprints opts the way SolveCheckpointed does, for callers
+// assembling their own Checkpoint — the augserve tick loop persists tick
+// counts rather than Solve rounds, but shares the container format and the
+// resume-compatibility rule.
+func MetaOf(opts Options) CheckpointMeta {
 	opts = opts.withDefaults()
 	return CheckpointMeta{
 		Granularity: opts.Layered.Granularity,
@@ -121,23 +125,13 @@ func metaOf(opts Options) CheckpointMeta {
 	}
 }
 
-// compatible reports whether a checkpoint under m may resume under other:
-// equal in everything but the worker count.
-func (m CheckpointMeta) compatible(other CheckpointMeta) bool {
-	m.Workers, other.Workers = 0, 0
-	return m == other
-}
-
-// MetaOf fingerprints opts the way SolveCheckpointed does, for callers
-// assembling their own Checkpoint — the augserve tick loop persists tick
-// counts rather than Solve rounds, but shares the container format and the
-// resume-compatibility rule.
-func MetaOf(opts Options) CheckpointMeta { return metaOf(opts) }
-
 // Compatible reports whether a checkpoint taken under m may resume under
 // other: equal in everything but the worker count (results are invariant
 // under the pool size, so a resume may rescale it freely).
-func (m CheckpointMeta) Compatible(other CheckpointMeta) bool { return m.compatible(other) }
+func (m CheckpointMeta) Compatible(other CheckpointMeta) bool {
+	m.Workers, other.Workers = 0, 0
+	return m == other
+}
 
 // Checkpoint is the persisted state of an in-flight Solve, taken between
 // rounds. See the file comment for what is (and deliberately is not)
@@ -218,13 +212,31 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// SaveCheckpoint writes cp to path atomically (write-then-rename), so a
-// crash mid-save leaves the previous checkpoint intact rather than a
-// truncated file — truncation is detected either way, but atomic replace
-// keeps a resumable state on disk at all times.
-func SaveCheckpoint(path string, cp *Checkpoint) error {
+// SaveCheckpoint writes cp to path atomically: the snapshot is written to
+// path.tmp, synced to disk, closed, and only then renamed over path, so a
+// crash mid-save — of the process or of the machine — leaves the previous
+// checkpoint intact rather than a truncated file (truncation is detected
+// either way, but atomic replace keeps a resumable state on disk at all
+// times). A failed save removes the temp file.
+func SaveCheckpoint(path string, cp *Checkpoint) (err error) {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, EncodeCheckpoint(cp), 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	_, err = f.Write(EncodeCheckpoint(cp))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
@@ -430,8 +442,8 @@ func ResumeSolve(cp *Checkpoint, opts Options, save func(*Checkpoint) error) (Re
 	if opts.Rng != nil {
 		return Result{}, errors.New("core: ResumeSolve owns the Rng; leave Options.Rng nil")
 	}
-	if !cp.Meta.compatible(metaOf(opts)) {
-		return Result{}, fmt.Errorf("%w: snapshot %+v vs options %+v", ErrCheckpointOptions, cp.Meta, metaOf(opts))
+	if !cp.Meta.Compatible(MetaOf(opts)) {
+		return Result{}, fmt.Errorf("%w: snapshot %+v vs options %+v", ErrCheckpointOptions, cp.Meta, MetaOf(opts))
 	}
 	cs := ReplayCountingSource(cp.RngSeed, cp.RngDraws)
 	return solveFrom(cp.Graph, cp.M, opts, cp.RngSeed, cs, cp.Round, cp.Stalled, cp.Stats, save)
@@ -450,39 +462,24 @@ func solveFrom(
 	save func(*Checkpoint) error,
 ) (Result, error) {
 	opts.Rng = rand.New(cs)
-	opts = opts.withDefaults()
-	m := graph.NewMatching(g.N())
-	if initial != nil {
-		m = initial.Clone()
-	}
-	meta := metaOf(opts)
-	maxRounds, patience := effectiveBudget(g.N(), opts)
-	runner := NewRunner(g, opts)
-	for r := startRound; r < maxRounds && stalled < patience; r++ {
-		gain, err := runner.Round(m, &stats)
-		if err != nil {
-			return Result{M: m, Stats: stats}, err
-		}
-		if opts.Trace != nil {
-			opts.Trace(r, m.Weight())
-		}
-		if gain == 0 {
-			stalled++
-		} else {
-			stalled = 0
-		}
-		if save != nil {
+	m := startMatching(g, initial)
+	var after func(round, stalled int) error
+	if save != nil {
+		meta := MetaOf(opts)
+		after = func(round, stalled int) error {
 			cp := &Checkpoint{
 				Graph: g, M: m,
-				Round: r + 1, Stalled: stalled,
+				Round: round, Stalled: stalled,
 				Stats:   stats,
 				RngSeed: seed, RngDraws: cs.Draws(),
 				Meta: meta,
 			}
 			if err := save(cp); err != nil {
-				return Result{M: m, Stats: stats}, fmt.Errorf("core: checkpoint save after round %d: %w", r, err)
+				return fmt.Errorf("core: checkpoint save after round %d: %w", round-1, err)
 			}
+			return nil
 		}
 	}
-	return Result{M: m, Stats: stats}, nil
+	_, err := NewRunner(g, opts).converge(m, &stats, startRound, stalled, after)
+	return Result{M: m, Stats: stats}, err
 }

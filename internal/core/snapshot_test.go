@@ -79,7 +79,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Round: 5, Stalled: 2,
 		Stats:   Stats{Rounds: 5, SolverCalls: 321, FallbackSolves: 2, Gain: 777},
 		RngSeed: -9, RngDraws: 12345,
-		Meta: metaOf(snapshotTestOptions()),
+		Meta: MetaOf(snapshotTestOptions()),
 	}
 	dec, err := DecodeCheckpoint(EncodeCheckpoint(cp))
 	if err != nil {
@@ -377,7 +377,7 @@ func TestSaveLoadCheckpointFile(t *testing.T) {
 	cp := &Checkpoint{
 		Graph: g, M: graph.NewMatching(g.N()),
 		Round: 1, RngSeed: 2, RngDraws: 3,
-		Meta: metaOf(snapshotTestOptions()),
+		Meta: MetaOf(snapshotTestOptions()),
 	}
 	if err := SaveCheckpoint(path, cp); err != nil {
 		t.Fatal(err)
@@ -399,5 +399,23 @@ func TestSaveLoadCheckpointFile(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(path); err == nil {
 		t.Fatal("truncated file loaded cleanly")
+	}
+}
+
+// TestSaveCheckpointFailureLeavesNoTemp: a save that cannot complete (here
+// the rename, onto a non-empty directory) returns the error and removes
+// its temp file instead of leaving it beside the checkpoint.
+func TestSaveCheckpointFailureLeavesNoTemp(t *testing.T) {
+	g := snapshotTestInstance(t)
+	path := filepath.Join(t.TempDir(), "solve.snap")
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cp := &Checkpoint{Graph: g, M: graph.NewMatching(g.N()), Meta: MetaOf(snapshotTestOptions())}
+	if err := SaveCheckpoint(path, cp); err == nil {
+		t.Fatal("save onto a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed save left its temp file behind (stat: %v)", err)
 	}
 }

@@ -8,8 +8,10 @@ import (
 
 // StreamingOptions configures SolveStreaming, the Theorem 1.2(2) driver.
 type StreamingOptions struct {
-	// Core carries the reduction parameters; its Solver field is ignored
-	// (the streaming bipartite solver is installed).
+	// Core carries the reduction parameters. Its PhasedSolverFactory and
+	// Workers are ignored: the driver installs the streaming bipartite
+	// solver, whose pass ledger is shared by every instance, and so runs
+	// the class sweep sequentially.
 	Core Options
 	// Delta is the (1−δ) target handed to the unweighted streaming
 	// subroutine. Default 0.2.
@@ -52,56 +54,39 @@ func SolveStreaming(g *graph.Graph, initial *graph.Matching, opts StreamingOptio
 	}
 	res := StreamingResult{}
 	roundPasses := 0
-
-	coreOpts := opts.Core
 	scratch := &bipartite.StreamScratch{}
-	coreOpts.Solver = func(b *bipartite.Bip) (*graph.Matching, error) {
+	solver := func(b *bipartite.Bip) (*graph.Matching, int, error) {
 		// In the model, this instance reads the global stream and keeps
 		// only its layered edges; the SliceStream below is that filtered
 		// view, and its pass count is the instance's pass count over the
 		// global stream. Instances share one scratch arena (they run
 		// sequentially here even though the model charges them as parallel).
+		// The matcher's cost is passes, not phases, so it reports 0 phases.
 		s := stream.FromEdges(b.Edges)
 		sr := bipartite.StreamingOpts(b.N, b.Side, s, opts.Delta, bipartite.StreamOptions{
 			Account: opts.Account,
 			Scratch: scratch,
 		})
-		if sr.Passes > roundPasses {
-			roundPasses = sr.Passes
-		}
-		if sr.Passes > res.SubroutinePasses {
-			res.SubroutinePasses = sr.Passes
-		}
-		if sr.PeakStored > res.PeakStored {
-			res.PeakStored = sr.PeakStored
-		}
-		return sr.M, nil
+		roundPasses = max(roundPasses, sr.Passes)
+		res.SubroutinePasses = max(res.SubroutinePasses, sr.Passes)
+		res.PeakStored = max(res.PeakStored, sr.PeakStored)
+		return sr.M, 0, nil
 	}
-	coreOpts = coreOpts.withDefaults()
+	coreOpts := opts.Core
+	coreOpts.PhasedSolverFactory = func() PhasedSolver { return solver }
+	coreOpts.Workers = 1
 
-	m := graph.NewMatching(g.N())
-	if initial != nil {
-		m = initial.Clone()
-	}
-	maxRounds, patience := effectiveBudget(g.N(), coreOpts)
-	stalled := 0
-	for r := 0; r < maxRounds && stalled < patience; r++ {
-		roundPasses = 0
-		gain, err := Round(g, m, coreOpts, &res.Stats)
-		if err != nil {
-			return res, err
-		}
+	m := startMatching(g, initial)
+	_, err := NewRunner(g, coreOpts).converge(m, &res.Stats, 0, 0, func(int, int) error {
 		// One pass buckets edge weights for the viability index and feeds
 		// the parametrization; the instances then share roundPasses passes.
 		res.TotalPasses += 1 + roundPasses
-		if 1+roundPasses > res.MaxRoundPasses {
-			res.MaxRoundPasses = 1 + roundPasses
-		}
-		if gain == 0 {
-			stalled++
-		} else {
-			stalled = 0
-		}
+		res.MaxRoundPasses = max(res.MaxRoundPasses, 1+roundPasses)
+		roundPasses = 0
+		return nil
+	})
+	if err != nil {
+		return res, err
 	}
 	res.M = m
 	return res, nil

@@ -9,21 +9,14 @@ import (
 	"repro/internal/graph"
 )
 
-// iterFactory and rescanFactory install the two DFS strategies of the PR 9
-// solver pass as phase-reporting solver factories, so the full reduction
-// pipeline — bipartition draw, class sweep, every solve — runs once per
-// strategy over identical Rng streams. Both sides set a factory, which
-// matters: Options.hasFactory switches the per-class Rng seeding, so a
-// factory run is only stream-identical to another factory run.
-func iterFactory(*rand.Rand) core.PhasedSolver {
-	hk := bipartite.NewScratch()
-	return func(b *bipartite.Bip) (*graph.Matching, int, error) {
-		res := bipartite.HopcroftKarpScratch(b, hk)
-		return res.M, res.Phases, nil
-	}
-}
-
-func rescanFactory(*rand.Rand) core.PhasedSolver {
+// core.ExactPhasedSolver and rescanFactory install the two DFS strategies
+// of the PR 9 solver pass as phase-reporting solver factories, so the full
+// reduction pipeline — bipartition draw, class sweep, every solve — runs
+// once per strategy. A factory draws nothing from the Rng, so both runs
+// see the same bipartitions. Both sides set a factory, which still matters:
+// an installed solver turns the cross-class cache off, so a factory run is
+// comparable call for call only with another factory run.
+func rescanFactory() core.PhasedSolver {
 	hk := bipartite.NewScratch()
 	return func(b *bipartite.Bip) (*graph.Matching, int, error) {
 		res := bipartite.HopcroftKarpRescanScratch(b, hk)
@@ -44,7 +37,7 @@ func TestIteratorDFSPipelineBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, w := range Workloads(rand.New(rand.NewSource(26))) {
 			sIter, sRef := AssertBitIdentical(t, w,
-				core.Options{Amortize: true, Workers: workers, PhasedSolverFactory: iterFactory},
+				core.Options{Amortize: true, Workers: workers, PhasedSolverFactory: core.ExactPhasedSolver},
 				core.Options{Amortize: true, Workers: workers, PhasedSolverFactory: rescanFactory},
 				27, 5)
 			if sIter.SolverPhases != sRef.SolverPhases {

@@ -105,15 +105,15 @@ func TestRebuildMatchesMaintained(t *testing.T) {
 	}
 }
 
-// TestCacheTransparent isolates the cross-class cache: installing an
-// explicit exact Solver disables the cache (and nothing else the solver
-// touches differs from the scratch-backed default), so equal matchings here
+// TestCacheTransparent isolates the cross-class cache: installing the exact
+// solver through a factory disables the cache (and the repair, which is
+// bit-identical to a cold solve by Invariant 21), so equal matchings here
 // mean cached candidate replay is indistinguishable from re-solving.
 func TestCacheTransparent(t *testing.T) {
 	for _, w := range Workloads(rand.New(rand.NewSource(6))) {
 		sOn, sOff := AssertBitIdentical(t, w,
 			core.Options{Amortize: true},
-			core.Options{Amortize: true, Solver: core.ExactSolver()},
+			core.Options{Amortize: true, PhasedSolverFactory: core.ExactPhasedSolver},
 			16, 6)
 		if sOff.CacheHits != 0 {
 			t.Errorf("%s: explicit solver still hit the cache %d times", w.Name, sOff.CacheHits)

@@ -111,7 +111,7 @@ func headerBytes(n, m int) []byte {
 // Every edge must pass graph.CheckEdge against n; the first that does not
 // stops the write with that error, naming its record index. The format's
 // uint32 ids cap n at 2^32.
-func WriteFile(path string, n int, next func() (graph.Edge, bool)) (int, error) {
+func WriteFile(path string, n int, next func() (graph.Edge, bool)) (m int, err error) {
 	if n < 0 || uint64(n) > maxVertices {
 		return 0, fmt.Errorf("stream: %d vertices outside the format's [0, 2^32]", n)
 	}
@@ -119,7 +119,13 @@ func WriteFile(path string, n int, next func() (graph.Edge, bool)) (int, error) 
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
+	defer func() {
+		// After a successful Sync a failing Close is still a failed write:
+		// report it rather than hand back a file that may not be whole.
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
 
 	// Reserve the header region; the length is independent of m.
 	placeholder := headerBytes(n, 0)
@@ -130,7 +136,6 @@ func WriteFile(path string, n int, next func() (graph.Edge, bool)) (int, error) 
 	w := bufio.NewWriterSize(f, 1<<20)
 	crc := crc64.New(fileCRC)
 	var rec [recordSize]byte
-	m := 0
 	for {
 		e, ok := next()
 		if !ok {

@@ -172,7 +172,10 @@ type ApproxOptions struct {
 	// cross-class solve cache, delta-chained builds, Hopcroft–Karp repair)
 	// — bit-identical results, see core.Options.Amortize.
 	Amortize bool
-	// Workers bounds the per-class worker pool (see core.Options.Workers).
+	// Workers bounds the per-class worker pool of ApproxWeighted and
+	// ApproxWeightedSnapshot (see core.Options.Workers). The model drivers
+	// ignore it: each installs one stateful subroutine and runs the class
+	// sweep sequentially.
 	Workers int
 	// CacheGate tunes the cross-class cache's hit-rate gate; it is
 	// bit-identity-preserving at any setting (see core.Options.CacheGate).
