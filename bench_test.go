@@ -553,97 +553,3 @@ func BenchmarkRoundParallel(b *testing.B) {
 		}
 	}
 }
-
-// randArrBenchEdges builds the PR 10 per-arrival benchmark stream: a
-// random-order weighted stream big enough that the per-arrival hot path
-// (class routing + local-ratio pushes) dominates setup.
-func randArrBenchEdges() (int, []graph.Edge) {
-	rng := rand.New(rand.NewSource(20))
-	inst := graph.PlantedMatching(2000, 15000, 1000, 2000, rng)
-	return inst.G.N(), stream.RandomOrder(inst.G, rng).Edges()
-}
-
-// BenchmarkRandArrArena runs Algorithm 2 on the arena-backed hot path —
-// flat 65-slot class table, stack-parallel origW, reused Arena — the E20
-// A/B numerator. Output is bit-identical to BenchmarkRandArrNaive
-// (Invariant 27; gated ≥1.15x in CI, committed margin in BENCH_pr10.json).
-func BenchmarkRandArrArena(b *testing.B) {
-	n, edges := randArrBenchEdges()
-	arena := &randarrival.Arena{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := randarrival.RandArrMatching(n, stream.FromEdges(edges),
-			randarrival.WeightedOptions{Rng: rand.New(rand.NewSource(7)), Arena: arena})
-		if res.M.Size() == 0 {
-			b.Fatal("empty matching")
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(edges)), "ns/arrival")
-}
-
-// BenchmarkRandArrNaive is the same run on the retained map-backed
-// reference forms — the A/B denominator.
-func BenchmarkRandArrNaive(b *testing.B) {
-	n, edges := randArrBenchEdges()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := randarrival.RandArrMatching(n, stream.FromEdges(edges),
-			randarrival.WeightedOptions{Rng: rand.New(rand.NewSource(7)), Naive: true})
-		if res.M.Size() == 0 {
-			b.Fatal("empty matching")
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(edges)), "ns/arrival")
-}
-
-// streamingBenchBip builds the bipartite stream for the flat-vs-naive
-// grower pair.
-func streamingBenchBip() (*bipartite.Bip, error) {
-	rng := rand.New(rand.NewSource(21))
-	inst := graph.RandomBipartite(400, 400, 6000, 10, rng)
-	side := make([]bool, 800)
-	for v := 400; v < 800; v++ {
-		side[v] = true
-	}
-	return graphBip(800, side, inst.G.Edges())
-}
-
-// BenchmarkStreamingFlat measures the chain-table multipass grower with a
-// reused StreamScratch (the PR 10 flat form).
-func BenchmarkStreamingFlat(b *testing.B) {
-	bip, err := streamingBenchBip()
-	if err != nil {
-		b.Fatal(err)
-	}
-	scratch := &bipartite.StreamScratch{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := bipartite.StreamingOpts(bip.N, bip.Side, stream.FromEdges(bip.Edges), 0.2,
-			bipartite.StreamOptions{Scratch: scratch})
-		if res.M.Size() == 0 {
-			b.Fatal("empty matching")
-		}
-	}
-}
-
-// BenchmarkStreamingNaive is the retained map-based grower on the same
-// stream — the honest parity record for the flat form (no speedup gate;
-// the win is allocation count, visible in -benchmem).
-func BenchmarkStreamingNaive(b *testing.B) {
-	bip, err := streamingBenchBip()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := bipartite.StreamingOpts(bip.N, bip.Side, stream.FromEdges(bip.Edges), 0.2,
-			bipartite.StreamOptions{Naive: true})
-		if res.M.Size() == 0 {
-			b.Fatal("empty matching")
-		}
-	}
-}

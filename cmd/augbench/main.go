@@ -1,13 +1,13 @@
 // Command augbench runs the experiment harness and prints the paper-style
-// tables of EXPERIMENTS.md.
+// tables of DESIGN.md's "Experiment index".
 //
 // Usage:
 //
 //	augbench [-experiment E1,E4] [-seed 1] [-trials 5] [-quick] [-amortize] [-json FILE]
 //
 // With no -experiment flag every registered experiment runs (currently
-// E1..E20 — the registry in internal/bench is the authority, and an
-// unknown id's error message lists it). With -json the tables are
+// E1..E14, E18 and E20 — the registry in internal/bench is the authority,
+// and an unknown id's error message lists it). With -json the tables are
 // additionally written to FILE as machine-readable JSON (the BENCH_*.json
 // format the perf ledger tracks across PRs). -amortize routes the
 // reduction-driven experiments through the cross-round amortised pipeline

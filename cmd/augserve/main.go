@@ -369,6 +369,30 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			}
 		}()
 	}
-	fmt.Fprintf(stdout, "listening on %s (n=%d m=%d)\n", cfg.addr, g.N(), g.M())
-	return http.ListenAndServe(cfg.addr, s.handler())
+	// s.g, not g: a resume replaces the -input graph with the snapshot's
+	// post-edit graph, and this line must agree with the "resumed" one.
+	fmt.Fprintf(stdout, "listening on %s (n=%d m=%d)\n", cfg.addr, s.g.N(), s.g.M())
+	return newHTTPServer(cfg.addr, s.handler()).ListenAndServe()
+}
+
+// Server timeouts. A client that stalls its headers or body, or parks an
+// idle keep-alive connection, is dropped instead of holding a connection
+// forever. There is deliberately no WriteTimeout: a POST /tick re-converges
+// the matching and can legitimately run for seconds on a large graph.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the http.Server run serves h on: the timeouts above, no
+// write timeout.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

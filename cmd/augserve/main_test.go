@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -498,4 +500,77 @@ func TestServeErrors(t *testing.T) {
 		t.Fatalf("server unhealthy after failed tick: %v %v", resp.Status, err)
 	}
 	resp.Body.Close()
+}
+
+// TestHTTPServerTimeouts pins the limits of the http.Server run serves on:
+// a stalled header, a stalled body and an idle keep-alive connection are
+// all cut off, and there is no write timeout, because a POST /tick may
+// re-converge for seconds before it answers.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+		t.Fatalf("server not wired to its address and handler: %+v", srv)
+	}
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.ReadTimeout != time.Minute || srv.IdleTimeout != 2*time.Minute {
+		t.Fatalf("timeouts: read-header %v, read %v, idle %v; want 10s, 1m, 2m",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout %v would cut off long ticks; want none", srv.WriteTimeout)
+	}
+}
+
+// TestListeningLineReportsResumedGraph: after a resume, the "listening on"
+// line reports the graph the server actually serves — the snapshot's
+// post-edit graph — not the -input graph it replaced, so it agrees with
+// the "resumed" line printed above it. The unusable -addr makes run
+// return right after printing, without serving.
+func TestListeningLineReportsResumedGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	inst := graph.RandomGraph(30, 120, 32, rng)
+	dir := t.TempDir()
+	input := filepath.Join(dir, "g.txt")
+	var buf bytes.Buffer
+	if _, err := inst.G.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(input, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Snapshot a server whose graph gained one edge.
+	snap := filepath.Join(dir, "serve.snap")
+	cfg := config{seed: 11, snapshot: snap}
+	cfg.opts = cfg.options()
+	s := newServer(inst.G.Clone(), cfg)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	u, v := 0, 1
+	for ; v < inst.G.N(); v++ {
+		if _, ok := inst.G.FindEdge(u, v); !ok {
+			break
+		}
+	}
+	postJSON(t, ts.URL+"/mutate", []mutationReq{{Op: "insert", U: u, V: v, W: 40}}, nil)
+	postJSON(t, ts.URL+"/tick", nil, nil)
+	postJSON(t, ts.URL+"/snapshot", nil, nil)
+	n, m := inst.G.N(), inst.G.M()+1
+
+	var out bytes.Buffer
+	err := run([]string{"-input", input, "-seed", "11", "-snapshot", snap, "-resume",
+		"-addr", "127.0.0.1:99999"}, nil, &out)
+	if err == nil {
+		t.Fatal("run served on an unusable address")
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want the resumed and listening lines, got %q", out.String())
+	}
+	if want := fmt.Sprintf(" n=%d m=%d ", n, m); !strings.HasPrefix(lines[0], "resumed tick=1") ||
+		!strings.Contains(lines[0], want) {
+		t.Fatalf("resumed line %q, want tick=1 and%s", lines[0], want)
+	}
+	if want := fmt.Sprintf("listening on 127.0.0.1:99999 (n=%d m=%d)", n, m); lines[1] != want {
+		t.Fatalf("listening line %q, want %q", lines[1], want)
+	}
 }

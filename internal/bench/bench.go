@@ -1,7 +1,7 @@
 // Package bench contains the experiment harness that regenerates the
-// paper's quantitative claims (the experiment index of DESIGN.md and
-// EXPERIMENTS.md). Each experiment Ek returns one or more tables whose rows
-// are the measured counterparts of a theorem, lemma, table, or figure of
+// paper's quantitative claims (DESIGN.md, "Experiment index"). Each
+// experiment Ek returns one or more tables whose rows are the measured
+// counterparts of a theorem, lemma, table, or figure of
 // Gamlath–Kale–Mitrović–Svensson (PODC 2019).
 package bench
 
@@ -105,7 +105,6 @@ func Registry() map[string]Runner {
 		"E13": E13SolverBound,
 		"E14": E14UniformClass,
 		"E18": E18EditStream,
-		"E19": E19SolverMicroarch,
 		"E20": E20StreamScale,
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	ids := IDs()
-	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E18", "E19", "E20"}
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E18", "E20"}
 	if len(ids) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(ids), len(want))
 	}

@@ -101,19 +101,20 @@ func RunStreamScaleRow(dir string, n, m int, maxw int64, seed int64) (ScaleStats
 }
 
 // E20StreamScale is the PR 10 quality/scale ledger for the amortised
-// streaming tier. Three tables:
+// streaming tier. Two tables:
 //
 //   - scale: Algorithm 2 end-to-end over disk-resident random-order
 //     streams built by the external-memory shuffle — per-arrival ns
 //     (including IO), single-pass check, and the Accountant peak against
 //     the Lemma 3.15 O(n log n) bound, with the cover-bound certificate
 //     standing in for the exact optimum where exact is infeasible.
-//   - per-arrival: the arena-backed hot path vs the retained naive forms,
-//     same-run A/B on identical streams (the only comparison benchguard
-//     gates); the "identical" column is the Invariant 27 check inlined.
 //   - quality: realised approximation ratio vs the exact optimum on
 //     families where it is known, random vs adversarial arrival order —
 //     the regression surface the pinned-ratio test asserts.
+//
+// The arena-vs-naive per-arrival A/B is not a table: the naive form is test
+// code, and the BenchmarkRandArrArena/BenchmarkRandArrNaive pair in
+// internal/randarrival times the same runs.
 func E20StreamScale(cfg Config) []Table {
 	cfg = cfg.withDefaults()
 
@@ -147,62 +148,6 @@ func E20StreamScale(cfg Config) []Table {
 		}
 	}
 
-	ab := Table{
-		ID:    "E20",
-		Title: "per-arrival hot path — arena forms vs retained naive forms (same-run)",
-		Claim: "flat class table + arena slices beat the map-backed path; outputs bit-identical (Invariant 27)",
-		Header: []string{
-			"n", "m", "ns/arrival arena", "ns/arrival naive", "speedup", "identical",
-		},
-	}
-	abSizes := []scaleCfg{{2_000, 16_000}, {5_000, 40_000}}
-	reps := 6
-	if cfg.Quick {
-		abSizes = []scaleCfg{{500, 4_000}}
-		reps = 2
-	}
-	for _, rc := range abSizes {
-		genRng := rand.New(rand.NewSource(cfg.Seed))
-		inst := graph.PlantedMatching(rc.n, rc.m-rc.n/2, 1000, 2000, genRng)
-		order := stream.RandomOrder(inst.G, genRng)
-		edges := order.Edges()
-		identical := true
-		var times [2]float64
-		for k, naive := range []bool{false, true} {
-			arena := &randarrival.Arena{}
-			var elapsed time.Duration
-			var weight graph.Weight
-			for rep := 0; rep < reps; rep++ {
-				s := stream.FromEdges(edges)
-				opts := randarrival.WeightedOptions{
-					Rng:   rand.New(rand.NewSource(cfg.Seed + int64(rep))),
-					Naive: naive,
-				}
-				if !naive {
-					opts.Arena = arena
-				}
-				start := time.Now()
-				res := randarrival.RandArrMatching(rc.n, s, opts)
-				elapsed += time.Since(start)
-				weight = res.M.Weight()
-				if k == 1 && rep == reps-1 {
-					// Re-run the arena form on the final rep's rng stream to
-					// compare outputs directly.
-					again := randarrival.RandArrMatching(rc.n, stream.FromEdges(edges), randarrival.WeightedOptions{
-						Rng: rand.New(rand.NewSource(cfg.Seed + int64(rep))),
-					})
-					identical = identical && again.M.Weight() == weight
-				}
-			}
-			times[k] = float64(elapsed.Nanoseconds()) / float64(reps*len(edges))
-		}
-		ab.Rows = append(ab.Rows, []string{
-			fi(rc.n), fi(len(edges)), f1(times[0]), f1(times[1]),
-			fmt.Sprintf("%.2fx", times[1]/times[0]),
-			fmt.Sprintf("%v", identical),
-		})
-	}
-
 	quality := Table{
 		ID:    "E20",
 		Title: "quality ledger — realised ratio vs exact optimum, random vs adversarial order",
@@ -217,7 +162,7 @@ func E20StreamScale(cfg Config) []Table {
 		})
 	}
 
-	return []Table{scale, ab, quality}
+	return []Table{scale, quality}
 }
 
 // QualityRow is one family of the E20 quality ledger.

@@ -5,18 +5,12 @@ import (
 	"testing"
 )
 
-// TestE20Quick smokes the whole E20 runner at quick scale and checks the
-// A/B table's bit-identity column — the in-harness Invariant 27 witness.
+// TestE20Quick smokes the whole E20 runner at quick scale and checks that
+// every scale row is single-pass.
 func TestE20Quick(t *testing.T) {
 	tables := E20StreamScale(Config{Seed: 1, Trials: 2, Quick: true})
-	if len(tables) != 3 {
-		t.Fatalf("E20 returned %d tables, want 3", len(tables))
-	}
-	ab := tables[1]
-	for _, row := range ab.Rows {
-		if row[len(row)-1] != "true" {
-			t.Fatalf("A/B row %v: arena and naive outputs diverged", row)
-		}
+	if len(tables) != 2 {
+		t.Fatalf("E20 returned %d tables, want 2", len(tables))
 	}
 	for _, row := range tables[0].Rows {
 		if row[3] != "1" {

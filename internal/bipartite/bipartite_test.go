@@ -97,7 +97,7 @@ func TestStreamingMatchesHKClosely(t *testing.T) {
 		b := randomBip(t, 50, 50, 600, rng)
 		exact := HopcroftKarp(b)
 		s := stream.FromEdges(b.Edges)
-		res := Streaming(b.N, b.Side, s, 0.2)
+		res := Streaming(b.N, b.Side, s, 0.2, StreamOptions{})
 		if err := res.M.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestStreamingPassBudgetIndependentOfN(t *testing.T) {
 	for _, n := range []int{40, 80, 160} {
 		b := randomBip(t, n, n, 6*n, rng)
 		s := stream.FromEdges(b.Edges)
-		res := Streaming(b.N, b.Side, s, 0.25)
+		res := Streaming(b.N, b.Side, s, 0.25, StreamOptions{})
 		passes = append(passes, res.Passes)
 	}
 	// The budget is 1 + rounds·layers with rounds ≤ 4·ceil(1/δ); just
@@ -139,7 +139,7 @@ func TestStreamingOnAugChain(t *testing.T) {
 		{U: 0, V: 1, W: 1},
 		{U: 2, V: 3, W: 1},
 	}
-	res := Streaming(4, side, stream.FromEdges(edges), 0.2)
+	res := Streaming(4, side, stream.FromEdges(edges), 0.2, StreamOptions{})
 	if res.M.Size() != 2 {
 		t.Errorf("size = %d, want 2 after augmenting", res.M.Size())
 	}
@@ -256,7 +256,7 @@ func TestStreamingPreservesEdgeWeights(t *testing.T) {
 		{U: 0, V: 1, W: 70},
 		{U: 2, V: 3, W: 90},
 	}
-	res := Streaming(4, side, stream.FromEdges(edges), 0.2)
+	res := Streaming(4, side, stream.FromEdges(edges), 0.2, StreamOptions{})
 	if res.M.Weight() != 160 {
 		t.Errorf("streaming matching weight = %d, want 160", res.M.Weight())
 	}
@@ -271,7 +271,7 @@ func TestStreamingAugmentedEdgesKeepWeights(t *testing.T) {
 		{U: 0, V: 1, W: 30},
 		{U: 2, V: 3, W: 50},
 	}
-	res := Streaming(4, side, stream.FromEdges(edges), 0.2)
+	res := Streaming(4, side, stream.FromEdges(edges), 0.2, StreamOptions{})
 	if res.M.Size() != 2 {
 		t.Fatalf("size = %d, want 2", res.M.Size())
 	}

@@ -2,9 +2,9 @@ package bipartite
 
 import "repro/internal/graph"
 
-// FunnelInstance builds the re-entrant adversarial instance of the PR 9
-// iterator-DFS A/B (the CI micro gate's BenchmarkHKIterDFS pair and the
-// E19 experiment): m free sources all route their augmenting paths through
+// FunnelInstance builds the re-entrant adversarial instance of the
+// iterator-DFS A/B (the CI micro gate's BenchmarkHKIterDFS pair and
+// TestFunnelBip): m free sources all route their augmenting paths through
 // ONE interior left vertex c whose adjacency starts with a p-edge dead
 // block, so the cursor-free DFS rescans that block on every one of the m
 // re-entries (Θ(m·p + m²) wasted scans) while the iterator form pays for
@@ -14,7 +14,7 @@ import "repro/internal/graph"
 // forms tie.
 //
 // The instance is seeded (c→e, a_j→h_j pre-matched; run it through
-// HopcroftKarpSeeded / HopcroftKarpRescanSeeded) so the only free rights
+// HopcroftKarpSeeded / hopcroftKarpRescan) so the only free rights
 // are c's f-block. Source s_0's one edge leads to e, c's current match;
 // each later s_i's one edge leads to f_{i-1}, which is free at phase start
 // but — because s_{i-1} ran first in the same DFS sweep — is c's match by

@@ -114,27 +114,6 @@ func HopcroftKarpScratch(b *Bip, s *Scratch) Result {
 	return boundedHK(b, math.MaxInt32, s, nil)
 }
 
-// HopcroftKarpRescanScratch is HopcroftKarpScratch running the pre-PR 9
-// cursor-free greedy DFS: every DFS entry rescans the vertex's adjacency
-// from the start instead of resuming from the per-phase cursor. It is
-// retained as the live reference of the iterator-per-phase DFS — the E19
-// experiment and the CI micro-benchmark gate measure the iterator form
-// against it in the same run, and the Invariant 26 differential
-// (TestIteratorDFS*, internal/solvertest) asserts the two return
-// bit-identical results — same matching, same phase count — on every
-// family, because the cursor provably skips only edges already dead for
-// the phase.
-func HopcroftKarpRescanScratch(b *Bip, s *Scratch) Result {
-	return boundedHKRescan(b, math.MaxInt32, s, nil)
-}
-
-// HopcroftKarpRescanSeeded is HopcroftKarpSeeded through the cursor-free
-// reference DFS, so the iterator equivalence is checkable (and measurable)
-// on seeded runs too.
-func HopcroftKarpRescanSeeded(b *Bip, s *Scratch, seeds []Seed) Result {
-	return boundedHKRescan(b, math.MaxInt32, s, seeds)
-}
-
 // Seed pre-matches one edge of a seeded solve: left vertex L matched to
 // right vertex R via edge EdgeIndex of b.Edges.
 type Seed struct {
@@ -162,16 +141,11 @@ func HopcroftKarpSeeded(b *Bip, s *Scratch, seeds []Seed) Result {
 // most 2·ceil(1/δ)−1. By Fact 1.3 the result is (1 − δ)-approximate (a
 // matching with no augmenting path shorter than 2ℓ−1 is (1−1/ℓ)-approximate).
 func Approx(b *Bip, delta float64) Result {
-	return ApproxScratch(b, delta, nil)
-}
-
-// ApproxScratch is Approx reusing the given arena's storage.
-func ApproxScratch(b *Bip, delta float64, s *Scratch) Result {
 	if delta <= 0 {
-		return boundedHK(b, math.MaxInt32, s, nil)
+		return boundedHK(b, math.MaxInt32, nil, nil)
 	}
 	ell := int(math.Ceil(1 / delta))
-	return boundedHK(b, 2*ell-1, s, nil)
+	return boundedHK(b, 2*ell-1, nil, nil)
 }
 
 // sizeVerts sizes the per-vertex working arrays for n vertices, preserving
@@ -256,20 +230,6 @@ func boundedHK(b *Bip, maxLen int, s *Scratch, seeds []Seed) Result {
 	return Result{M: m, Phases: phases}
 }
 
-// boundedHKRescan is boundedHK through the cursor-free reference DFS
-// (see HopcroftKarpRescanScratch).
-func boundedHKRescan(b *Bip, maxLen int, s *Scratch, seeds []Seed) Result {
-	if s == nil {
-		s = NewScratch()
-	}
-	s.token = 0
-	s.prepare(b)
-	phases := s.runLoop(b, maxLen, seeds, true)
-	m := new(graph.Matching)
-	m.FillFromSolver(b.N, b.Side, s.matchL, s.matchR, s.matchEdge, b.Edges)
-	return Result{M: m, Phases: phases}
-}
-
 // run executes the Hopcroft–Karp phase loop over the arena's current CSR
 // (left behind by prepare or patch), starting from the empty matching,
 // optionally installing seeds first. It returns the phase count; the
@@ -280,9 +240,10 @@ func (s *Scratch) run(b *Bip, maxLen int, seeds []Seed) int {
 
 // runLoop is run with the DFS strategy explicit: rescan = true restores the
 // pre-PR 9 cursor-free greedy DFS (every entry rescans the adjacency from
-// off[u]). It exists as the live reference the iterator-per-phase DFS is
-// measured and equivalence-checked against (HopcroftKarpRescanScratch);
-// production callers always pass false.
+// off[u]). Only run calls it from production code, always with false; the
+// rescan form is the reference the iterator-per-phase DFS is measured and
+// equivalence-checked against, reached from this package's tests
+// (rescan_test.go), so the two forms differ in the DFS and nothing else.
 func (s *Scratch) runLoop(b *Bip, maxLen int, seeds []Seed, rescan bool) int {
 	nLeft := 0
 	for i := range s.matchL {
@@ -362,8 +323,9 @@ func (s *Scratch) runLoop(b *Bip, maxLen int, seeds []Seed, rescan bool) int {
 	// rescans an interior vertex pays when several paths route through it,
 	// and nothing else: the same augmenting paths are found in the same
 	// order, so the result and phase count are bit-identical to the
-	// cursor-free reference (runRescan; Invariant 26 pins the equivalence,
-	// TestIteratorDFS* and the solvertest families assert it).
+	// cursor-free reference (rescan = true; Invariant 26 pins the
+	// equivalence, and TestIteratorDFS* assert it at the solver and
+	// pipeline level).
 	//
 	// On success the cursor parks on the taken edge j: a re-entry re-checks
 	// j, finds r matched to u itself (dist[u] == dist[u]+1 fails), and

@@ -34,7 +34,7 @@ func TestIteratorDFSMatchesRescan(t *testing.T) {
 			for it := 0; it < sh.iterations; it++ {
 				b := randomBip(t, sh.nl, sh.nr, sh.m, rng)
 				fast := HopcroftKarpScratch(b, NewScratch())
-				ref := HopcroftKarpRescanScratch(b, NewScratch())
+				ref := hopcroftKarpRescan(b, NewScratch(), nil)
 				if fast.Phases != ref.Phases {
 					t.Fatalf("iteration %d: phases %d (iterator) vs %d (rescan)",
 						it, fast.Phases, ref.Phases)
@@ -68,7 +68,7 @@ func TestIteratorDFSScratchReuse(t *testing.T) {
 		m := 1 + rng.Intn(6*(nl+nr))
 		b := randomBip(t, nl, nr, m, rng)
 		fast := HopcroftKarpScratch(b, s)
-		ref := HopcroftKarpRescanScratch(b, sRef)
+		ref := hopcroftKarpRescan(b, sRef, nil)
 		if fast.Phases != ref.Phases || fast.M.Weight() != ref.M.Weight() {
 			t.Fatalf("iteration %d: (phases, weight) = (%d, %d) iterator vs (%d, %d) rescan",
 				it, fast.Phases, fast.M.Weight(), ref.Phases, ref.M.Weight())
@@ -92,7 +92,7 @@ func TestFunnelBip(t *testing.T) {
 		m, p := mp[0], mp[1]
 		bip, seeds := FunnelInstance(m, p)
 		fast := HopcroftKarpSeeded(bip, NewScratch(), seeds)
-		ref := HopcroftKarpRescanSeeded(bip, NewScratch(), seeds)
+		ref := hopcroftKarpRescan(bip, NewScratch(), seeds)
 		if fast.Phases != 1 || ref.Phases != 1 {
 			t.Fatalf("funnel(%d,%d): phases %d (iterator) / %d (rescan), want 1 — the gadget no longer funnels every source through one phase",
 				m, p, fast.Phases, ref.Phases)
@@ -134,7 +134,7 @@ func BenchmarkHKRescanDFS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		HopcroftKarpRescanSeeded(bip, s, seeds)
+		hopcroftKarpRescan(bip, s, seeds)
 	}
 }
 
@@ -158,7 +158,7 @@ func BenchmarkHKRescanDFSRandom(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		HopcroftKarpRescanScratch(bip, s)
+		hopcroftKarpRescan(bip, s, nil)
 	}
 }
 

@@ -90,15 +90,15 @@ func MPC(b *Bip, delta float64, machines, memPerMachine int, rng *rand.Rand) (MP
 		}
 	}
 
-	// Stage 2: augmenting-path rounds.
+	// Stage 2: augmenting-path rounds, grown by Streaming's flat grower
+	// with the layer scans spread over the machines.
 	ell := int(math.Ceil(1 / delta))
 	layers := ell // (2*ell-1+1)/2 unmatched layers per sweep
 	maxSweeps := 4 * ell
 	peak := 0
-	charged := 0
+	sc := &StreamScratch{}
 	for sweep := 0; sweep < maxSweeps; sweep++ {
-		charged = 0
-		completed := growAugmentingPaths(b.N, b.Side, res.M, layers, func() {
+		sc.grow(b.N, b.Side, res.M, layers, func() {
 			sim.NextRound()
 			res.AugmentRounds++
 		}, func(visit func(l, r int, w graph.Weight)) {
@@ -113,18 +113,18 @@ func MPC(b *Bip, delta float64, machines, memPerMachine int, rng *rand.Rand) (MP
 					visit(l, r, e.W)
 				}
 			}
-		}, &peak, func(int) {}, &charged)
-		if len(completed) == 0 {
+		}, &peak, func(int) {})
+		if len(sc.completed) == 0 {
 			break
 		}
 		// One round for the coordinator to apply the augmentations and
 		// broadcast the updated matching.
 		sim.NextRound()
 		res.AugmentRounds++
-		if err := sim.Use(res.M.Size() + pathStorage(completed)); err != nil {
+		if err := sim.Use(res.M.Size() + sc.completedWords()); err != nil {
 			return res, err
 		}
-		if applyAugPaths(res.M, completed) == 0 {
+		if sc.apply(res.M) == 0 {
 			break
 		}
 	}

@@ -1,4 +1,4 @@
-package solvertest
+package bipartite_test
 
 import (
 	"math/rand"
@@ -7,10 +7,11 @@ import (
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/solvertest"
 )
 
-// core.ExactPhasedSolver and rescanFactory install the two DFS strategies
-// of the PR 9 solver pass as phase-reporting solver factories, so the full
+// core.ExactPhasedSolver and rescanFactory install the two DFS strategies,
+// iterator and rescan, as phase-reporting solver factories, so the full
 // reduction pipeline — bipartition draw, class sweep, every solve — runs
 // once per strategy. A factory draws nothing from the Rng, so both runs
 // see the same bipartitions. Both sides set a factory, which still matters:
@@ -19,7 +20,7 @@ import (
 func rescanFactory() core.PhasedSolver {
 	hk := bipartite.NewScratch()
 	return func(b *bipartite.Bip) (*graph.Matching, int, error) {
-		res := bipartite.HopcroftKarpRescanScratch(b, hk)
+		res := bipartite.HopcroftKarpRescan(b, hk, nil)
 		return res.M, res.Phases, nil
 	}
 }
@@ -29,14 +30,16 @@ func rescanFactory() core.PhasedSolver {
 // cursor-free reference through the WHOLE reduction — every generator
 // family, the amortised pipeline on, Workers 1 and 4 — matching bytes,
 // gain, phase counts, and solver-call counts all equal round by round.
-// The bipartite-level halves (cold, seeded, arena-reuse, repair) live in
-// internal/bipartite's TestIteratorDFS* and TestFunnelBip; the delta /
-// repair / cross-round / mutation / chaos suites re-assert the iterator
-// path against their own references since the default solver now runs it.
+// The solver-level halves (cold, seeded, arena-reuse) are this package's
+// TestIteratorDFS* and TestFunnelBip; the delta / repair / cross-round /
+// mutation / chaos suites re-assert the iterator path against their own
+// references since the default solver now runs it. The test is external
+// because core and solvertest import this package; it reaches the rescan
+// form through export_test.go.
 func TestIteratorDFSPipelineBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		for _, w := range Workloads(rand.New(rand.NewSource(26))) {
-			sIter, sRef := AssertBitIdentical(t, w,
+		for _, w := range solvertest.Workloads(rand.New(rand.NewSource(26))) {
+			sIter, sRef := solvertest.AssertBitIdentical(t, w,
 				core.Options{Amortize: true, Workers: workers, PhasedSolverFactory: core.ExactPhasedSolver},
 				core.Options{Amortize: true, Workers: workers, PhasedSolverFactory: rescanFactory},
 				27, 5)

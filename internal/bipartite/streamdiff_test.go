@@ -1,15 +1,16 @@
 package bipartite
 
 // Invariant 27 (bipartite half): the flat chain-table grower behind
-// StreamingOpts is bit-identical to the retained naive map-based form —
-// same matching edges, same pass count (which also cross-checks the
-// stream-authoritative counter against the naive hand count), same peak
-// stored-edge charge, same accountant peaks.
+// Streaming is bit-identical to the naive map-based reference form
+// (streaming_naive_test.go) — same matching edges, same pass count (which
+// also cross-checks the stream-authoritative counter against the naive
+// hand count), same peak stored-edge charge, same accountant peaks.
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/stream"
 )
 
@@ -21,10 +22,9 @@ func TestStreamingFlatNaiveBitIdentical(t *testing.T) {
 		b := randomBip(t, nl, nr, 2+rng.Intn(6*(nl+nr)), rng)
 		for _, delta := range []float64{0.5, 0.2, 0.1} {
 			var acctF, acctN stream.Accountant
-			flat := StreamingOpts(b.N, b.Side, stream.FromEdges(b.Edges), delta,
+			flat := Streaming(b.N, b.Side, stream.FromEdges(b.Edges), delta,
 				StreamOptions{Account: &acctF, Scratch: scratch})
-			naive := StreamingOpts(b.N, b.Side, stream.FromEdges(b.Edges), delta,
-				StreamOptions{Account: &acctN, Naive: true})
+			naive := streamingNaive(b.N, b.Side, stream.FromEdges(b.Edges), delta, &acctN)
 
 			if flat.M.Size() != naive.M.Size() {
 				t.Fatalf("trial %d delta %g: size %d vs %d",
@@ -71,11 +71,11 @@ func TestStreamingFlatFileStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromFile := StreamingOpts(b.N, b.Side, fs, 0.2, StreamOptions{})
+		fromFile := Streaming(b.N, b.Side, fs, 0.2, StreamOptions{})
 		filePasses := fs.Passes()
 		fs.Close()
 		ss := stream.FromEdges(b.Edges)
-		fromSlice := StreamingOpts(b.N, b.Side, ss, 0.2, StreamOptions{})
+		fromSlice := Streaming(b.N, b.Side, ss, 0.2, StreamOptions{})
 		if fromFile.M.Size() != fromSlice.M.Size() || fromFile.Passes != fromSlice.Passes {
 			t.Fatalf("trial %d: file run (size %d, passes %d) vs slice run (size %d, passes %d)",
 				trial, fromFile.M.Size(), fromFile.Passes, fromSlice.M.Size(), fromSlice.Passes)
@@ -89,6 +89,55 @@ func TestStreamingFlatFileStream(t *testing.T) {
 		if filePasses != ss.Passes() {
 			t.Fatalf("trial %d: FileStream counted %d passes, SliceStream %d",
 				trial, filePasses, ss.Passes())
+		}
+	}
+}
+
+// streamingBenchBip builds the bipartite stream for the flat-vs-naive
+// grower pair.
+func streamingBenchBip() (*Bip, error) {
+	rng := rand.New(rand.NewSource(21))
+	inst := graph.RandomBipartite(400, 400, 6000, 10, rng)
+	side := make([]bool, 800)
+	for v := 400; v < 800; v++ {
+		side[v] = true
+	}
+	return NewBip(800, side, inst.G.Edges())
+}
+
+// BenchmarkStreamingFlat measures the chain-table multipass grower with a
+// reused StreamScratch (the flat form).
+func BenchmarkStreamingFlat(b *testing.B) {
+	bip, err := streamingBenchBip()
+	if err != nil {
+		b.Fatal(err)
+	}
+	scratch := &StreamScratch{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := Streaming(bip.N, bip.Side, stream.FromEdges(bip.Edges), 0.2,
+			StreamOptions{Scratch: scratch})
+		if res.M.Size() == 0 {
+			b.Fatal("empty matching")
+		}
+	}
+}
+
+// BenchmarkStreamingNaive is the naive map-based reference grower on the
+// same stream — the honest parity record for the flat form (no speedup
+// gate; the win is allocation count, visible in -benchmem).
+func BenchmarkStreamingNaive(b *testing.B) {
+	bip, err := streamingBenchBip()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := streamingNaive(bip.N, bip.Side, stream.FromEdges(bip.Edges), 0.2, nil)
+		if res.M.Size() == 0 {
+			b.Fatal("empty matching")
 		}
 	}
 }

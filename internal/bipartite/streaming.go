@@ -13,8 +13,9 @@ type StreamResult struct {
 	M *graph.Matching
 	// Passes is the number of passes taken over the stream. Since PR 10 it
 	// is read off the stream's own Passes() counter (the accounting
-	// authority) rather than hand-counted next to Reset calls; the retained
-	// naive form still hand-counts and the drift test pins the two equal.
+	// authority) rather than hand-counted next to Reset calls; the naive
+	// reference grower in this package's tests still hand-counts, and the
+	// drift test pins the two equal.
 	Passes int
 	// PeakStored is the peak number of words (edges + path entries) held.
 	PeakStored int
@@ -31,9 +32,6 @@ type StreamOptions struct {
 	// Scratch, when non-nil, supplies the arena for the per-round path
 	// growth so repeated runs stop allocating (the PR 1 Scratch idiom).
 	Scratch *StreamScratch
-	// Naive runs the retained map-backed path grower instead of the flat
-	// arena form. Invariant 27 pins the two bit-identical.
-	Naive bool
 }
 
 // Streaming computes a large matching of a bipartite graph delivered as an
@@ -48,16 +46,9 @@ type StreamOptions struct {
 //
 // The layer growth is greedy-maximal, so unlike exact Hopcroft–Karp phases
 // the (1−δ) guarantee is inherited only approximately; experiments measure
-// the realised ratio against the exact solver (see EXPERIMENTS.md, E4).
-func Streaming(n int, side []bool, s stream.EdgeStream, delta float64) StreamResult {
-	return StreamingOpts(n, side, s, delta, StreamOptions{})
-}
-
-// StreamingOpts is Streaming with the PR 10 accountant/arena/naive knobs.
-func StreamingOpts(n int, side []bool, s stream.EdgeStream, delta float64, opts StreamOptions) StreamResult {
-	if opts.Naive {
-		return streamingNaive(n, side, s, delta, opts.Account)
-	}
+// the realised ratio against the exact solver (see DESIGN.md, "Experiment
+// index", E4).
+func Streaming(n int, side []bool, s stream.EdgeStream, delta float64, opts StreamOptions) StreamResult {
 	if delta <= 0 || delta > 1 {
 		delta = 0.1
 	}
@@ -148,10 +139,10 @@ type StreamScratch struct {
 }
 
 // grow runs one round of layer-by-layer augmenting path growth, the flat
-// counterpart of growAugmentingPaths: identical visit decisions in
-// identical order, with the tip map replaced by the tip array and the
-// per-path vertex slices by the chain table. It returns the number of
-// path words still held so the caller can release them from the
+// counterpart of the test-side naive grower growAugmentingPaths: identical
+// visit decisions in identical order, with the tip map replaced by the tip
+// array and the per-path vertex slices by the chain table. It returns the
+// number of path words still held so the caller can release them from the
 // accountant after applying, and leaves the completed chain indices in
 // sc.completed for apply.
 func (sc *StreamScratch) grow(
@@ -230,6 +221,19 @@ func (sc *StreamScratch) grow(
 	return charged
 }
 
+// completedWords returns the number of vertices on the completed paths of
+// the last grow: the path words MPC's coordinator holds while it applies
+// them.
+func (sc *StreamScratch) completedWords() int {
+	words := 0
+	for _, end := range sc.completed {
+		for i := end; i >= 0; i = sc.chainPrev[i] {
+			words++
+		}
+	}
+	return words
+}
+
 // apply applies the completed paths of the last grow to m, mirroring
 // applyAugPaths over the chain table, and returns the number applied.
 func (sc *StreamScratch) apply(m *graph.Matching) int {
@@ -265,156 +269,6 @@ func (sc *StreamScratch) apply(m *graph.Matching) int {
 			})
 		}
 		if _, err := graph.Apply(m, graph.Augmentation{Remove: sc.remove, Add: sc.add}); err == nil {
-			applied++
-		}
-	}
-	return applied
-}
-
-// streamingNaive is the pre-arena Streaming retained verbatim as the
-// executable reference for Invariant 27 (map-backed tips, per-path vertex
-// slices, hand-counted passes). The accountant charge sequence matches the
-// flat form exactly so the two report identical peaks.
-func streamingNaive(n int, side []bool, s stream.EdgeStream, delta float64, acct *stream.Accountant) StreamResult {
-	if delta <= 0 || delta > 1 {
-		delta = 0.1
-	}
-	ell := int(math.Ceil(1 / delta))
-	maxLen := 2*ell - 1
-	layers := (maxLen + 1) / 2
-	maxRounds := 4 * ell
-
-	charge := func(delta int) {
-		if acct != nil {
-			acct.Hold(delta)
-		}
-	}
-
-	res := StreamResult{M: graph.NewMatching(n)}
-
-	s.Reset()
-	res.Passes++
-	for e, ok := s.Next(); ok; e, ok = s.Next() {
-		if !res.M.IsMatched(e.U) && !res.M.IsMatched(e.V) {
-			mustAdd(res.M, e)
-		}
-	}
-	res.PeakStored = res.M.Size()
-	charge(res.M.Size())
-
-	for round := 0; round < maxRounds; round++ {
-		charged := 0
-		completed := growAugmentingPaths(n, side, res.M, layers, func() {
-			s.Reset()
-			res.Passes++
-		}, func(visit func(l, r int, w graph.Weight)) {
-			for e, ok := s.Next(); ok; e, ok = s.Next() {
-				l, r := orient(side, e)
-				visit(l, r, e.W)
-			}
-		}, &res.PeakStored, charge, &charged)
-		before := res.M.Size()
-		applied := applyAugPaths(res.M, completed)
-		charge(res.M.Size() - before)
-		charge(-charged)
-		if applied == 0 {
-			break
-		}
-	}
-	charge(-res.M.Size())
-	return res
-}
-
-// augPath is a partial or complete alternating path: Vertices alternates
-// left/right and Weights[i] is the weight of the edge Vertices[i] to
-// Vertices[i+1].
-type augPath struct {
-	Vertices []int
-	Weights  []graph.Weight
-}
-
-// growAugmentingPaths grows a maximal set of vertex-disjoint augmenting
-// paths from the free left vertices, one unmatched-edge layer at a time.
-// beginLayer is called before each layer (e.g. to start a stream pass);
-// scanLayer must call visit(l, r) for every available edge. Returned paths
-// are vertex sequences l0, r0, l1, r1, ..., rk ending at a free right
-// vertex. This is the retained naive grower behind streamingNaive.
-func growAugmentingPaths(
-	n int,
-	side []bool,
-	m *graph.Matching,
-	layers int,
-	beginLayer func(),
-	scanLayer func(visit func(l, r int, w graph.Weight)),
-	peak *int,
-	charge func(int),
-	charged *int,
-) []augPath {
-	tip := make(map[int]int) // left tip vertex -> path index
-	var paths []augPath
-	used := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if !side[v] && !m.IsMatched(v) {
-			tip[v] = len(paths)
-			paths = append(paths, augPath{Vertices: []int{v}})
-			used[v] = true
-		}
-	}
-	var completed []augPath
-
-	for layer := 0; layer < layers && len(tip) > 0; layer++ {
-		beginLayer()
-		scanLayer(func(l, r int, w graph.Weight) {
-			idx, active := tip[l]
-			if !active || used[r] {
-				return
-			}
-			used[r] = true
-			delete(tip, l)
-			paths[idx].Vertices = append(paths[idx].Vertices, r)
-			paths[idx].Weights = append(paths[idx].Weights, w)
-			mate := m.Mate(r)
-			if mate == graph.Unmatched {
-				completed = append(completed, paths[idx])
-				return
-			}
-			used[mate] = true
-			paths[idx].Vertices = append(paths[idx].Vertices, mate)
-			paths[idx].Weights = append(paths[idx].Weights, m.EdgeWeightAt(r))
-			tip[mate] = idx
-		})
-		if total := pathStorage(paths); total > *peak {
-			*peak = total
-		}
-		total := pathStorage(paths)
-		charge(total - *charged)
-		*charged = total
-	}
-	return completed
-}
-
-func pathStorage(paths []augPath) int {
-	total := 0
-	for _, p := range paths {
-		total += len(p.Vertices)
-	}
-	return total
-}
-
-// applyAugPaths applies completed augmenting paths and returns the number
-// applied. Edge weights travel with the paths so the matching stays
-// weight-faithful.
-func applyAugPaths(m *graph.Matching, paths []augPath) int {
-	applied := 0
-	for _, p := range paths {
-		var add, remove []graph.Edge
-		for i := 0; i+1 < len(p.Vertices); i += 2 {
-			add = append(add, graph.Edge{U: p.Vertices[i], V: p.Vertices[i+1], W: p.Weights[i]})
-		}
-		for i := 1; i+1 < len(p.Vertices); i += 2 {
-			remove = append(remove, graph.Edge{U: p.Vertices[i], V: p.Vertices[i+1], W: m.EdgeWeightAt(p.Vertices[i])})
-		}
-		if _, err := graph.Apply(m, graph.Augmentation{Remove: remove, Add: add}); err == nil {
 			applied++
 		}
 	}

@@ -160,7 +160,8 @@ func TestSolveAgainstExactSmall(t *testing.T) {
 			Rng: rng, MaxRounds: 40, Patience: 6,
 			// Finer granularity = smaller effective ε: at g=1/16 the
 			// measured worst-case ratio on this family is ~0.89 (see
-			// EXPERIMENTS.md E4 ablation; at g=1/8 it is ~0.78).
+			// DESIGN.md, "Experiment index", E4 ablation; at g=1/8 it is
+			// ~0.78).
 			Layered: layered.Params{Granularity: 0.0625},
 		})
 		if err != nil {

@@ -63,7 +63,7 @@ func SolveStreaming(g *graph.Graph, initial *graph.Matching, opts StreamingOptio
 		// sequentially here even though the model charges them as parallel).
 		// The matcher's cost is passes, not phases, so it reports 0 phases.
 		s := stream.FromEdges(b.Edges)
-		sr := bipartite.StreamingOpts(b.N, b.Side, s, opts.Delta, bipartite.StreamOptions{
+		sr := bipartite.Streaming(b.N, b.Side, s, opts.Delta, bipartite.StreamOptions{
 			Account: opts.Account,
 			Scratch: scratch,
 		})

@@ -144,7 +144,7 @@ func (ix *BucketIndex) BCount(u int) int { return len(ix.B(u)) }
 // good-pair enumeration: bit u of aMask/bMask is set when the unit-u window
 // holds at least one edge; bit 0 of aMask is always set (τA = 0 marks a free
 // endpoint, not a weight window). ok is false when the unit range exceeds
-// 63 bits and callers must fall back to EnumerateGoodPairsFiltered.
+// 63 bits and callers must fall back to EnumerateGoodPairsLimited.
 func (ix *BucketIndex) Masks() (aMask, bMask uint64, ok bool) {
 	if len(ix.aBuckets) > 64 {
 		return 0, 0, false

@@ -6,9 +6,8 @@ import (
 
 // ReferenceLayered is the output of BuildReference: the layered graph in the
 // dense id space (layer t, vertex v) ↦ t·n+v, built by the direct
-// transcription of Definition 4.10. It is retained as the oracle for
-// property tests of the bucketed, compact-id Build and is not used on any
-// hot path.
+// transcription of Definition 4.10. It is the oracle for property tests of
+// the bucketed, compact-id Build (Invariant 10) and lives in test code.
 type ReferenceLayered struct {
 	K, N int
 	// Removed marks dense layered ids deleted by the Definition 4.10

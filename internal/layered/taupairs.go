@@ -59,25 +59,20 @@ func (t TauPair) IsGood(p Params) bool {
 // Table-1 constraints prune the space hard: Στ_B ≤ SumCap with every entry
 // ≥ 2g bounds both the layer count and the per-layer choices.
 func EnumerateGoodPairs(p Params) []TauPair {
-	return EnumerateGoodPairsFiltered(p, nil, nil)
+	return EnumerateGoodPairsLimited(p, nil, nil, 0)
 }
 
-// EnumerateGoodPairsFiltered generates the good pairs whose every entry
-// passes the given unit filters: aOK(u) must accept every τA entry and
-// bOK(u) every τB entry (nil filters accept everything). Algorithm 4 uses
-// the filters to enumerate only pairs whose weight windows contain at least
-// one edge of the instance, collapsing the search space from all of Table 1
-// to the populated buckets.
-func EnumerateGoodPairsFiltered(p Params, aOK, bOK func(unit int) bool) []TauPair {
-	return EnumerateGoodPairsLimited(p, aOK, bOK, 0)
-}
-
-// EnumerateGoodPairsLimited is EnumerateGoodPairsFiltered that stops after
-// limit pairs (0 = unlimited). The generation order is deterministic, so
-// the result is always a prefix of the unlimited enumeration; the recursion
-// exits early instead of materialising a combinatorial list that the caller
-// (bounded by MaxPairsPerClass) would truncate anyway — at fine granularity
-// the full Table-1 space runs into millions of pairs.
+// EnumerateGoodPairsLimited generates the good pairs whose every entry
+// passes the given unit filters, stopping after limit pairs (0 =
+// unlimited): aOK(u) must accept every τA entry and bOK(u) every τB entry
+// (nil filters accept everything). Algorithm 4 uses the filters to
+// enumerate only pairs whose weight windows contain at least one edge of
+// the instance, collapsing the search space from all of Table 1 to the
+// populated buckets. The generation order is deterministic, so the result
+// is always a prefix of the unlimited enumeration; the recursion exits
+// early instead of materialising a combinatorial list that the caller
+// (bounded by MaxPairsPerClass) would truncate anyway — at fine
+// granularity the full Table-1 space runs into millions of pairs.
 func EnumerateGoodPairsLimited(p Params, aOK, bOK func(unit int) bool, limit int) []TauPair {
 	p = p.WithDefaults()
 	maxU, capU := p.Units()

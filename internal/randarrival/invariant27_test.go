@@ -4,8 +4,10 @@ package randarrival
 // WgtAugPaths' flat 65-slot class table, stack-parallel origW, and the
 // Arena-reused processor — is bit-identical to the retained naive forms
 // for every stream: same matching edges, same branch, same diagnostics,
-// same accountant peaks. The naive forms are not test doubles; they are
-// the PR 9-style executable reference kept compiled in the package.
+// same accountant peaks. The naive forms are not test doubles but the
+// executable reference: NaiveWgtAugPaths lives in wgtaug_naive_test.go,
+// and whole Algorithm 2 runs reach it through randArrMatching's newFeeder
+// seam, so production code carries only the arena form.
 
 import (
 	"math/rand"
@@ -37,9 +39,9 @@ func runBoth(t *testing.T, n int, edges []graph.Edge, seed int64, arena *Arena) 
 	flat := RandArrMatching(n, stream.FromEdges(edges), WeightedOptions{
 		Rng: rand.New(rand.NewSource(seed)), Account: &acctA, Arena: arena,
 	})
-	naive := RandArrMatching(n, stream.FromEdges(edges), WeightedOptions{
-		Rng: rand.New(rand.NewSource(seed)), Account: &acctN, Naive: true,
-	})
+	naive := randArrMatching(n, stream.FromEdges(edges), WeightedOptions{
+		Rng: rand.New(rand.NewSource(seed)), Account: &acctN,
+	}, newNaiveFeeder)
 	if acctA.Peak() != acctN.Peak() {
 		t.Fatalf("accountant peaks diverge: arena %d naive %d", acctA.Peak(), acctN.Peak())
 	}
@@ -192,4 +194,49 @@ func FuzzRandArrEquivalence(f *testing.F) {
 			t.Fatalf("diagnostics diverge: %+v vs %+v", flat, naive)
 		}
 	})
+}
+
+// randArrBenchEdges builds the per-arrival benchmark stream: a random-order
+// weighted stream big enough that the per-arrival hot path (class routing
+// + local-ratio pushes) dominates setup.
+func randArrBenchEdges() (int, []graph.Edge) {
+	rng := rand.New(rand.NewSource(20))
+	inst := graph.PlantedMatching(2000, 15000, 1000, 2000, rng)
+	return inst.G.N(), stream.RandomOrder(inst.G, rng).Edges()
+}
+
+// BenchmarkRandArrArena runs Algorithm 2 on the arena-backed hot path —
+// flat 65-slot class table, stack-parallel origW, reused Arena — the
+// numerator of the per-arrival A/B. Output is bit-identical to
+// BenchmarkRandArrNaive (Invariant 27; gated ≥1.15x in CI, committed
+// margin in BENCH_pr10.json).
+func BenchmarkRandArrArena(b *testing.B) {
+	n, edges := randArrBenchEdges()
+	arena := &Arena{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := RandArrMatching(n, stream.FromEdges(edges),
+			WeightedOptions{Rng: rand.New(rand.NewSource(7)), Arena: arena})
+		if res.M.Size() == 0 {
+			b.Fatal("empty matching")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(edges)), "ns/arrival")
+}
+
+// BenchmarkRandArrNaive is the same whole run on the map-backed reference
+// form with no Arena — the A/B denominator.
+func BenchmarkRandArrNaive(b *testing.B) {
+	n, edges := randArrBenchEdges()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := randArrMatching(n, stream.FromEdges(edges),
+			WeightedOptions{Rng: rand.New(rand.NewSource(7))}, newNaiveFeeder)
+		if res.M.Size() == 0 {
+			b.Fatal("empty matching")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(edges)), "ns/arrival")
 }

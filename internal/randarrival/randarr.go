@@ -42,11 +42,6 @@ type WeightedOptions struct {
 	// idiom lifted to the whole per-arrival path); a nil Arena runs on a
 	// fresh one.
 	Arena *Arena
-	// Naive runs the retained map-backed Wgt-Aug-Paths reference form
-	// instead of the flat arena form. Invariant 27 pins the two to
-	// bit-identical results; the option exists so tests and same-run
-	// benchmarks can hold the reference next to the hot path.
-	Naive bool
 }
 
 func (o *WeightedOptions) defaults() {
@@ -85,11 +80,17 @@ type WeightedResult struct {
 }
 
 // feeder is the part of Wgt-Aug-Paths Algorithm 2 consumes; both the flat
-// arena form and the retained naive form satisfy it.
+// arena form and the naive reference form of this package's tests satisfy
+// it.
 type feeder interface {
 	Feed(graph.Edge)
 	Finalize() *graph.Matching
 }
+
+// newFeeder builds the Wgt-Aug-Paths instance of one run from Initialize's
+// inputs. It is the seam through which tests run Algorithm 2 on the naive
+// reference form; production passes nil and runs the Arena's form.
+type newFeeder func(m0 *graph.Matching, beta float64, rng *rand.Rand, acct *stream.Accountant) feeder
 
 // RandArrMatching is Algorithm 2 (Theorem 1.1): a single-pass streaming
 // (1/2+c)-approximation for maximum weighted matching when the edges arrive
@@ -107,6 +108,13 @@ type feeder interface {
 // stream another consumer already advanced cannot silently shrink phase 1
 // (which would skew the prefix split and, with it, the whole analysis).
 func RandArrMatching(n int, s stream.EdgeStream, opts WeightedOptions) WeightedResult {
+	return randArrMatching(n, s, opts, nil)
+}
+
+// randArrMatching is RandArrMatching with its Wgt-Aug-Paths form chosen by
+// newWAP: nil runs the Arena's flat form, anything else builds the
+// instance the run feeds.
+func randArrMatching(n int, s stream.EdgeStream, opts WeightedOptions, newWAP newFeeder) WeightedResult {
 	opts.defaults()
 	s.Reset()
 	passes0 := s.Passes()
@@ -136,8 +144,8 @@ func RandArrMatching(n int, s stream.EdgeStream, opts WeightedOptions) WeightedR
 	proc.Freeze()
 
 	var wap feeder = &a.wap
-	if opts.Naive {
-		wap = NewNaiveWgtAugPaths(m0, opts.Beta, opts.Rng, acct)
+	if newWAP != nil {
+		wap = newWAP(m0, opts.Beta, opts.Rng, acct)
 	} else {
 		a.wap.Init(m0, opts.Beta, opts.Rng, acct)
 	}

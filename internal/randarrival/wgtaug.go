@@ -29,8 +29,9 @@ const numWeightClasses = 65
 // only (a 65-slot class table instead of a map of finders, a stack-
 // parallel slice instead of an origW map), and a value reused through
 // Init keeps every arena across runs. The map-backed original is retained
-// verbatim as NaiveWgtAugPaths — Invariant 27's reference — and the two
-// are pinned bit-identical by the differential and fuzz nets.
+// verbatim in this package's tests as NaiveWgtAugPaths — Invariant 27's
+// reference — and the two are pinned bit-identical by the differential and
+// fuzz nets.
 type WgtAugPaths struct {
 	m0    *graph.Matching
 	alpha float64

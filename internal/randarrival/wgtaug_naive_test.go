@@ -79,6 +79,11 @@ func NewNaiveWgtAugPaths(m0 *graph.Matching, beta float64, rng *rand.Rand, acct 
 	return w
 }
 
+// newNaiveFeeder is the newFeeder that runs Algorithm 2 on the naive form.
+func newNaiveFeeder(m0 *graph.Matching, beta float64, rng *rand.Rand, acct *stream.Accountant) feeder {
+	return NewNaiveWgtAugPaths(m0, beta, rng, acct)
+}
+
 // Feed implements Feed-Edge of Algorithm 1 (map-backed reference form).
 func (w *NaiveWgtAugPaths) Feed(e graph.Edge) {
 	mu := w.m0.EdgeWeightAt(e.U)

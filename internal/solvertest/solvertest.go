@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/layered"
 )
 
 // Workload names one differential instance: a graph and an optional
@@ -111,24 +110,6 @@ func AssertBitIdentical(t *testing.T, w Workload, optsA, optsB core.Options, see
 		}
 	}
 	return sA, sB
-}
-
-// NaiveSurvivingPairs is the generate-then-probe differential twin of
-// layered.EnumerateSurvivingPairs: the memoised masked enumeration followed
-// by a per-pair ProbeY filter — exactly the pair pipeline the amortised path
-// ran before pruning moved into the generation recursion. It returns the
-// surviving pairs and the count of window pairs the probe rejected; the
-// pruned enumeration must reproduce both, pair-for-pair and in order, on
-// every workload family.
-func NaiveSurvivingPairs(prm layered.Params, aMask, bMask uint64, limit int, view *layered.IncView) (pairs []layered.TauPair, rejected int) {
-	for _, tau := range layered.EnumerateGoodPairsMasked(prm, aMask, bMask, limit) {
-		if view.ProbeY(tau) {
-			pairs = append(pairs, tau)
-		} else {
-			rejected++
-		}
-	}
-	return pairs, rejected
 }
 
 // equalMatchings reports the first difference between two matchings,

@@ -375,3 +375,21 @@ func TestRepairMatchesNaive(t *testing.T) {
 			33, 5)
 	}
 }
+
+// NaiveSurvivingPairs is the generate-then-probe differential twin of
+// layered.EnumerateSurvivingPairs: the memoised masked enumeration followed
+// by a per-pair ProbeY filter — exactly the pair pipeline the amortised path
+// ran before pruning moved into the generation recursion. It returns the
+// surviving pairs and the count of window pairs the probe rejected; the
+// pruned enumeration must reproduce both, pair-for-pair and in order, on
+// every workload family.
+func NaiveSurvivingPairs(prm layered.Params, aMask, bMask uint64, limit int, view *layered.IncView) (pairs []layered.TauPair, rejected int) {
+	for _, tau := range layered.EnumerateGoodPairsMasked(prm, aMask, bMask, limit) {
+		if view.ProbeY(tau) {
+			pairs = append(pairs, tau)
+		} else {
+			rejected++
+		}
+	}
+	return pairs, rejected
+}

@@ -18,8 +18,8 @@
 //
 // Baselines (greedy, local-ratio, Hopcroft–Karp, blossom, exact DP) and
 // workload generators with planted optima are exported for evaluation.
-// See DESIGN.md for the architecture and EXPERIMENTS.md for measured
-// results against the paper's claims.
+// See DESIGN.md for the architecture, and its "Experiment index" for
+// measured results against the paper's claims.
 package repro
 
 import (
