@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // OrderKey is one 16-byte record of the greedy order: key descending, then
 // U ascending, then V ascending. The order is total on distinct (key, U, V)
@@ -40,73 +37,139 @@ func (k OrderKey) U() int { return int(k.lo >> 32) }
 // V returns the second vertex id.
 func (k OrderKey) V() int { return int(uint32(k.lo)) }
 
-// SortOrderKeys sorts keys into the greedy order with a least-significant-
-// digit radix sort over byte digits. A digit on which all records agree
-// cannot reorder them, so it is skipped: sorting a million records whose
-// keys and ids span 20 and 17 bits makes 9 passes, not 16.
+// shortRun is the longest run of equal keys SortOrderKeys orders by
+// insertion sort. Near it, insertion's quarter of L² moves meets the cost
+// of a byte radix, whose every pass also sums 256 bucket counts.
+const shortRun = 96
+
+// SortOrderKeys sorts keys into the greedy order. It radix-sorts the
+// records on the key word, then orders each run of equal keys by (U, V):
+// a run of at most shortRun records by insertion sort, a longer one by the
+// same byte radix over the id word. Each radix skips the digits on which
+// all of its records agree, since those cannot reorder them, and a run's
+// id radix passes only digits on which the whole input varies too, so no
+// input makes more passes than a radix over both words. The T set of a
+// million-edge stream, with keys of 20 bits and sparse ties, takes the
+// key's 3 passes, then insertion sorts of runs of a record or two.
 //
 // The passes alternate between keys and buf, which is grown to len(keys)
 // when shorter. The sorted records alias one of the two; the second result
 // is the buffer, for the caller to pass again next time.
 func SortOrderKeys(keys, buf []OrderKey) (sorted, scratch []OrderKey) {
-	if len(keys) < 2 {
+	n := len(keys)
+	if n < 2 {
 		return keys, buf
 	}
-	// Bucket counts do not depend on record order, so one pass counts
-	// every digit (unrolled: the compiler does not unroll loops). Digit d
-	// is byte d of lo for d < 8 and byte d−8 of hi above.
-	var counts [16][256]int
+	if cap(buf) < n {
+		buf = make([]OrderKey, n)
+	}
+	// A digit varies exactly where the records' AND and OR differ.
+	hiAnd, hiOr, loAnd, loOr := ^uint64(0), uint64(0), ^uint64(0), uint64(0)
 	for _, k := range keys {
-		lo, hi := k.lo, k.hi
-		counts[0][byte(lo)]++
-		counts[1][byte(lo>>8)]++
-		counts[2][byte(lo>>16)]++
-		counts[3][byte(lo>>24)]++
-		counts[4][byte(lo>>32)]++
-		counts[5][byte(lo>>40)]++
-		counts[6][byte(lo>>48)]++
-		counts[7][byte(lo>>56)]++
-		counts[8][byte(hi)]++
-		counts[9][byte(hi>>8)]++
-		counts[10][byte(hi>>16)]++
-		counts[11][byte(hi>>24)]++
-		counts[12][byte(hi>>32)]++
-		counts[13][byte(hi>>40)]++
-		counts[14][byte(hi>>48)]++
-		counts[15][byte(hi>>56)]++
+		hiAnd &= k.hi
+		hiOr |= k.hi
+		loAnd &= k.lo
+		loOr |= k.lo
 	}
-	if cap(buf) < len(keys) {
-		buf = make([]OrderKey, len(keys))
+	if hiAnd == hiOr {
+		return sortRun(keys, buf[:n], loAnd^loOr), buf
 	}
-	src, dst := keys, buf[:len(keys)]
-	for d := uint(0); d < 16; d++ {
-		next := &counts[d]
-		if slices.Contains(next[:], len(keys)) {
-			continue // one bucket holds every record
+	src, dst := radixSort(keys, buf[:n], true, hiAnd^hiOr)
+	for i := 0; i < n; {
+		hi := src[i].hi
+		and, or := src[i].lo, src[i].lo
+		j := i + 1
+		for ; j < n && src[j].hi == hi; j++ {
+			and &= src[j].lo
+			or |= src[j].lo
 		}
-		sum := 0
-		for b, c := range next {
-			next[b] = sum
-			sum += c
+		if run := sortRun(src[i:j], dst[i:j], and^or); &run[0] != &src[i] {
+			copy(src[i:j], run)
 		}
-		// One loop per word keeps the digit's word choice out of the
-		// per-record path.
-		if d < 8 {
-			shift := 8 * d
-			for _, k := range src {
-				b := byte(k.lo >> shift)
-				dst[next[b]] = k
-				next[b]++
-			}
-		} else {
-			shift := 8 * (d - 8)
-			for _, k := range src {
-				b := byte(k.hi >> shift)
-				dst[next[b]] = k
-				next[b]++
-			}
-		}
-		src, dst = dst, src
+		i = j
 	}
 	return src, buf
+}
+
+// sortRun orders a run of records with equal keys by their id word, whose
+// varying digits are set in varying, using other as the radix's swap
+// buffer. It returns the slice holding the sorted run: run itself, or
+// other after an odd number of radix passes.
+func sortRun(run, other []OrderKey, varying uint64) []OrderKey {
+	if len(run) <= shortRun {
+		insertionSortLo(run)
+		return run
+	}
+	sorted, _ := radixSort(run, other, false, varying)
+	return sorted
+}
+
+// radixSort orders src by one word of its records, hi when hi is set and
+// lo otherwise, with least-significant-digit passes over the byte digits
+// set in varying, alternating between src and dst. It returns the slice
+// holding the sorted records and the other one.
+func radixSort(src, dst []OrderKey, hi bool, varying uint64) (sorted, other []OrderKey) {
+	var digits [8]uint
+	nd := 0
+	for shift := uint(0); shift < 64; shift += 8 {
+		if byte(varying>>shift) != 0 {
+			digits[nd] = shift
+			nd++
+		}
+	}
+	if nd == 0 {
+		return src, dst
+	}
+	// Each pass counts the next pass's digit as it scatters; bucket
+	// counts do not depend on record order.
+	var counts, nextCounts [256]int
+	for _, k := range src {
+		w := k.lo
+		if hi {
+			w = k.hi
+		}
+		counts[byte(w>>digits[0])]++
+	}
+	for i, shift := range digits[:nd] {
+		sum := 0
+		for b, c := range counts {
+			counts[b] = sum
+			sum += c
+		}
+		nextShift := digits[min(i+1, nd-1)]
+		clear(nextCounts[:])
+		// One loop per word keeps the word choice out of the per-record
+		// path.
+		if hi {
+			for _, k := range src {
+				b := byte(k.hi >> shift)
+				dst[counts[b]] = k
+				counts[b]++
+				nextCounts[byte(k.hi>>nextShift)]++
+			}
+		} else {
+			for _, k := range src {
+				b := byte(k.lo >> shift)
+				dst[counts[b]] = k
+				counts[b]++
+				nextCounts[byte(k.lo>>nextShift)]++
+			}
+		}
+		counts = nextCounts
+		src, dst = dst, src
+	}
+	return src, dst
+}
+
+// insertionSortLo orders a run of records with equal keys by their id
+// word.
+func insertionSortLo(run []OrderKey) {
+	for i := 1; i < len(run); i++ {
+		k := run[i]
+		j := i
+		for ; j > 0 && run[j-1].lo > k.lo; j-- {
+			run[j] = run[j-1]
+		}
+		run[j] = k
+	}
 }

@@ -117,6 +117,44 @@ func TestSortOrderKeysMatchesComparison(t *testing.T) {
 	}
 }
 
+// TestSortOrderKeysTies pins the key-first sort where the id word decides:
+// every key equal (one run, with an odd and an even number of varying id
+// digits), few distinct keys, runs just below, at and just above the
+// short-run cutoff (with an odd digit count, so a run sorted in the other
+// buffer is copied back), and keys at the two ends of int64.
+func TestSortOrderKeysTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	// run returns m records of one key with ids in [0, maxU)×[0, maxV).
+	run := func(key Weight, m, maxU, maxV int) []OrderKey {
+		keys := make([]OrderKey, m)
+		for i := range keys {
+			keys[i] = MakeOrderKey(key, rng.Intn(maxU), rng.Intn(maxV))
+		}
+		return keys
+	}
+	shuffled := func(runs ...[]OrderKey) []OrderKey {
+		keys := slices.Concat(runs...)
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		return keys
+	}
+	cases := []struct {
+		name string
+		keys []OrderKey
+	}{
+		{"all equal, one id digit", run(9, 1000, 1, 256)},
+		{"all equal, ids of 17 bits", run(9, 5000, 1<<17, 1<<17)},
+		{"few distinct keys", shuffled(run(3, 2000, 300, 300), run(1, 1500, 300, 300), run(2, 40, 300, 300))},
+		{"runs around the cutoff", shuffled(run(5, shortRun-1, 1, 256), run(6, shortRun, 1, 256),
+			run(7, shortRun+1, 1, 256), run(8, shortRun+2, 3, 256), run(4, 1, 1, 256))},
+		{"keys near ±MaxInt64", shuffled(run(math.MaxInt64, shortRun+5, 1000, 1000), run(math.MaxInt64-1, 30, 1000, 1000),
+			run(math.MinInt64, shortRun+1, 1000, 1000), run(math.MinInt64+1, 2, 1000, 1000), run(0, 3, 1000, 1000))},
+	}
+	var buf []OrderKey
+	for _, c := range cases {
+		buf = checkRadixOrder(t, c.name, c.keys, buf)
+	}
+}
+
 // FuzzEdgeOrder: any set of records comes out of the radix sort in the
 // order slices.SortFunc gives them under the greedy comparison. The input
 // bytes are read as 16-byte records: key int64, u uint32, v uint32.
@@ -140,4 +178,42 @@ func FuzzEdgeOrder(f *testing.F) {
 		}
 		checkRadixOrder(t, "fuzz", keys, nil)
 	})
+}
+
+// tLikeKeys returns 4·10^5 records shaped like Algorithm 2's T set on a
+// 10^5-vertex stream with weights below 2^20: keys in [1, 2^20] with
+// sparse ties, ids in [0, 10^5).
+func tLikeKeys() []OrderKey {
+	rng := rand.New(rand.NewSource(17))
+	keys := make([]OrderKey, 400_000)
+	for i := range keys {
+		keys[i] = MakeOrderKey(1+rng.Int63n(1<<20), rng.Intn(100_000), rng.Intn(100_000))
+	}
+	return keys
+}
+
+// BenchmarkSortOrderKeys sorts the T-like set with SortOrderKeys, reusing
+// its buffer: the numerator of the same-run pair CI gates against
+// BenchmarkSortOrderKeysSortFunc.
+func BenchmarkSortOrderKeys(b *testing.B) {
+	in := tLikeKeys()
+	keys := make([]OrderKey, len(in))
+	var buf []OrderKey
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(keys, in)
+		_, buf = SortOrderKeys(keys, buf)
+	}
+}
+
+// BenchmarkSortOrderKeysSortFunc sorts the same records into the same
+// order with slices.SortFunc, the denominator of the pair.
+func BenchmarkSortOrderKeysSortFunc(b *testing.B) {
+	in := tLikeKeys()
+	keys := make([]OrderKey, len(in))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(keys, in)
+		slices.SortFunc(keys, compareGreedy)
+	}
 }

@@ -65,11 +65,12 @@ func (p *Processor) Residual(e graph.Edge) graph.Weight {
 // Potential returns α_v.
 func (p *Processor) Potential(v int) graph.Weight { return p.alpha[v] }
 
-// Process handles one arriving edge. Before Freeze it pushes edges with
-// positive residual onto the stack and raises both endpoint potentials;
-// after Freeze it is a no-op returning whether the edge still has positive
-// residual (callers store such edges themselves, e.g. Algorithm 2's set T).
-// It reports whether the edge was pushed.
+// Process handles one arriving edge and reports whether it was pushed.
+// Before Freeze it pushes an edge with positive residual onto the stack,
+// raises both endpoint potentials by the residual and charges the
+// accountant one word. After Freeze it is a no-op that returns false for
+// every edge, whatever its residual: callers that keep positive-residual
+// edges themselves (Algorithm 2's set T) ask Residual.
 func (p *Processor) Process(e graph.Edge) bool {
 	r := p.Residual(e)
 	if r <= 0 {

@@ -3,6 +3,7 @@ package localratio
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -81,6 +82,48 @@ func TestFreezeStopsUpdates(t *testing.T) {
 	// Residual still answers under frozen potentials.
 	if r := p.Residual(graph.Edge{U: 0, V: 2, W: 100}); r != 100-a0 {
 		t.Errorf("Residual = %d, want %d", r, 100-a0)
+	}
+}
+
+// TestProcessAfterFreezeIsNoOp pins Process after Freeze: it returns
+// false for every edge, positive residual or not, and leaves the
+// potentials, the stack and the accountant as they were.
+func TestProcessAfterFreezeIsNoOp(t *testing.T) {
+	var acct stream.Accountant
+	p := New(6)
+	p.SetAccountant(&acct)
+	for _, e := range []graph.Edge{{U: 0, V: 1, W: 10}, {U: 1, V: 2, W: 25}, {U: 3, V: 4, W: 7}} {
+		p.Process(e)
+	}
+	p.Freeze()
+	alpha := make([]graph.Weight, 6)
+	for v := range alpha {
+		alpha[v] = p.Potential(v)
+	}
+	stack := append([]graph.Edge(nil), p.Stack()...)
+	peak, current, acctPeak := p.PeakStackLen(), acct.Current(), acct.Peak()
+
+	for _, e := range []graph.Edge{
+		{U: 0, V: 5, W: 100}, // positive residual
+		{U: 4, V: 5, W: 1000},
+		{U: 0, V: 1, W: 1}, // non-positive residual
+		{U: 2, V: 3, W: p.Potential(2) + p.Potential(3)},
+	} {
+		if p.Process(e) {
+			t.Fatalf("Process(%v) after Freeze returned true (residual %d)", e, p.Residual(e))
+		}
+	}
+	for v, a := range alpha {
+		if p.Potential(v) != a {
+			t.Fatalf("potential of %d moved after Freeze: %d, was %d", v, p.Potential(v), a)
+		}
+	}
+	if !slices.Equal(p.Stack(), stack) {
+		t.Fatalf("stack changed after Freeze: %v, was %v", p.Stack(), stack)
+	}
+	if p.PeakStackLen() != peak || acct.Current() != current || acct.Peak() != acctPeak {
+		t.Fatalf("stack peak or accountant moved after Freeze: %d/%d/%d, was %d/%d/%d",
+			p.PeakStackLen(), acct.Current(), acct.Peak(), peak, current, acctPeak)
 	}
 }
 

@@ -9,10 +9,11 @@ import (
 )
 
 // Arena owns the reusable per-run state of RandArrMatching: the local-ratio
-// processor, the Wgt-Aug-Paths instance (with its 65-slot class table and
-// per-class finder pools), and the T-set buffers. A zero Arena is ready to
-// use; passing the same Arena to successive runs retains every internal
-// allocation, so steady-state runs allocate only for the output matchings.
+// processor, the Wgt-Aug-Paths instance (with its per-vertex records,
+// shared support table and per-class degree arrays), and the T-set
+// buffers. A zero Arena is ready to use; passing the same Arena to
+// successive runs retains every internal allocation, so steady-state runs
+// allocate only for the output matchings.
 type Arena struct {
 	proc *localratio.Processor
 	wap  WgtAugPaths
@@ -79,18 +80,21 @@ type WeightedResult struct {
 	PeakWords int
 }
 
-// feeder is the part of Wgt-Aug-Paths Algorithm 2 consumes; both the flat
-// arena form and the naive reference form of this package's tests satisfy
-// it.
+// feeder is the part of Wgt-Aug-Paths Algorithm 2 consumes; both the
+// record form and the naive reference form of this package's tests
+// satisfy it.
 type feeder interface {
-	Feed(graph.Edge)
+	// feedResidual feeds one phase-2 arrival and returns its residual w”
+	// under the frozen potentials, for the T filter.
+	feedResidual(graph.Edge) graph.Weight
 	Finalize() *graph.Matching
 }
 
 // newFeeder builds the Wgt-Aug-Paths instance of one run from Initialize's
-// inputs. It is the seam through which tests run Algorithm 2 on the naive
-// reference form; production passes nil and runs the Arena's form.
-type newFeeder func(m0 *graph.Matching, beta float64, rng *rand.Rand, acct *stream.Accountant) feeder
+// inputs and the frozen processor. It is the seam through which tests run
+// Algorithm 2 on the naive reference form; production passes nil and runs
+// the Arena's form.
+type newFeeder func(m0 *graph.Matching, proc *localratio.Processor, beta float64, rng *rand.Rand, acct *stream.Accountant) feeder
 
 // RandArrMatching is Algorithm 2 (Theorem 1.1): a single-pass streaming
 // (1/2+c)-approximation for maximum weighted matching when the edges arrive
@@ -100,7 +104,9 @@ type newFeeder func(m0 *graph.Matching, beta float64, rng *rand.Rand, acct *stre
 // stream and freezes the vertex potentials; M0 is the matching unwound from
 // the stack at that point. Phase 2 simultaneously (a) stores every later
 // edge whose weight beats its frozen potentials (the set T) and (b) feeds
-// every later edge to Wgt-Aug-Paths initialised with M0. Finally M1 is the
+// every later edge to Wgt-Aug-Paths initialised with M0; the frozen
+// potentials are copied into Wgt-Aug-Paths' per-vertex records, so one
+// call per arrival does both from the same two records. Finally M1 is the
 // best matching assembled from T plus the stack, M2 is the Wgt-Aug-Paths
 // output, and the heavier one is returned.
 //
@@ -112,7 +118,7 @@ func RandArrMatching(n int, s stream.EdgeStream, opts WeightedOptions) WeightedR
 }
 
 // randArrMatching is RandArrMatching with its Wgt-Aug-Paths form chosen by
-// newWAP: nil runs the Arena's flat form, anything else builds the
+// newWAP: nil runs the Arena's record form, anything else builds the
 // instance the run feeds.
 func randArrMatching(n int, s stream.EdgeStream, opts WeightedOptions, newWAP newFeeder) WeightedResult {
 	opts.defaults()
@@ -145,9 +151,10 @@ func randArrMatching(n int, s stream.EdgeStream, opts WeightedOptions, newWAP ne
 
 	var wap feeder = &a.wap
 	if newWAP != nil {
-		wap = newWAP(m0, opts.Beta, opts.Rng, acct)
+		wap = newWAP(m0, proc, opts.Beta, opts.Rng, acct)
 	} else {
 		a.wap.Init(m0, opts.Beta, opts.Rng, acct)
+		a.wap.loadPotentials(proc)
 	}
 
 	tKeys := a.tKeys[:0]
@@ -156,13 +163,12 @@ func randArrMatching(n int, s stream.EdgeStream, opts WeightedOptions, newWAP ne
 		if !ok {
 			break
 		}
-		if r := proc.Residual(e); r > 0 {
+		if r := wap.feedResidual(e); r > 0 {
 			tKeys = append(tKeys, graph.MakeOrderKey(r, e.U, e.V))
 			if acct != nil {
 				acct.Hold(1)
 			}
 		}
-		wap.Feed(e)
 	}
 	a.tKeys = tKeys
 

@@ -52,8 +52,12 @@ type UnweightedResult struct {
 // in parallel (a) store edges among M0-free vertices and match them at the
 // end, (b) keep growing M0 greedily, and (c) find 3-augmenting paths for M0
 // with Unw-3-Aug-Paths; return the largest of the three.
+//
+// The stream is Reset at entry, as in RandArrMatching: a stream another
+// consumer already advanced would otherwise silently shorten the run.
 func UnweightedRandomArrival(n int, s stream.EdgeStream, opts UnweightedOptions) UnweightedResult {
 	opts.defaults()
+	s.Reset()
 	total := s.Len()
 	prefix := int(opts.PrefixFraction * float64(total))
 
@@ -132,8 +136,10 @@ func UnweightedRandomArrival(n int, s stream.EdgeStream, opts UnweightedOptions)
 }
 
 // GreedyRandomArrival is the 1/2-approximation baseline: a single greedy
-// maximal matching over the stream (unit weights).
+// maximal matching over the stream (unit weights). The stream is Reset at
+// entry, so the pass covers all of it.
 func GreedyRandomArrival(n int, s stream.EdgeStream) *graph.Matching {
+	s.Reset()
 	m := graph.NewMatching(n)
 	for e, ok := s.Next(); ok; e, ok = s.Next() {
 		if !m.IsMatched(e.U) && !m.IsMatched(e.V) {

@@ -11,13 +11,14 @@ import (
 	"repro/internal/unwaug"
 )
 
-// NaiveWgtAugPaths is the pre-arena form of WgtAugPaths, retained verbatim
-// as the executable reference for Invariant 27: a map of per-class finders
-// keyed by weight class and a per-edge map from edge key to original
-// weight. It allocates per run and hits two map operations on the Feed hot
-// path, which is exactly what the flat form removes; the differential and
-// fuzz nets assert the two produce bit-identical matchings, branches, and
-// accountant peaks for every stream.
+// NaiveWgtAugPaths is the pre-arena form of WgtAugPaths, retained as the
+// executable reference for Invariant 27: a map of per-class finders keyed
+// by weight class, a surplus local-ratio processor, and a per-edge map
+// from edge key to original weight. It allocates per run and hits map
+// operations on the Feed hot path, which is exactly what the record form
+// removes; the differential and fuzz nets assert the two produce
+// bit-identical M1 and M2, matchings, branches, and accountant peaks for
+// every stream.
 type NaiveWgtAugPaths struct {
 	m0    *graph.Matching
 	alpha float64
@@ -79,9 +80,21 @@ func NewNaiveWgtAugPaths(m0 *graph.Matching, beta float64, rng *rand.Rand, acct 
 	return w
 }
 
+// naiveFeeder runs Algorithm 2's phase-2 step on the naive form, taking
+// w” from the frozen processor.
+type naiveFeeder struct {
+	*NaiveWgtAugPaths
+	proc *localratio.Processor
+}
+
+func (f naiveFeeder) feedResidual(e graph.Edge) graph.Weight {
+	f.Feed(e)
+	return f.proc.Residual(e)
+}
+
 // newNaiveFeeder is the newFeeder that runs Algorithm 2 on the naive form.
-func newNaiveFeeder(m0 *graph.Matching, beta float64, rng *rand.Rand, acct *stream.Accountant) feeder {
-	return NewNaiveWgtAugPaths(m0, beta, rng, acct)
+func newNaiveFeeder(m0 *graph.Matching, proc *localratio.Processor, beta float64, rng *rand.Rand, acct *stream.Accountant) feeder {
+	return naiveFeeder{NewNaiveWgtAugPaths(m0, beta, rng, acct), proc}
 }
 
 // Feed implements Feed-Edge of Algorithm 1 (map-backed reference form).
@@ -125,10 +138,19 @@ func (w *NaiveWgtAugPaths) feedClass(e graph.Edge, mid int) {
 
 // Finalize implements Finalize of Algorithm 1 (map-backed reference form).
 func (w *NaiveWgtAugPaths) Finalize() *graph.Matching {
+	m1, m2 := w.finalize()
+	if m2.Weight() > m1.Weight() {
+		return m2
+	}
+	return m1
+}
+
+// finalize returns both candidates of Finalize, M1 and M2.
+func (w *NaiveWgtAugPaths) finalize() (m1, m2 *graph.Matching) {
 	// M1: unwind the surplus-weight stack into a matching, then overlay it
 	// on M0 with true weights (AddForced evicts the conflicting M0 edges,
 	// realising gain w'(e) per added edge).
-	m1 := w.m0.Clone()
+	m1 = w.m0.Clone()
 	surplusM := w.apx.Unwind()
 	for _, se := range surplusM.Edges() {
 		orig, ok := w.origW[se.EdgeKey()]
@@ -139,7 +161,7 @@ func (w *NaiveWgtAugPaths) Finalize() *graph.Matching {
 	}
 
 	// M2: greedy non-conflicting 3-augmentations, highest class first.
-	m2 := w.m0.Clone()
+	m2 = w.m0.Clone()
 	classIDs := make([]int, 0, len(w.classes))
 	for c := range w.classes {
 		classIDs = append(classIDs, c)
@@ -150,11 +172,7 @@ func (w *NaiveWgtAugPaths) Finalize() *graph.Matching {
 			w.applyThreeAug(m2, p)
 		}
 	}
-
-	if m2.Weight() > m1.Weight() {
-		return m2
-	}
-	return m1
+	return m1, m2
 }
 
 func (w *NaiveWgtAugPaths) applyThreeAug(m *graph.Matching, p matchutil.ThreeAugPath) {

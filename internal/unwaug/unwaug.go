@@ -37,10 +37,10 @@ func New(m *graph.Matching, beta float64) *Finder {
 	return f
 }
 
-// Reset reinitialises f around m and beta, keeping its arenas. Reusing a
-// finder across runs (the per-weight-class pools of Wgt-Aug-Paths) avoids
-// re-allocating the O(n) degree array and the support table every run.
-func (f *Finder) Reset(m *graph.Matching, beta float64) {
+// Lambda returns the support-degree cap of an unmatched vertex for
+// parameter beta: λ = 8/β, following the proof of Lemma 3.1, and at least
+// 2. A beta outside (0, 1] is read as 1.
+func Lambda(beta float64) int {
 	if beta <= 0 || beta > 1 {
 		beta = 1
 	}
@@ -48,8 +48,15 @@ func (f *Finder) Reset(m *graph.Matching, beta float64) {
 	if lambda < 2 {
 		lambda = 2
 	}
+	return lambda
+}
+
+// Reset reinitialises f around m and beta, keeping its arenas: a finder
+// reused across runs does not re-allocate the O(n) degree array and the
+// support table every run.
+func (f *Finder) Reset(m *graph.Matching, beta float64) {
 	f.m = m
-	f.lambda = lambda
+	f.lambda = Lambda(beta)
 	if cap(f.degS) < m.N() {
 		f.degS = make([]int, m.N())
 	} else {
