@@ -7,8 +7,15 @@ package stream
 // records, followed by a CRC64-ECMA trailer over the record bytes. Open
 // verifies the header, scans the payload checksum and checks every record
 // with graph.CheckEdge before handing out a single edge, so a damaged file
-// degrades to an error, never to a wrong stream. Multi-pass reads are
-// buffered sequential scans; memory is O(1) records regardless of file
+// degrades to an error, never to a wrong stream.
+//
+// Every path that moves records — Open's verification scan, FileStream's
+// passes, WriteFile, and ShuffleToFile's chunk spill and merge — goes
+// through one block reader or one block writer. Each holds one 64 KiB
+// block of 4096 records: the reader fills it with one positioned read and
+// FileStream.Next decodes records from it in place; the writer encodes
+// records into it and hands it to the file with one Write (and, for
+// WriteFile, one CRC64 update). Memory is O(1) blocks regardless of file
 // size, which is what lets the E20 ledger run 10^7-edge streams that
 // genuinely never fit in RAM.
 //
@@ -16,10 +23,9 @@ package stream
 // arrival order (the Theorem 1.1 model) in external memory: edges are
 // spilled in Fisher–Yates-shuffled chunks and merged by remaining-count
 // weighted draws, which yields a uniform permutation while holding only
-// one chunk plus one buffered reader per chunk in RAM.
+// one chunk plus one block reader per chunk in RAM.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,11 +45,13 @@ const (
 	// recordSize is the fixed width of one edge record: u uint32, v
 	// uint32, w int64, little-endian.
 	recordSize = 16
+	// blockRecords is the number of records every stream-file reader and
+	// writer moves per read or write; blockSize is the same block in
+	// bytes, 64 KiB.
+	blockRecords = 1 << 12
+	blockSize    = blockRecords * recordSize
 	// maxVertices is the largest vertex count uint32 ids can address.
 	maxVertices = 1 << 32
-	// verifyBlock is the number of records OpenFile reads, checksums and
-	// checks per read.
-	verifyBlock = 1 << 12
 	// headerSection names the container section carrying the stream
 	// geometry (n, m, record width as three int64s).
 	headerSection = "estream"
@@ -102,16 +110,117 @@ func headerBytes(n, m int) []byte {
 	return append(out, snap...)
 }
 
+// blockWriter encodes records into one block and hands each full block to
+// its file with one Write, plus one CRC64 update when sum is set.
+type blockWriter struct {
+	f   *os.File
+	buf []byte // one block
+	n   int    // bytes of buf holding encoded records
+	sum bool   // keep crc over every record byte written
+	crc uint64
+}
+
+// add encodes e into the block, writing the block out first when it is
+// full.
+func (w *blockWriter) add(e graph.Edge) error {
+	if w.n == len(w.buf) {
+		if err := w.flush(); err != nil {
+			return err
+		}
+	}
+	encodeRecord(w.buf[w.n:w.n+recordSize], e)
+	w.n += recordSize
+	return nil
+}
+
+// flush writes the records encoded so far and empties the block.
+func (w *blockWriter) flush() error {
+	b := w.buf[:w.n]
+	w.n = 0
+	if w.sum {
+		w.crc = crc64.Update(w.crc, fileCRC, b)
+	}
+	_, err := w.f.Write(b)
+	return err
+}
+
+// blockReader reads a run of records from a file one block at a time. It
+// reads by offset, so rewinding is a new offset and no seek. The unread
+// records of the current block are buf[at:end]; callers decode them in
+// place.
+type blockReader struct {
+	buf     []byte // one block
+	at, end int
+	f       *os.File
+	off     int64 // file offset of the next block
+	left    int   // records of the run not yet read into a block
+}
+
+func newBlockReader(f *os.File, off int64, m int) blockReader {
+	r := blockReader{f: f, buf: make([]byte, blockSize)}
+	r.seek(off, m)
+	return r
+}
+
+// seek points r at the run of m records starting at file offset off and
+// drops the current block.
+func (r *blockReader) seek(off int64, m int) {
+	r.at, r.end, r.off, r.left = 0, 0, off, m
+}
+
+// fill replaces the current block with the run's next min(left,
+// blockRecords) records. It returns io.EOF at the end of the run, and
+// io.ErrUnexpectedEOF when the file ends first. A block that cannot be
+// read whole is dropped, so no record of it is ever handed out.
+func (r *blockReader) fill() error {
+	r.at, r.end = 0, 0
+	if r.left == 0 {
+		return io.EOF
+	}
+	k := min(r.left, blockRecords)
+	b := r.buf[:k*recordSize]
+	if _, err := r.f.ReadAt(b, r.off); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	r.end = len(b)
+	r.off += int64(len(b))
+	r.left -= k
+	return nil
+}
+
+// record returns the next record's bytes, reading the next block at a
+// block boundary.
+func (r *blockReader) record() ([]byte, error) {
+	if r.at == r.end {
+		if err := r.fill(); err != nil {
+			return nil, err
+		}
+	}
+	b := r.buf[r.at : r.at+recordSize]
+	r.at += recordSize
+	return b, nil
+}
+
 // WriteFile writes the edges produced by next (called until it reports
 // ok=false) to path in the stream-file format and returns the number of
-// records written. Memory is O(1) records: the edge count need not be
-// known up front — a fixed-size header region is reserved and patched
-// after the records and CRC trailer land.
+// records written. Memory is one block: the edge count need not be known
+// up front — a fixed-size header region is reserved and patched after the
+// records and CRC trailer land.
 //
 // Every edge must pass graph.CheckEdge against n; the first that does not
 // stops the write with that error, naming its record index. The format's
-// uint32 ids cap n at 2^32.
-func WriteFile(path string, n int, next func() (graph.Edge, bool)) (m int, err error) {
+// uint32 ids cap n at 2^32. A write that fails after creating path
+// removes it, so a failure never leaves a stream file behind.
+func WriteFile(path string, n int, next func() (graph.Edge, bool)) (int, error) {
+	return writeFile(path, n, next, nil)
+}
+
+// writeFile is WriteFile over a source that can fail: a non-nil *srcErr
+// once next has ended fails the write with that error.
+func writeFile(path string, n int, next func() (graph.Edge, bool), srcErr *error) (m int, err error) {
 	if n < 0 || uint64(n) > maxVertices {
 		return 0, fmt.Errorf("stream: %d vertices outside the format's [0, 2^32]", n)
 	}
@@ -125,6 +234,13 @@ func WriteFile(path string, n int, next func() (graph.Edge, bool)) (m int, err e
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
+		if err == nil {
+			return
+		}
+		m = 0
+		if rerr := os.Remove(path); rerr != nil {
+			err = errors.Join(err, rerr)
+		}
 	}()
 
 	// Reserve the header region; the length is independent of m.
@@ -133,9 +249,7 @@ func WriteFile(path string, n int, next func() (graph.Edge, bool)) (m int, err e
 		return 0, err
 	}
 
-	w := bufio.NewWriterSize(f, 1<<20)
-	crc := crc64.New(fileCRC)
-	var rec [recordSize]byte
+	w := blockWriter{f: f, buf: make([]byte, blockSize), sum: true}
 	for {
 		e, ok := next()
 		if !ok {
@@ -144,19 +258,20 @@ func WriteFile(path string, n int, next func() (graph.Edge, bool)) (m int, err e
 		if err := graph.CheckEdge(n, e); err != nil {
 			return 0, fmt.Errorf("stream: record %d: %w", m, err)
 		}
-		encodeRecord(rec[:], e)
-		if _, err := w.Write(rec[:]); err != nil {
+		if err := w.add(e); err != nil {
 			return 0, err
 		}
-		crc.Write(rec[:])
 		m++
 	}
-	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], crc.Sum64())
-	if _, err := w.Write(trailer[:]); err != nil {
+	if srcErr != nil && *srcErr != nil {
+		return 0, *srcErr
+	}
+	if err := w.flush(); err != nil {
 		return 0, err
 	}
-	if err := w.Flush(); err != nil {
+	var trailer [8]byte
+	binary.LittleEndian.PutUint64(trailer[:], w.crc)
+	if _, err := f.Write(trailer[:]); err != nil {
 		return 0, err
 	}
 	header := headerBytes(n, m)
@@ -172,15 +287,7 @@ func WriteFile(path string, n int, next func() (graph.Edge, bool)) (m int, err e
 // WriteFileEdges writes an in-RAM edge slice to path in the stream-file
 // format, preserving the slice order.
 func WriteFileEdges(path string, n int, edges []graph.Edge) error {
-	i := 0
-	_, err := WriteFile(path, n, func() (graph.Edge, bool) {
-		if i >= len(edges) {
-			return graph.Edge{}, false
-		}
-		e := edges[i]
-		i++
-		return e, true
-	})
+	_, err := WriteFile(path, n, SliceSource(edges))
 	return err
 }
 
@@ -199,24 +306,22 @@ func SliceSource(edges []graph.Edge) func() (graph.Edge, bool) {
 }
 
 // FileStream is a disk-backed EdgeStream over a file written by WriteFile
-// or ShuffleToFile. Passes are buffered sequential scans; Reset seeks back
-// to the first record. The stream holds O(1) records in memory.
+// or ShuffleToFile. A pass is a sequential scan in 64 KiB blocks, each
+// read whole and decoded in place; Reset points the reader back at the
+// first record. The stream holds one block in memory.
 //
 // Next cannot return an error by signature, so a mid-pass read fault ends
-// the pass early (ok=false) and parks the cause on Err; drivers that care
-// check Err after draining. Corrupt files never get this far: OpenFile
-// verifies the header, the payload CRC and every record before returning.
+// the pass early (ok=false) at the last whole block before the fault and
+// parks the cause on Err, which stays set; drivers that care check Err
+// after draining. Corrupt files never get this far: OpenFile verifies the
+// header, the payload CRC and every record before returning.
 type FileStream struct {
-	f       *os.File
-	r       *bufio.Reader
-	n, m    int
-	dataOff int64
+	r       blockReader
 	pos     int
 	passes  int
+	n, m    int
+	dataOff int64
 	err     error
-	// rec is Next's read buffer; a local one would escape through
-	// io.ReadFull and cost an allocation per record.
-	rec [recordSize]byte
 }
 
 var _ EdgeStream = (*FileStream)(nil)
@@ -277,18 +382,20 @@ func openVerified(f *os.File) (*FileStream, error) {
 		return nil, fmt.Errorf("%w: %d bytes on disk, header declares %d", ErrFileStreamPayload, st.Size(), want)
 	}
 
-	// Verify the payload checksum and every record in one blocked scan.
-	if _, err := f.Seek(dataOff, io.SeekStart); err != nil {
-		return nil, err
-	}
-	crc := crc64.New(fileCRC)
-	block := make([]byte, verifyBlock*recordSize)
-	for done := 0; done < m; {
-		b := block[:min(m-done, verifyBlock)*recordSize]
-		if _, err := io.ReadFull(f, b); err != nil {
+	// Verify the payload checksum and every record in one blocked scan,
+	// through the reader the stream then keeps for its passes.
+	r := newBlockReader(f, dataOff, m)
+	var crc uint64
+	for done := 0; ; {
+		err := r.fill()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrFileStreamPayload, err)
 		}
-		crc.Write(b)
+		b := r.buf[:r.end]
+		crc = crc64.Update(crc, fileCRC, b)
 		for off := 0; off < len(b); off += recordSize {
 			if err := graph.CheckEdge(n, decodeRecord(b[off:])); err != nil {
 				return nil, fmt.Errorf("%w: record %d: %w", ErrFileStreamPayload, done+off/recordSize, err)
@@ -300,26 +407,13 @@ func openVerified(f *os.File) (*FileStream, error) {
 	if _, err := f.ReadAt(trailer[:], st.Size()-8); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFileStreamPayload, err)
 	}
-	if crc.Sum64() != binary.LittleEndian.Uint64(trailer[:]) {
+	if crc != binary.LittleEndian.Uint64(trailer[:]) {
 		return nil, fmt.Errorf("%w: record checksum mismatch", ErrFileStreamPayload)
 	}
 
-	s := &FileStream{f: f, n: n, m: m, dataOff: dataOff}
-	s.rewind()
+	s := &FileStream{r: r, n: n, m: m, dataOff: dataOff}
+	s.Reset()
 	return s, nil
-}
-
-func (s *FileStream) rewind() {
-	if _, err := s.f.Seek(s.dataOff, io.SeekStart); err != nil {
-		s.err = err
-		return
-	}
-	if s.r == nil {
-		s.r = bufio.NewReaderSize(s.f, 1<<20)
-	} else {
-		s.r.Reset(s.f)
-	}
-	s.pos = 0
 }
 
 // Next implements EdgeStream. Pass counting mirrors SliceStream exactly
@@ -329,19 +423,37 @@ func (s *FileStream) Next() (graph.Edge, bool) {
 	if s.pos == 0 {
 		s.passes++
 	}
-	if s.pos >= s.m || s.err != nil {
+	if s.r.at == s.r.end && !s.refill() {
 		return graph.Edge{}, false
 	}
-	if _, err := io.ReadFull(s.r, s.rec[:]); err != nil {
-		s.err = fmt.Errorf("%w: %v", ErrFileStreamPayload, err)
-		return graph.Edge{}, false
-	}
+	e := decodeRecord(s.r.buf[s.r.at : s.r.at+recordSize])
+	s.r.at += recordSize
 	s.pos++
-	return decodeRecord(s.rec[:]), true
+	return e, true
+}
+
+// refill reads the next block at a block boundary. It reports false at
+// the end of the pass and after a read fault, which it parks on Err.
+func (s *FileStream) refill() bool {
+	if s.err != nil {
+		return false
+	}
+	err := s.r.fill()
+	if err == io.EOF {
+		return false
+	}
+	if err != nil {
+		s.err = fmt.Errorf("%w: %v", ErrFileStreamPayload, err)
+		return false
+	}
+	return true
 }
 
 // Reset implements EdgeStream.
-func (s *FileStream) Reset() { s.rewind() }
+func (s *FileStream) Reset() {
+	s.r.seek(s.dataOff, s.m)
+	s.pos = 0
+}
 
 // Len implements EdgeStream.
 func (s *FileStream) Len() int { return s.m }
@@ -357,7 +469,7 @@ func (s *FileStream) N() int { return s.n }
 func (s *FileStream) Err() error { return s.err }
 
 // Close releases the underlying file.
-func (s *FileStream) Close() error { return s.f.Close() }
+func (s *FileStream) Close() error { return s.r.f.Close() }
 
 // ShuffleToFile writes a uniformly random permutation of the edges
 // produced by next into path, using O(chunkEdges) edges of RAM however
@@ -372,6 +484,9 @@ func (s *FileStream) Close() error { return s.f.Close() }
 // contents and the interleaving is an independent uniform choice among
 // all interleavings, so the composition is a uniform permutation of the
 // whole stream — the arrival model of Theorem 1.1 at any scale.
+//
+// A failed shuffle leaves no file at path and no temporary file; a chunk
+// that cannot be read back fails the merge with an error naming it.
 func ShuffleToFile(path string, n int, next func() (graph.Edge, bool), rng *rand.Rand, chunkEdges int) (int, error) {
 	if chunkEdges <= 0 {
 		chunkEdges = DefaultShuffleChunk
@@ -388,6 +503,7 @@ func ShuffleToFile(path string, n int, next func() (graph.Edge, bool), rng *rand
 		}
 	}()
 	buf := make([]graph.Edge, 0, chunkEdges)
+	spill := blockWriter{buf: make([]byte, blockSize)}
 	total := 0
 	flush := func() error {
 		if len(buf) == 0 {
@@ -398,22 +514,16 @@ func ShuffleToFile(path string, n int, next func() (graph.Edge, bool), rng *rand
 		if err != nil {
 			return err
 		}
-		w := bufio.NewWriterSize(cf, 1<<20)
-		var rec [recordSize]byte
+		chunkFiles = append(chunkFiles, cf)
+		spill.f = cf
 		for _, e := range buf {
-			encodeRecord(rec[:], e)
-			if _, err := w.Write(rec[:]); err != nil {
-				cf.Close()
-				os.Remove(cf.Name())
+			if err := spill.add(e); err != nil {
 				return err
 			}
 		}
-		if err := w.Flush(); err != nil {
-			cf.Close()
-			os.Remove(cf.Name())
+		if err := spill.flush(); err != nil {
 			return err
 		}
-		chunkFiles = append(chunkFiles, cf)
 		counts = append(counts, len(buf))
 		total += len(buf)
 		buf = buf[:0]
@@ -443,39 +553,27 @@ func ShuffleToFile(path string, n int, next func() (graph.Edge, bool), rng *rand
 	}
 
 	// Phase 2: weighted merge of the shuffled chunks.
-	readers := make([]*bufio.Reader, len(chunkFiles))
+	readers := make([]blockReader, len(chunkFiles))
 	for i, cf := range chunkFiles {
-		if _, err := cf.Seek(0, io.SeekStart); err != nil {
-			return 0, err
-		}
-		readers[i] = bufio.NewReaderSize(cf, 1<<16)
+		readers[i] = newBlockReader(cf, 0, counts[i])
 	}
 	fen := newFenwick(counts)
 	remaining := total
 	var mergeErr error
-	// One record buffer for the whole merge: declared per call, it would
-	// escape through io.ReadFull and cost an allocation per record.
-	var rec [recordSize]byte
-	m, err := WriteFile(path, n, func() (graph.Edge, bool) {
+	return writeFile(path, n, func() (graph.Edge, bool) {
 		if remaining == 0 || mergeErr != nil {
 			return graph.Edge{}, false
 		}
 		c := fen.selectNth(rng.Intn(remaining))
 		fen.add(c, -1)
 		remaining--
-		if _, err := io.ReadFull(readers[c], rec[:]); err != nil {
-			mergeErr = err
+		rec, err := readers[c].record()
+		if err != nil {
+			mergeErr = fmt.Errorf("stream: shuffle chunk %d: %w", c, err)
 			return graph.Edge{}, false
 		}
-		return decodeRecord(rec[:]), true
-	})
-	if err != nil {
-		return 0, err
-	}
-	if mergeErr != nil {
-		return 0, mergeErr
-	}
-	return m, nil
+		return decodeRecord(rec), true
+	}, &mergeErr)
 }
 
 // fenwick is a Fenwick (binary indexed) tree over per-chunk remaining

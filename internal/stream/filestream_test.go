@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -145,6 +146,100 @@ func TestFileStreamNextAllocs(t *testing.T) {
 	}
 }
 
+// blockRecords is the stream-file readers' block: 64 KiB of 16-byte
+// records. A pass ends at a block boundary when the file is cut.
+const blockRecords = 4096
+
+// TestFileStreamMidPassTruncation: a file cut after OpenFile ends the pass
+// early, at the last whole block before the cut (or at the end of the
+// block already read, when that lies beyond it), with Err wrapping
+// ErrFileStreamPayload. Every edge the pass yields is the file's record at
+// that position, and the fault stays on Err across a Reset.
+func TestFileStreamMidPassTruncation(t *testing.T) {
+	const n = 1000
+	m := 3*blockRecords + 5
+	edges := goldenEdges(m, n)
+	data, err := os.ReadFile(writeTempStream(t, n, edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataOff := 4 + int(binary.LittleEndian.Uint32(data))
+	path := filepath.Join(t.TempDir(), "cut.estream")
+	for _, c := range []struct {
+		name string
+		read int // records read before the cut
+		cut  int // record-region bytes left on disk
+	}{
+		{"at the first record", 0, 0},
+		{"mid-record in the first block", 0, 16*blockRecords/2 + 7},
+		{"at a block boundary", 0, 16 * blockRecords},
+		{"in the last block", 0, 16*m - 1},
+		{"mid-pass, in the next block", blockRecords + 10, 16*2*blockRecords + 100},
+		{"mid-pass, inside the block already read", blockRecords + 10, 16*(blockRecords+20) + 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fs, err := stream.OpenFile(path)
+			if err != nil {
+				t.Fatalf("OpenFile: %v", err)
+			}
+			defer fs.Close()
+			got := 0
+			check := func(e graph.Edge) {
+				if e != edges[got] {
+					t.Fatalf("record %d: got %v, the file holds %v", got, e, edges[got])
+				}
+				got++
+			}
+			for got < c.read {
+				e, ok := fs.Next()
+				if !ok {
+					t.Fatalf("pass ended at %d before the cut", got)
+				}
+				check(e)
+			}
+			if err := os.Truncate(path, int64(dataOff+c.cut)); err != nil {
+				t.Fatal(err)
+			}
+			for e, ok := fs.Next(); ok; e, ok = fs.Next() {
+				check(e)
+			}
+			readBlocks := (c.read + blockRecords - 1) / blockRecords
+			if want := max(readBlocks, c.cut/16/blockRecords) * blockRecords; got != want {
+				t.Fatalf("pass yielded %d records, want %d (the last whole block before the cut)", got, want)
+			}
+			if !errors.Is(fs.Err(), stream.ErrFileStreamPayload) {
+				t.Fatalf("Err = %v, want %v", fs.Err(), stream.ErrFileStreamPayload)
+			}
+			fs.Reset()
+			if _, ok := fs.Next(); ok || fs.Err() == nil {
+				t.Fatalf("after Reset: a record (%v) or a cleared Err (%v)", ok, fs.Err())
+			}
+		})
+	}
+}
+
+// TestWriteFileAllocsFlat: WriteFile allocates only per file, never per
+// record or per block, so its allocation count is the same at 10^3 and
+// 10^5 records.
+func TestWriteFileAllocsFlat(t *testing.T) {
+	const n = 1000
+	path := filepath.Join(t.TempDir(), "allocs.estream")
+	allocs := func(m int) float64 {
+		edges := goldenEdges(m, n)
+		return testing.AllocsPerRun(3, func() {
+			if err := stream.WriteFileEdges(path, n, edges); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1_000), allocs(100_000); small != large {
+		t.Fatalf("WriteFile allocates %v times at 10^3 records and %v at 10^5", small, large)
+	}
+}
+
 // forgeRecord overwrites record i of the stream file at path with e and
 // rewrites the CRC trailer to match, producing a file whose checksums all
 // hold around a record WriteFile would refuse.
@@ -166,10 +261,19 @@ func forgeRecord(t *testing.T, path string, i int, e graph.Edge) {
 	}
 }
 
+// assertNoFile fails the test when anything exists at path.
+func assertNoFile(t *testing.T, path string) {
+	t.Helper()
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a refused write left %s behind (stat: %v)", filepath.Base(path), err)
+	}
+}
+
 // TestStreamFilesRefuseInvalidRecords: a record graph.CheckEdge rejects
 // never becomes part of a stream. WriteFile (and ShuffleToFile through it)
-// refuses to write it, naming the record, and OpenFile refuses a file that
-// carries one under valid checksums, before any consumer indexes by it.
+// refuses to write it, naming the record, and leaves no file at path;
+// OpenFile refuses a file that carries one under valid checksums, before
+// any consumer indexes by it.
 func TestStreamFilesRefuseInvalidRecords(t *testing.T) {
 	const n = 10
 	valid := []graph.Edge{{U: 0, V: 1, W: 3}, {U: 2, V: 3, W: 4}, {U: 5, V: 9, W: 1}}
@@ -195,10 +299,12 @@ func TestStreamFilesRefuseInvalidRecords(t *testing.T) {
 			if !strings.HasPrefix(err.Error(), "stream: record 2: ") {
 				t.Fatalf("WriteFile error %q does not name record 2", err)
 			}
+			assertNoFile(t, path)
 			if _, err := stream.ShuffleToFile(path, n, stream.SliceSource(edges),
 				rand.New(rand.NewSource(1)), 2); !errors.Is(err, c.want) {
 				t.Fatalf("ShuffleToFile: got %v, want %v", err, c.want)
 			}
+			assertNoFile(t, path)
 
 			if err := stream.WriteFileEdges(path, n, valid); err != nil {
 				t.Fatal(err)
@@ -216,10 +322,11 @@ func TestStreamFilesRefuseInvalidRecords(t *testing.T) {
 	}
 	if strconv.IntSize == 64 {
 		wide := uint64(1)<<32 + 1
-		if _, err := stream.WriteFile(filepath.Join(dir, "wide.estream"), int(wide),
-			stream.SliceSource(valid)); err == nil {
+		path := filepath.Join(dir, "wide.estream")
+		if _, err := stream.WriteFile(path, int(wide), stream.SliceSource(valid)); err == nil {
 			t.Fatal("WriteFile accepted more vertices than uint32 ids address")
 		}
+		assertNoFile(t, path)
 	}
 }
 
@@ -359,6 +466,53 @@ func TestShuffleToFilePermutation(t *testing.T) {
 		if e.Name() != "shuf.estream" {
 			t.Fatalf("leftover temp file %q", e.Name())
 		}
+	}
+}
+
+// TestShuffleToFileChunkFault: a spill chunk that cannot be read back
+// fails the shuffle with an error naming the chunk, and leaves neither a
+// file at path nor a temporary chunk. The source cuts every chunk spilled
+// so far to half its length when it reports its end, so the merge meets
+// the fault after the output file is well under way.
+func TestShuffleToFileChunkFault(t *testing.T) {
+	const n = 50
+	edges := goldenEdges(100, n)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shuf.estream")
+	src := stream.SliceSource(edges)
+	cutting := func() (graph.Edge, bool) {
+		e, ok := src()
+		if !ok {
+			chunks, err := filepath.Glob(filepath.Join(dir, "eshuffle-*.chunk"))
+			if err != nil || len(chunks) == 0 {
+				t.Errorf("no spill chunk to cut (%v)", err)
+			}
+			for _, c := range chunks {
+				st, err := os.Stat(c)
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				if err := os.Truncate(c, st.Size()/2); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		return e, ok
+	}
+	_, err := stream.ShuffleToFile(path, n, cutting, rand.New(rand.NewSource(1)), 8)
+	if err == nil {
+		t.Fatal("ShuffleToFile succeeded over cut chunks")
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.HasPrefix(err.Error(), "stream: shuffle chunk ") {
+		t.Fatalf("ShuffleToFile error %q, want a named chunk and %v", err, io.ErrUnexpectedEOF)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("failed shuffle left %q behind", e.Name())
 	}
 }
 
