@@ -3,16 +3,15 @@
 //
 // Usage:
 //
-//	augbench [-experiment E1,E4] [-seed 1] [-trials 5] [-quick] [-amortize] [-json FILE]
+//	augbench [-experiment E1,E4] [-seed 1] [-trials 5] [-quick] [-json FILE]
 //
 // With no -experiment flag every registered experiment runs (currently
 // E1..E14, E18 and E20 — the registry in internal/bench is the authority,
 // and an unknown id's error message lists it). With -json the tables are
 // additionally written to FILE as machine-readable JSON (the BENCH_*.json
-// format the perf ledger tracks across PRs). -amortize routes the
-// reduction-driven experiments through the cross-round amortised pipeline
-// (bit-identical results; the E12b counters table shows the probe and
-// cache activity).
+// format the perf ledger tracks across PRs). Every experiment that runs a
+// reduction driver runs the cross-round amortised pipeline (the E12b
+// counters table shows its probe, cache, delta and repair activity).
 package main
 
 import (
@@ -43,11 +42,10 @@ type jsonTable struct {
 }
 
 type jsonReport struct {
-	Seed     int64       `json:"seed"`
-	Trials   int         `json:"trials"`
-	Quick    bool        `json:"quick"`
-	Amortize bool        `json:"amortize,omitempty"`
-	Tables   []jsonTable `json:"tables"`
+	Seed   int64       `json:"seed"`
+	Trials int         `json:"trials"`
+	Quick  bool        `json:"quick"`
+	Tables []jsonTable `json:"tables"`
 }
 
 // flags is augbench's parsed flag surface.
@@ -56,7 +54,6 @@ type flags struct {
 	seed        int64
 	trials      int
 	quick       bool
-	amortize    bool
 	jsonPath    string
 }
 
@@ -68,7 +65,6 @@ func newFlagSet(f *flags) *flag.FlagSet {
 	fs.Int64Var(&f.seed, "seed", 1, "random seed")
 	fs.IntVar(&f.trials, "trials", 5, "trials per table row")
 	fs.BoolVar(&f.quick, "quick", false, "shrink instance sizes")
-	fs.BoolVar(&f.amortize, "amortize", false, "use the cross-round amortised solving pipeline")
 	fs.StringVar(&f.jsonPath, "json", "", "also write the tables as JSON to this file")
 	return fs
 }
@@ -80,16 +76,16 @@ func run(args []string) error {
 		return err
 	}
 	experiments, seed, trials := &f.experiments, &f.seed, &f.trials
-	quick, amortize, jsonPath := &f.quick, &f.amortize, &f.jsonPath
+	quick, jsonPath := &f.quick, &f.jsonPath
 
-	cfg := bench.Config{Seed: *seed, Trials: *trials, Quick: *quick, Amortize: *amortize}
+	cfg := bench.Config{Seed: *seed, Trials: *trials, Quick: *quick}
 	registry := bench.Registry()
 
 	ids := bench.IDs()
 	if *experiments != "" {
 		ids = strings.Split(*experiments, ",")
 	}
-	report := jsonReport{Seed: *seed, Trials: *trials, Quick: *quick, Amortize: *amortize}
+	report := jsonReport{Seed: *seed, Trials: *trials, Quick: *quick}
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		runner, ok := registry[id]

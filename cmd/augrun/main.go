@@ -6,18 +6,17 @@
 //
 //	auggen -family planted -n 500 -m 3000 | augrun -algo randarrival
 //	augrun -algo approx -input g.txt -granularity 0.0625
-//	augrun -algo approx -amortize -json -input g.txt
+//	augrun -algo approx -json -input g.txt
 //	augrun -algo approx -snapshot run.snap -resume -input g.txt
 //
 // Algorithms: greedy, localratio, blossom, exact, randarrival,
 // randarrival-unweighted, approx, streaming, mpc.
 //
-// -amortize runs the amortised pipeline with all of its differential
-// machinery on (delta-chained builds, Hopcroft–Karp repair, the round
-// link); -cache-gate tunes the one remaining knob, the cross-class
-// cache's hit-rate gate. Every setting is bit-identity-preserving. The
-// golden -help test (TestHelpGolden) pins this flag surface against
-// drift.
+// approx, streaming and mpc run the cross-round amortised pipeline with
+// all of its differential machinery on (delta-chained builds,
+// Hopcroft–Karp repair, the round link); it returns the naive path's
+// matching bit for bit, so no flag selects it. The golden -help test
+// (TestHelpGolden) pins the flag surface against drift.
 //
 // The reduction-driven algorithms (approx, streaming, mpc) print the full
 // core.Stats counter ledger, one key=value pair per counter, generated by
@@ -76,11 +75,9 @@ type flags struct {
 	algo, input    string
 	seed           int64
 	granularity    float64
-	amortize       bool
 	workers        int
 	snapshot       string
 	resume, asJSON bool
-	cacheGate      int
 }
 
 // newFlagSet declares augrun's flags over f. Split from run so the golden
@@ -91,11 +88,9 @@ func newFlagSet(f *flags) *flag.FlagSet {
 	fs.StringVar(&f.input, "input", "-", "graph file in text edge format ('-' = stdin)")
 	fs.Int64Var(&f.seed, "seed", 1, "random seed")
 	fs.Float64Var(&f.granularity, "granularity", 0, "layered-graph granularity (0 = default 1/8)")
-	fs.BoolVar(&f.amortize, "amortize", false, "approx: use the cross-round amortised pipeline (bit-identical)")
 	fs.IntVar(&f.workers, "workers", 0, "approx: per-class worker pool size (0 = sequential)")
 	fs.StringVar(&f.snapshot, "snapshot", "", "approx: persist a resumable checkpoint to this file after every round")
 	fs.BoolVar(&f.resume, "resume", false, "approx: resume from the -snapshot checkpoint; an unusable snapshot degrades to a cold start")
-	fs.IntVar(&f.cacheGate, "cache-gate", 0, "approx: cross-class cache hit-rate gate in lookups (0 = default 8, negative disables the gate)")
 	fs.BoolVar(&f.asJSON, "json", false, "emit the run as one JSON object (stats round-trip core.Stats)")
 	return fs
 }
@@ -107,7 +102,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 	algo, input, seed, granularity := &f.algo, &f.input, &f.seed, &f.granularity
-	amortize, workers := &f.amortize, &f.workers
+	workers := &f.workers
 	snapshot, resume, asJSON := &f.snapshot, &f.resume, &f.asJSON
 	if *resume && *snapshot == "" {
 		return fmt.Errorf("-resume requires -snapshot")
@@ -154,11 +149,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	case "randarrival-unweighted":
 		m = repro.RandomArrivalUnweighted(g, *seed)
 	case "approx":
-		aopts := repro.ApproxOptions{
-			Seed: *seed, Granularity: *granularity,
-			Amortize: *amortize, Workers: *workers,
-			CacheGate: f.cacheGate,
-		}
+		aopts := repro.ApproxOptions{Seed: *seed, Granularity: *granularity, Workers: *workers}
 		var res repro.ApproxResult
 		var rerr error
 		if *snapshot != "" {

@@ -88,26 +88,20 @@ func TestStatsPrintedExactlyOnce(t *testing.T) {
 		t.Fatalf("suspiciously few Stats fields (%d) — reflection broken?", len(fields))
 	}
 	for _, algo := range []string{"approx", "streaming", "mpc"} {
-		for _, extra := range [][]string{nil, {"-amortize"}} {
-			if algo != "approx" && extra != nil {
-				continue
-			}
-			args := append([]string{"-algo", algo, "-input", path}, extra...)
-			var out bytes.Buffer
-			if err := run(args, nil, &out); err != nil {
-				t.Fatalf("%s: %v", algo, err)
-			}
-			for _, f := range fields {
-				n := 0
-				for _, tok := range strings.Fields(out.String()) {
-					if strings.HasPrefix(tok, f.Name+"=") {
-						n++
-					}
+		var out bytes.Buffer
+		if err := run([]string{"-algo", algo, "-input", path}, nil, &out); err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		for _, f := range fields {
+			n := 0
+			for _, tok := range strings.Fields(out.String()) {
+				if strings.HasPrefix(tok, f.Name+"=") {
+					n++
 				}
-				if n != 1 {
-					t.Errorf("%s %v: counter %q printed %d times, want exactly once\noutput:\n%s",
-						algo, extra, f.Name, n, out.String())
-				}
+			}
+			if n != 1 {
+				t.Errorf("%s: counter %q printed %d times, want exactly once\noutput:\n%s",
+					algo, f.Name, n, out.String())
 			}
 		}
 	}
@@ -120,7 +114,7 @@ func TestStatsPrintedExactlyOnce(t *testing.T) {
 func TestJSONRoundTripsStats(t *testing.T) {
 	path := writeTestGraph(t)
 	var out bytes.Buffer
-	if err := run([]string{"-algo", "approx", "-amortize", "-json", "-input", path}, nil, &out); err != nil {
+	if err := run([]string{"-algo", "approx", "-json", "-input", path}, nil, &out); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {

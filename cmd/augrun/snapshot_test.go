@@ -14,6 +14,7 @@ import (
 // snapshotJSON is the slice of the -json output the snapshot tests consume.
 type snapshotJSON struct {
 	Weight int64 `json:"weight"`
+	Size   int   `json:"size"`
 	Model  struct {
 		Resumed      bool   `json:"snapshot-resumed"`
 		ResumedRound int    `json:"snapshot-resumed-round"`
@@ -43,7 +44,7 @@ func runSnapshotJSON(t *testing.T, args ...string) snapshotJSON {
 func TestSnapshotResumeAndCorruptDegrade(t *testing.T) {
 	graphPath := writeTestGraph(t)
 	snap := filepath.Join(t.TempDir(), "run.snap")
-	base := []string{"-algo", "approx", "-amortize", "-input", graphPath, "-snapshot", snap}
+	base := []string{"-algo", "approx", "-input", graphPath, "-snapshot", snap}
 
 	first := runSnapshotJSON(t, base...)
 	if first.Model.Resumed {
@@ -138,32 +139,10 @@ func TestSnapshotForeignGraphDegradesToCold(t *testing.T) {
 func TestSnapshotWarmStartDegradesToCold(t *testing.T) {
 	graphPath := writeTestGraph(t)
 	snap := filepath.Join(t.TempDir(), "run.snap")
-	base := []string{"-algo", "approx", "-amortize", "-input", graphPath, "-snapshot", snap}
+	base := []string{"-algo", "approx", "-input", graphPath, "-snapshot", snap}
 	first := runSnapshotJSON(t, base...)
 
-	data, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	version, sections, err := graph.DecodeSnapshot(data, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// withDriver rewrites the snapshot with its driver section passed
-	// through edit (a cold run rewrites the file, so each case starts from
-	// the first run's bytes).
-	withDriver := func(edit func(string) string) {
-		t.Helper()
-		forged := append([]graph.SnapshotSection(nil), sections...)
-		for i := range forged {
-			if forged[i].Name == "driver" {
-				forged[i].Data = []byte(edit(string(forged[i].Data)))
-			}
-		}
-		if err := os.WriteFile(snap, graph.EncodeSnapshot(version, forged), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	withDriver := driverForger(t, snap)
 
 	for _, kv := range []string{"warm-start=true", "delta-cutover=-1", "repair-cutover=4", "crossround-cutover=-1"} {
 		withDriver(func(d string) string { return d + kv + "\n" })
@@ -189,6 +168,79 @@ func TestSnapshotWarmStartDegradesToCold(t *testing.T) {
 	}
 	if resumed.Weight != first.Weight {
 		t.Errorf("resumed weight %d != original %d", resumed.Weight, first.Weight)
+	}
+}
+
+// driverForger reads the checkpoint at snap and returns a function that
+// rewrites it with its driver section passed through edit. Each call starts
+// from the bytes read here, since a cold run rewrites the file.
+func driverForger(t *testing.T, snap string) func(edit func(string) string) {
+	t.Helper()
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version, sections, err := graph.DecodeSnapshot(data, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(edit func(string) string) {
+		t.Helper()
+		forged := append([]graph.SnapshotSection(nil), sections...)
+		for i := range forged {
+			if forged[i].Name == "driver" {
+				forged[i].Data = []byte(edit(string(forged[i].Data)))
+			}
+		}
+		if err := os.WriteFile(snap, graph.EncodeSnapshot(version, forged), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSnapshotNaiveCheckpointStartsCold: augrun runs the amortised
+// pipeline only, so a checkpoint recording amortize=false — what builds
+// that still had the -amortize flag wrote when it was left off — names a
+// run under different options. Resuming it starts cold and reports the
+// options mismatch; the result is unchanged, because both paths return the
+// same matching. A checkpoint recording amortize=true resumes.
+func TestSnapshotNaiveCheckpointStartsCold(t *testing.T) {
+	graphPath := writeTestGraph(t)
+	snap := filepath.Join(t.TempDir(), "run.snap")
+	base := []string{"-algo", "approx", "-input", graphPath, "-snapshot", snap}
+	first := runSnapshotJSON(t, base...)
+	withDriver := driverForger(t, snap)
+
+	setAmortize := func(v string) func(string) string {
+		return func(d string) string {
+			lines := strings.Split(d, "\n")
+			for i, l := range lines {
+				if strings.HasPrefix(l, "amortize=") {
+					lines[i] = "amortize=" + v
+				}
+			}
+			return strings.Join(lines, "\n")
+		}
+	}
+	withDriver(setAmortize("false"))
+	cold := runSnapshotJSON(t, append(base, "-resume")...)
+	if cold.Model.Resumed {
+		t.Fatal("amortize=false checkpoint was resumed")
+	}
+	if !strings.Contains(cold.Model.ColdStart, "different options") {
+		t.Errorf("cold-start reason %q does not name the options", cold.Model.ColdStart)
+	}
+	if cold.Weight != first.Weight || cold.Size != first.Size {
+		t.Errorf("cold run weight %d size %d, original %d %d", cold.Weight, cold.Size, first.Weight, first.Size)
+	}
+
+	withDriver(setAmortize("true"))
+	resumed := runSnapshotJSON(t, append(base, "-resume")...)
+	if !resumed.Model.Resumed || resumed.Model.ColdStart != "" {
+		t.Fatalf("amortize=true checkpoint did not resume: %+v", resumed.Model)
+	}
+	if resumed.Weight != first.Weight || resumed.Size != first.Size {
+		t.Errorf("resumed weight %d size %d, original %d %d", resumed.Weight, resumed.Size, first.Weight, first.Size)
 	}
 }
 

@@ -48,6 +48,7 @@ func E11Ablations(cfg Config) []Table {
 				Rng:       rand.New(rand.NewSource(cfg.Seed)),
 				MaxRounds: rounds,
 				Patience:  rounds,
+				Amortize:  true,
 				Layered:   layered.Params{MaxLayers: maxLayers, SumCap: float64(half) + 1},
 			})
 			solved := "no"

@@ -20,11 +20,6 @@ type Config struct {
 	Trials int
 	// Quick shrinks instance sizes for use inside testing.B loops.
 	Quick bool
-	// Amortize routes the reduction-driven experiments through the
-	// cross-round amortised pipeline (core.Options.Amortize). Results are
-	// bit-identical to the naive path; the E12 counters table additionally
-	// reports the probe and cache activity.
-	Amortize bool
 }
 
 func (c Config) withDefaults() Config {

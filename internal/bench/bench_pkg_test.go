@@ -82,7 +82,7 @@ func TestRunAllRenders(t *testing.T) {
 // table: every core.Stats field must have its own E12b column, so a future
 // counter cannot be silently missing from the harness ledger.
 func TestE12bCountersComplete(t *testing.T) {
-	tables := E12Convergence(Config{Seed: 1, Trials: 1, Quick: true, Amortize: true})
+	tables := E12Convergence(Config{Seed: 1, Trials: 1, Quick: true})
 	var counters *Table
 	for i := range tables {
 		if tables[i].ID == "E12b" {

@@ -32,7 +32,7 @@ func E4MultipassWeighted(cfg Config) []Table {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			inst := graph.PlantedMatching(n, 5*n, 100, 200, rng)
 			res, err := core.SolveStreaming(inst.G, nil, core.StreamingOptions{
-				Core: core.Options{Rng: rng, MaxRounds: 20, Patience: 4},
+				Core: core.Options{Rng: rng, MaxRounds: 20, Patience: 4, Amortize: true},
 			})
 			if err != nil {
 				continue
@@ -81,7 +81,7 @@ func E4MultipassWeighted(cfg Config) []Table {
 			res, err := core.Solve(inst.G, nil, core.Options{
 				Rng:      rng2,
 				Layered:  layered.Params{Granularity: g},
-				Amortize: cfg.Amortize,
+				Amortize: true,
 			})
 			if err != nil {
 				continue
@@ -122,7 +122,7 @@ func E5MPCWeighted(cfg Config) []Table {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			inst := graph.PlantedMatching(n, 5*n, 100, 200, rng)
 			res, err := core.SolveMPC(inst.G, nil, core.MPCOptions{
-				Core: core.Options{Rng: rng, MaxRounds: 20, Patience: 4},
+				Core: core.Options{Rng: rng, MaxRounds: 20, Patience: 4, Amortize: true},
 			})
 			if err != nil {
 				continue
@@ -212,7 +212,7 @@ func E8LayeredCapture(cfg Config) []Table {
 			Rng:       rand.New(rand.NewSource(cfg.Seed)),
 			MaxRounds: cycleRounds,
 			Patience:  cycleRounds,
-			Amortize:  cfg.Amortize,
+			Amortize:  true,
 			Layered:   layered.Params{MaxLayers: 2*half + 1, SumCap: float64(half) + 1},
 		})
 		if err != nil {
@@ -248,7 +248,7 @@ func E10Overhead(cfg Config) []Table {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			inst := graph.PlantedMatching(n, 5*n, 100, 200, rng)
 			res, err := core.SolveMPC(inst.G, nil, core.MPCOptions{
-				Core: core.Options{Rng: rng, MaxRounds: 15, Patience: 3},
+				Core: core.Options{Rng: rng, MaxRounds: 15, Patience: 3, Amortize: true},
 			})
 			if err != nil {
 				continue

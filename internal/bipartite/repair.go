@@ -64,11 +64,12 @@ var solveTokens atomic.Uint64
 // a round, and solveTokens issues globally unique values, so a baseline
 // recorded before a bipartition redraw stays patchable afterwards — the
 // chain extends across rounds for free once the layered side can prove a
-// shared prefix across the redraw (layered.RoundChainer, PR 7: stability of
-// a kept segment's bucket implies its side entries are unchanged too, which
-// is exactly the "same identity and side" clause above). A baseline that
-// cannot be proven shared simply arrives with a smaller — possibly zero —
-// kept prefix; staleness is still caught by the token check alone.
+// shared prefix across the redraw (the IncView change clocks, PR 7:
+// stability of a kept segment's bucket implies its side entries are
+// unchanged too, which is exactly the "same identity and side" clause
+// above). A baseline that cannot be proven shared simply arrives with a
+// smaller — possibly zero — kept prefix; staleness is still caught by the
+// token check alone.
 type RepairInfo struct {
 	// BaseToken is the Scratch.SolveToken observed right after the baseline
 	// solve.

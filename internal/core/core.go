@@ -15,15 +15,17 @@
 //
 // # The amortised pipeline
 //
-// With Options.Amortize a persistent Runner maintains cross-round state
-// that makes every round after the first differential: the incremental
-// viability index (layered.IncIndex) re-derives only the buckets a redraw
-// or an augmentation touched; within and across rounds each class chains
-// its layered-graph builds through layered.BuildDelta, patching the
-// previous build instead of rebuilding (the layered.RoundChainer interface
-// is how BuildDelta proves a cross-round baseline fresh); and the default
-// exact solver retains its adjacency CSR per class so a delta-built pair
-// repairs the previous solve (bipartite.RepairHK) instead of re-solving.
+// The repro facade, augrun, augserve and every augbench experiment that
+// runs a driver set Options.Amortize: a persistent Runner maintains
+// cross-round state that makes every round after the first differential.
+// The incremental viability index (layered.IncIndex) re-derives only the
+// buckets a redraw or an augmentation touched; within and across rounds
+// each class chains its layered-graph builds through layered.BuildDelta,
+// patching the previous build instead of rebuilding (the class view's
+// change clocks are how BuildDelta proves a cross-round baseline fresh);
+// and the default exact solver retains its adjacency CSR per class so a
+// delta-built pair repairs the previous solve (bipartite.RepairHK) instead
+// of re-solving.
 // Every differential layer is bit-identical to its from-scratch
 // counterpart by construction, and the differential suite in
 // internal/solvertest asserts it family by family.
@@ -129,7 +131,13 @@ type Options struct {
 	// solver also turns the cross-class cache and the Hopcroft–Karp repair
 	// off.
 	PhasedSolverFactory func() PhasedSolver
-	// Amortize enables the cross-round amortised pipeline:
+	// Amortize enables the cross-round amortised pipeline. Every entry
+	// point sets it (the repro facade, augrun, augserve, and the augbench
+	// experiments that run a driver), so false is no user option: it is
+	// the internal hook that selects the naive reference — a per-(round,
+	// class) BucketIndex rebuild with every pair built from scratch — for
+	// the differential suite (internal/solvertest) and the naive side of
+	// CI's BenchmarkSolveAmortized/BenchmarkSolve gate. The pipeline is:
 	//   - the incremental viability index (window bucketing computed once
 	//     per edge and maintained by matched/unmatched deltas instead of
 	//     rebuilt per round and class);
@@ -140,8 +148,8 @@ type Options struct {
 	//   - the delta chain: every build of a class after its first is
 	//     layered.BuildDelta patching the class's previous build on a
 	//     class-private arena, across the bipartition redraw too (the round
-	//     link keeps exactly the segments the index proves unchanged,
-	//     layered.RoundChainer); see Stats.DeltaBuilds and
+	//     link keeps exactly the segments the class view's change clocks
+	//     prove unchanged); see Stats.DeltaBuilds and
 	//     CrossRoundDeltaBuilds;
 	//   - the incremental Hopcroft–Karp repair: the default exact solver
 	//     retains its CSR per class, and a solve whose layered graph was
@@ -154,8 +162,10 @@ type Options struct {
 	// builds and solves (Invariants 19, 21 and 24). The differential suite
 	// (internal/solvertest) asserts it. Stats.LayeredBuilt counts
 	// probe-rejected pairs as built so the two paths stay comparable.
-	// Granularities finer than 1/255 exceed the index's compact unit
-	// storage and silently fall back to the naive path
+	// Granularities finer than 1/62 exceed the probe's bit tables: pairs
+	// are enumerated unpruned and every pair builds from scratch (no delta
+	// chain, hence no repair). Finer than 1/255 they exceed the index's
+	// compact unit storage and silently fall back to the naive path
 	// (layered.CanIndexIncrementally).
 	Amortize bool
 	// CacheGate tunes the per-class hit-rate gate on the cross-class solve
@@ -165,7 +175,8 @@ type Options struct {
 	// never hits yet digested large buckets on every cold round. 0 uses
 	// the default budget (8 lookups), negative disables the gate (every
 	// lookup keys and digests, the pre-gate behaviour). The cache is
-	// transparent either way, so results are unchanged at any setting.
+	// transparent either way, so results are unchanged at any setting. No
+	// entry point sets it; stagebench and the tests do.
 	CacheGate int
 }
 
@@ -211,7 +222,8 @@ type Stats struct {
 	LayeredBuilt int
 	// ProbeSkips counts (τA, τB) pairs the amortised survival probe
 	// rejected without constructing their layered graph (always 0 on the
-	// naive path).
+	// naive path). The probe runs only inside the enumeration, so it
+	// always equals EnumPruned.
 	ProbeSkips int
 	// EnumPruned counts the subset of ProbeSkips the probe-guided
 	// enumeration pruned during pair generation — dead pairs that were
@@ -739,12 +751,13 @@ func oracleOf(ac *amortClassCtx) (layered.SurvivalOracle, bool) {
 //
 // With an amortised class context, four short-circuits precede or shorten
 // the build+solve, none of which changes the returned set: the survival
-// probe rejects pairs whose layered graph would have no Y edge (exactly the
-// pairs the naive loop builds and then skips), the cross-class cache
-// replays the candidates of an identical layered graph solved earlier this
-// round, the delta chain patches the class's previous build (across the
-// redraw too), and the repair solver patches the previous solve's retained
-// CSR.
+// probe prunes, inside the enumeration, the pairs whose layered graph would
+// have no Y edge (exactly the pairs the naive loop builds and then skips),
+// the cross-class cache replays the candidates of an identical layered
+// graph solved earlier this round, the delta chain patches the class's
+// previous build (across the redraw too), and the repair solver patches
+// the previous solve's retained CSR. The probe and the chain need the
+// view's bit tables (granularity 1/62 or coarser).
 //
 // Note: Algorithm 4 as analysed returns only the single best pair's set
 // A(τA,τB); the union with a shared conflict set is pointwise at least as
@@ -778,14 +791,15 @@ func classAugmentations(
 			ac.scratch = layered.NewScratch()
 		}
 		scratch = ac.scratch
-		// The sweep delta-chains this class's builds, so the first pair's
-		// from-scratch build must record the diff watermarks.
-		scratch.EnableDeltaBaseline()
 	} else {
 		ix = scratch.Index(par, w, opts.Layered)
 	}
 	var pairs []layered.TauPair
-	preFiltered := false
+	// chain is set where the class view's bit tables exist (maxU <
+	// layered.FreeLBit): the enumeration is probe-guided, and the grouped
+	// Y tables BuildDelta reads let the sweep delta-chain its builds. Past
+	// them every pair builds from scratch.
+	chain := false
 	if aMask, bMask, ok := ix.Masks(); ok {
 		if orc, probeOK := oracleOf(ac); probeOK {
 			// Probe-guided enumeration: dead pairs are pruned inside the
@@ -798,7 +812,10 @@ func classAugmentations(
 			stats.LayeredBuilt += pruned
 			stats.ProbeSkips += pruned
 			stats.EnumPruned += pruned
-			preFiltered = true
+			// The sweep delta-chains this class's builds, so the first
+			// pair's from-scratch build must record the diff watermarks.
+			scratch.EnableDeltaBaseline()
+			chain = true
 		} else {
 			pairs = layered.EnumerateGoodPairsMasked(opts.Layered, aMask, bMask, opts.MaxPairsPerClass)
 		}
@@ -844,46 +861,39 @@ func classAugmentations(
 	for _, tau := range pairs {
 		stats.LayeredBuilt++
 		keyed := false
-		if ac != nil {
-			if !preFiltered && !ac.view.ProbeY(tau) {
-				stats.ProbeSkips++
+		// Hit-rate gate: a class whose lookups never hit stops paying for
+		// keys (and so for bucket digests) for the rest of the Solve. The
+		// cache is transparent, so gating cannot change the result — only
+		// where the time goes (the E14 uniform tier digested large buckets
+		// for a cache that never hit).
+		if ac != nil && ac.cache != nil && !ac.cacheOff {
+			key = ac.view.PairKey(tau, key[:0])
+			keyed = true
+			ac.cacheLooks++
+			hit, ok, corrupt := ac.cache.get(key)
+			if ok {
+				ac.cacheHits++
+				stats.CacheHits++
+				cands = append(cands, hit...)
 				continue
 			}
-			// Hit-rate gate: a class whose lookups never hit stops paying
-			// for keys (and so for bucket digests) for the rest of the
-			// Solve. The cache is transparent, so gating cannot change the
-			// result — only where the time goes (the E14 uniform tier
-			// digested large buckets for a cache that never hit).
-			if ac.cache != nil && !ac.cacheOff {
-				key = ac.view.PairKey(tau, key[:0])
-				keyed = true
-				ac.cacheLooks++
-				hit, ok, corrupt := ac.cache.get(key)
-				if ok {
-					ac.cacheHits++
-					stats.CacheHits++
-					cands = append(cands, hit...)
-					continue
-				}
-				if corrupt {
-					// Cache rung of the ladder: the entry failed its
-					// checksum self-check and was evicted; the pair falls
-					// through to a fresh build + solve (and re-puts a
-					// healthy entry below).
-					stats.FallbackCacheDrops++
-				}
-				if gate := cacheGate(opts); gate > 0 && ac.cacheHits == 0 && ac.cacheLooks >= gate {
-					ac.cacheOff = true
-				}
+			if corrupt {
+				// Cache rung of the ladder: the entry failed its checksum
+				// self-check and was evicted; the pair falls through to a
+				// fresh build + solve (and re-puts a healthy entry below).
+				stats.FallbackCacheDrops++
+			}
+			if gate := cacheGate(opts); gate > 0 && ac.cacheHits == 0 && ac.cacheLooks >= gate {
+				ac.cacheOff = true
 			}
 		}
 		var lay *layered.Layered
 		crossBuilt := false
-		if ac != nil && prevLay != nil {
+		if chain && prevLay != nil {
 			link := prevLay.Par != par // baseline from a previous round
 			// Cutover 1 chains always: the grouped Y-stage lookup pays off
 			// even with no segment to reuse.
-			if dl, reusedSegs, derr := layered.BuildDelta(ix, prevLay, tau, scratch, 1); derr == nil {
+			if dl, reusedSegs, derr := layered.BuildDelta(ac.view, prevLay, tau, scratch, 1); derr == nil {
 				lay = dl
 				stats.DeltaBuilds++
 				stats.DeltaLayersReused += reusedSegs

@@ -160,3 +160,60 @@ func TestModelDriversIgnoreWorkers(t *testing.T) {
 			mp8.M.Weight(), mp8.TotalRounds, mp1.M.Weight(), mp1.TotalRounds)
 	}
 }
+
+// TestModelDriversAmortizedMatchNaive is the model drivers' differential:
+// SolveStreaming and SolveMPC with Core.Amortize on and off must return the
+// same matching and the same SolverCalls (the installed model solver turns
+// the cross-class cache off, so no hit replaces a call), and the same pass
+// and round ledgers: the amortised pipeline hands the model solvers exactly
+// the naive path's instances, in the naive path's order.
+func TestModelDriversAmortizedMatchNaive(t *testing.T) {
+	deltaBuilds := 0
+	for _, seed := range []int64{1, 2, 3} {
+		inst := graph.PlantedMatching(40, 160, 100, 200, rand.New(rand.NewSource(seed)))
+		opts := func(amortize bool) Options {
+			return Options{Rng: rand.New(rand.NewSource(seed + 10)), MaxRounds: 8, Patience: 3, Amortize: amortize}
+		}
+		stN, err := SolveStreaming(inst.G, nil, StreamingOptions{Core: opts(false)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stA, err := SolveStreaming(inst.G, nil, StreamingOptions{Core: opts(true)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMatching(t, "streaming", stN.M, stA.M)
+		if stN.Stats.SolverCalls != stA.Stats.SolverCalls || stA.Stats.CacheHits != 0 {
+			t.Errorf("seed %d streaming: SolverCalls %d (naive) vs %d (amortised, %d cache hits)",
+				seed, stN.Stats.SolverCalls, stA.Stats.SolverCalls, stA.Stats.CacheHits)
+		}
+		passN := [4]int{stN.TotalPasses, stN.MaxRoundPasses, stN.SubroutinePasses, stN.PeakStored}
+		passA := [4]int{stA.TotalPasses, stA.MaxRoundPasses, stA.SubroutinePasses, stA.PeakStored}
+		if passN != passA {
+			t.Errorf("seed %d streaming: passes/max/subroutine/peak %v (naive) vs %v (amortised)", seed, passN, passA)
+		}
+
+		mpN, err := SolveMPC(inst.G, nil, MPCOptions{Core: opts(false)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mpA, err := SolveMPC(inst.G, nil, MPCOptions{Core: opts(true)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMatching(t, "mpc", mpN.M, mpA.M)
+		if mpN.Stats.SolverCalls != mpA.Stats.SolverCalls || mpA.Stats.CacheHits != 0 {
+			t.Errorf("seed %d mpc: SolverCalls %d (naive) vs %d (amortised, %d cache hits)",
+				seed, mpN.Stats.SolverCalls, mpA.Stats.SolverCalls, mpA.Stats.CacheHits)
+		}
+		roundsN := [4]int{mpN.TotalRounds, mpN.MaxRoundRounds, mpN.SubroutineRounds, mpN.PeakLoad}
+		roundsA := [4]int{mpA.TotalRounds, mpA.MaxRoundRounds, mpA.SubroutineRounds, mpA.PeakLoad}
+		if roundsN != roundsA {
+			t.Errorf("seed %d mpc: rounds/max/U_M/peak load %v (naive) vs %v (amortised)", seed, roundsN, roundsA)
+		}
+		deltaBuilds += stA.Stats.DeltaBuilds + mpA.Stats.DeltaBuilds
+	}
+	if deltaBuilds == 0 {
+		t.Fatal("the amortised runs never delta-built: the differential compared two naive paths")
+	}
+}

@@ -29,42 +29,6 @@ func (a Augmentation) Gain() Weight {
 	return g
 }
 
-// Vertices returns the set of vertices touched by the augmentation.
-func (a Augmentation) Vertices() map[int]struct{} {
-	vs := make(map[int]struct{}, 2*(len(a.Add)+len(a.Remove)))
-	for _, e := range a.Add {
-		vs[e.U] = struct{}{}
-		vs[e.V] = struct{}{}
-	}
-	for _, e := range a.Remove {
-		vs[e.U] = struct{}{}
-		vs[e.V] = struct{}{}
-	}
-	return vs
-}
-
-// ConflictsWith reports whether the two augmentations touch a common vertex.
-func (a Augmentation) ConflictsWith(b Augmentation) bool {
-	vs := a.Vertices()
-	for _, e := range b.Add {
-		if _, ok := vs[e.U]; ok {
-			return true
-		}
-		if _, ok := vs[e.V]; ok {
-			return true
-		}
-	}
-	for _, e := range b.Remove {
-		if _, ok := vs[e.U]; ok {
-			return true
-		}
-		if _, ok := vs[e.V]; ok {
-			return true
-		}
-	}
-	return false
-}
-
 // ErrInvalidAugmentation is returned by Apply when the augmentation does not
 // fit the matching (a Remove edge is absent, or an Add edge conflicts).
 var ErrInvalidAugmentation = errors.New("graph: invalid augmentation")

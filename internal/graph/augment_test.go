@@ -148,18 +148,6 @@ func TestPathAugmentationDerivesRemovals(t *testing.T) {
 	}
 }
 
-func TestConflictsWith(t *testing.T) {
-	a := Augmentation{Add: []Edge{{U: 0, V: 1, W: 1}}}
-	b := Augmentation{Add: []Edge{{U: 1, V: 2, W: 1}}}
-	c := Augmentation{Add: []Edge{{U: 3, V: 4, W: 1}}}
-	if !a.ConflictsWith(b) {
-		t.Error("a and b share vertex 1")
-	}
-	if a.ConflictsWith(c) {
-		t.Error("a and c are disjoint")
-	}
-}
-
 // quick-check invariant 2 of DESIGN.md: Apply either errors (leaving m
 // intact) or increases weight by exactly the augmentation's Gain and keeps
 // the matching valid.

@@ -191,15 +191,6 @@ func (g *Graph) Adjacency() [][]IncidentEdge {
 	return adj
 }
 
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() Weight {
-	var total Weight
-	for _, e := range g.edges {
-		total += e.W
-	}
-	return total
-}
-
 // MaxWeight returns the largest edge weight, or 0 on an edgeless graph.
 func (g *Graph) MaxWeight() Weight {
 	var maxW Weight
@@ -209,20 +200,6 @@ func (g *Graph) MaxWeight() Weight {
 		}
 	}
 	return maxW
-}
-
-// IsBipartiteWith reports whether side (a 0/1 colouring of the vertices)
-// 2-colours the graph: every edge must cross sides.
-func (g *Graph) IsBipartiteWith(side []bool) bool {
-	if len(side) != g.n {
-		return false
-	}
-	for _, e := range g.edges {
-		if side[e.U] == side[e.V] {
-			return false
-		}
-	}
-	return true
 }
 
 // SortedEdges returns a copy of the edges sorted by descending weight,

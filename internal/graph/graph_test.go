@@ -65,9 +65,6 @@ func TestFromEdges(t *testing.T) {
 	if g.N() != 3 || g.M() != 2 {
 		t.Errorf("N=%d M=%d, want 3, 2", g.N(), g.M())
 	}
-	if g.TotalWeight() != 5 {
-		t.Errorf("TotalWeight = %d, want 5", g.TotalWeight())
-	}
 	if g.MaxWeight() != 3 {
 		t.Errorf("MaxWeight = %d, want 3", g.MaxWeight())
 	}
@@ -154,22 +151,6 @@ func TestSortedEdges(t *testing.T) {
 	}
 	if got := tied.SortedEdges(); !slices.Equal(got, want) {
 		t.Errorf("tied SortedEdges = %v, want %v", got, want)
-	}
-}
-
-func TestIsBipartiteWith(t *testing.T) {
-	g, err := FromEdges(4, []Edge{{U: 0, V: 2, W: 1}, {U: 1, V: 3, W: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsBipartiteWith([]bool{false, false, true, true}) {
-		t.Error("valid bipartition rejected")
-	}
-	if g.IsBipartiteWith([]bool{false, false, false, true}) {
-		t.Error("invalid bipartition accepted")
-	}
-	if g.IsBipartiteWith([]bool{false}) {
-		t.Error("short side slice accepted")
 	}
 }
 

@@ -44,9 +44,8 @@ type Layered struct {
 	// build among all builds on the same Scratch (BuildSeq).
 	seq uint64
 
-	// epoch is the index's round clock (RoundChainer.RoundEpoch) at build
-	// time, or 0 when the index does not implement the chaining interface.
-	// BuildDelta consults it to decide whether a baseline from an earlier
+	// epoch is the view's round clock (IncView.RoundEpoch) at build time,
+	// or 0 when the build read a BucketIndex. BuildDelta consults it to decide whether a baseline from an earlier
 	// round can still anchor a delta: a bucket unchanged since this epoch
 	// yields byte-identical kept segments across the bipartition redraw.
 	epoch uint64
@@ -117,11 +116,7 @@ type Scratch struct {
 	hasX    []uint32 // dense (t·n+v): stamped when the copy has an X edge
 	idMark  []uint32 // dense: stamped when a compact id is assigned
 	idAt    []int32  // dense: the compact id, valid when idMark is stamped
-	badMark []uint32 // dense: stamped when the copy is known removed
-	// badStamp versions badMark separately from the id tables: the survival
-	// memo is invalidated every build (τ boundary rules change per pair)
-	// while the id tables survive delta chains.
-	badStamp uint32
+	badMark []uint32 // dense: stamped when BuildIndexed finds the copy removed
 
 	// last is the Layered the latest build on this arena returned — the
 	// only valid BuildDelta baseline (the staleness check: any earlier
@@ -140,8 +135,8 @@ type Scratch struct {
 	// the arena back to the segments shared with the previous pair:
 	// layerIDEnd[t] / layerXEnd[t] / layerIXEnd[t] are the id / X-edge /
 	// interior-X counts after X layers 0..t-1, gapYEnd[t] / gapIDEnd[t] the
-	// Y-edge / id counts after Y gaps 0..t-1 (gapIDEnd[0] = lastXIDs, the
-	// id count when the X stage finished). Recording is opt-in
+	// Y-edge / id counts after Y gaps 0..t-1 (gapIDEnd[0] is the id count
+	// when the X stage finished). Recording is opt-in
 	// (EnableDeltaBaseline): the naive build pays none of the bookkeeping;
 	// marksValid tracks whether the watermarks describe the latest build,
 	// and a BuildDelta whose baseline lacks them rebuilds in full (reusing
@@ -153,7 +148,6 @@ type Scratch struct {
 	layerIXEnd []int32
 	gapYEnd    []int32
 	gapIDEnd   []int32
-	lastXIDs   int
 
 	// tauBuf double-buffers arena-owned copies of the τ units of the two
 	// most recent baseline-recording builds. A caller's TauPair routinely
@@ -228,23 +222,13 @@ func (s *Scratch) next(sz int) {
 		s.badMark = make([]uint32, sz)
 		s.idAt = make([]int32, sz)
 		s.stamp = 0
-		s.badStamp = 0
 	}
 	s.stamp++
 	if s.stamp == 0 { // wrapped: old stamps could collide, clear everything
 		clear(s.hasX)
 		clear(s.idMark)
-		s.stamp = 1
-	}
-	s.nextBad()
-}
-
-// nextBad advances the survival-memo stamp (every build, delta or not).
-func (s *Scratch) nextBad() {
-	s.badStamp++
-	if s.badStamp == 0 {
 		clear(s.badMark)
-		s.badStamp = 1
+		s.stamp = 1
 	}
 }
 
@@ -314,8 +298,8 @@ func BuildIndexed(ix Index, tau TauPair, s *Scratch) *Layered {
 		stored = s.ownTau(tau)
 	}
 	l := &Layered{Par: par, Tau: stored, W: w, Prm: prm, K: k, scratch: s}
-	if rc, ok := ix.(RoundChainer); ok {
-		l.epoch = rc.RoundEpoch()
+	if v, ok := ix.(*IncView); ok {
+		l.epoch = v.RoundEpoch()
 	}
 	s.buildSeq++
 	l.seq = s.buildSeq
@@ -358,8 +342,7 @@ func BuildIndexed(ix Index, tau TauPair, s *Scratch) *Layered {
 		}
 	}
 	if s.recMarks {
-		s.lastXIDs = len(s.vertOrig)
-		s.gapIDEnd[0] = int32(s.lastXIDs)
+		s.gapIDEnd[0] = int32(len(s.vertOrig))
 		s.gapYEnd[0] = 0
 	}
 
@@ -371,7 +354,7 @@ func BuildIndexed(ix Index, tau TauPair, s *Scratch) *Layered {
 		if s.hasX[d] == s.stamp {
 			return true
 		}
-		if s.badMark[d] == s.badStamp {
+		if s.badMark[d] == s.stamp {
 			return false
 		}
 		keep := false
@@ -388,7 +371,7 @@ func BuildIndexed(ix Index, tau TauPair, s *Scratch) *Layered {
 			// Intermediate layers: unmatched-in-X vertices are removed.
 		}
 		if !keep {
-			s.badMark[d] = s.badStamp
+			s.badMark[d] = s.stamp
 		}
 		return keep
 	}

@@ -25,54 +25,12 @@ var (
 	// Detach(); chaining deltas requires prev to be the latest build.
 	ErrDeltaStale = errors.New("layered: BuildDelta baseline is stale (a later build reused its scratch)")
 	// ErrDeltaMismatch: prev was built from a different class weight or
-	// discretisation than ix currently describes — or from a different
-	// parametrization without the index offering the RoundChainer evidence
-	// that would let per-bucket stability carry segments across the redraw —
-	// so equal τ units would not imply equal buckets.
+	// discretisation than the view currently describes, or from a different
+	// parametrization the view's change clock cannot vouch for, so equal τ
+	// units would not imply equal buckets; or the view is too fine for the
+	// grouped Y tables (IncView.YGroupsOK), BuildDelta's only Y stage.
 	ErrDeltaMismatch = errors.New("layered: BuildDelta baseline was built from a different index state")
 )
-
-// RoundChainer is the optional Index capability that lets BuildDelta chain
-// across a bipartition redraw (PR 7): the index keeps a monotonic round
-// clock (one tick per BeginRound) and, per bucket, the epoch of the last
-// change that could alter a built segment's bytes. A baseline built at
-// epoch E then still anchors a delta after any number of redraws — each
-// kept segment individually requires its bucket to be unchanged since E,
-// which makes the kept bytes (edges, compact ids, and side entries alike)
-// identical to what a from-scratch build would emit this round. Implemented
-// by IncView; indexes without it confine delta chains to a single round
-// (BuildDelta reports ErrDeltaMismatch when the parametrization changed).
-type RoundChainer interface {
-	// RoundEpoch returns the current round clock (0 before the first round).
-	RoundEpoch() uint64
-	// AStableSince reports that the class's unit-u τA bucket — membership,
-	// weights, and member orientation — is unchanged since the given epoch.
-	AStableSince(u int, epoch uint64) bool
-	// YStableSince reports that the class's unit-u τB bucket and the
-	// survival classification of every in-window endpoint are unchanged
-	// since the given epoch.
-	YStableSince(u int, epoch uint64) bool
-}
-
-// YGrouper is the optional Index capability BuildDelta exploits for the Y
-// stage: the unit-u unmatched crossing edges pre-partitioned by the survival
-// classification of their endpoints (the same per-(class, unit) crossing
-// tables the ProbeY survival probe reads), so one lookup returns exactly the
-// edges that survive between a layer of matched unit row and a next layer of
-// matched unit col — in bucket order, with the dead edges never touched.
-// Implemented by IncView; indexes without it (BucketIndex) make BuildDelta
-// fall back to the BuildIndexed-style filtered bucket scan.
-type YGrouper interface {
-	// YGroupsOK reports whether grouped lookup is available (the tables
-	// need maxU < FreeLBit, the same bound as the survival probe).
-	YGroupsOK() bool
-	// YGroup returns the unit-u unmatched crossing edges whose R endpoint
-	// carries a crossing matched edge of unit row (row 0: R free — only
-	// meaningful for the first layer's τA = 0 rule) and whose L endpoint
-	// carries one of unit col (col FreeLBit: L free — the last layer's
-	// rule), oriented U = R endpoint, V = L endpoint, in bucket order.
-	YGroup(u, row, col int) []graph.Edge
-}
 
 // DeltaInfo describes how a build relates to the build that preceded it on
 // the same arena — the changed-suffix descriptor the solver-side repair
@@ -111,25 +69,26 @@ type DeltaInfo struct {
 
 // BuildDelta constructs the layered graph of Definition 4.10 for tau by
 // patching the arena state left behind by prev — the immediately preceding
-// build on s for the same index state — instead of reconstructing every
+// build on s over the same class view — instead of reconstructing every
 // layer: the leading X layers whose τA units are unchanged keep their edge
 // segments and compact ids verbatim (the arena is truncated back to the
 // first changed layer, not rebuilt), and when the whole τA vector is
 // unchanged the leading Y gaps with unchanged τB units are kept too. The
 // rebuilt suffix reuses the arena's dense id tables without restamping, so
-// reused copies keep their exact compact ids; the result is bit-identical to
-// BuildIndexed(ix, tau, s) — same X/Y/InteriorX sequences, same ids — which
-// the differential suite (TestBuildDeltaMatchesBuildIndexed, FuzzBuildDelta)
-// asserts across every generator family.
+// reused copies keep their exact compact ids, and every rebuilt Y gap is one
+// grouped lookup (IncView.YGroup) that returns exactly its surviving edges.
+// The result is bit-identical to BuildIndexed(ix, tau, s) — same
+// X/Y/InteriorX sequences, same ids — which the differential suite
+// (TestBuildDeltaMatchesBuildIndexed, FuzzBuildDelta) asserts across every
+// generator family.
 //
 // The baseline may come from an earlier round — a different parametrization
-// of the same graph — when ix implements RoundChainer (PR 7): each kept
-// segment then additionally requires its bucket unchanged since the
-// baseline's build epoch, and unstable segments shrink the kept prefix
-// (possibly to nothing, a full in-place rebuild) rather than erroring, so
-// the chain survives the bipartition redraw without ever tripping the
-// fallback rungs on a healthy run. Without RoundChainer a cross-round
-// baseline is rejected with ErrDeltaMismatch, as before.
+// of the same graph (PR 7): each kept segment then additionally requires
+// its bucket unchanged since the baseline's build epoch (the view's change
+// clock, AStableSince/YStableSince), and unstable segments shrink the kept
+// prefix (possibly to nothing, a full in-place rebuild) rather than
+// erroring, so the chain survives the bipartition redraw without ever
+// tripping the fallback rungs on a healthy run.
 //
 // cutover is the chaining gate: when fewer than cutover segments (X layers
 // plus kept Y gaps) are reusable, the whole graph is rebuilt from scratch
@@ -137,10 +96,10 @@ type DeltaInfo struct {
 // whenever anything is reusable.
 //
 // reused counts the segments carried over unchanged (Stats.DeltaLayersReused).
-// A non-nil error means prev is not a valid baseline (see the ErrDelta*
-// conditions); the arena is left untouched and the caller should build via
-// BuildIndexed instead.
-func BuildDelta(ix Index, prev *Layered, tau TauPair, s *Scratch, cutover int) (l *Layered, reused int, err error) {
+// A non-nil error means prev is not a valid baseline, or the view is past
+// YGroupsOK (see the ErrDelta* conditions); the arena is left untouched and
+// the caller should build via BuildIndexed instead.
+func BuildDelta(ix *IncView, prev *Layered, tau TauPair, s *Scratch, cutover int) (l *Layered, reused int, err error) {
 	if prev == nil || s == nil {
 		return nil, 0, ErrDeltaNoBase
 	}
@@ -159,20 +118,18 @@ func BuildDelta(ix Index, prev *Layered, tau TauPair, s *Scratch, cutover int) (
 		return nil, 0, ErrDeltaStale
 	}
 	par, w, prm := ix.Parametrization(), ix.ClassWeight(), ix.Config()
-	if prev.W != w || prev.Prm != prm {
+	if prev.W != w || prev.Prm != prm || !ix.YGroupsOK() {
 		return nil, 0, ErrDeltaMismatch
 	}
-	// chain is non-nil on the cross-round path: the baseline was built from
-	// an earlier round's parametrization, and the index's change clock must
+	// cross marks the cross-round path: the baseline was built from an
+	// earlier round's parametrization, and the view's change clock must
 	// vouch for every kept segment individually. Note the asymmetry with the
 	// same-round path: an unstable bucket is not an error — the segment is
 	// simply not kept (px/q stop growing, down to a full in-place rebuild),
 	// so a healthy run never touches the fallback rungs.
-	var chain RoundChainer
-	if prev.Par != par {
-		rc, ok := ix.(RoundChainer)
-		if !ok || prev.epoch == 0 || prev.Par == nil || prev.Par.N != par.N ||
-			rc.RoundEpoch() < prev.epoch {
+	cross := prev.Par != par
+	if cross {
+		if prev.epoch == 0 || prev.Par == nil || prev.Par.N != par.N || ix.RoundEpoch() < prev.epoch {
 			return nil, 0, ErrDeltaMismatch
 		}
 		// Hazard site (chaos testing): sever the cross-round chain link —
@@ -182,7 +139,6 @@ func BuildDelta(ix Index, prev *Layered, tau TauPair, s *Scratch, cutover int) (
 		if faultinject.Fire(faultinject.ChainLink) {
 			return nil, 0, ErrDeltaStale
 		}
-		chain = rc
 	}
 
 	k, kp := tau.K(), prev.K
@@ -202,7 +158,7 @@ func BuildDelta(ix Index, prev *Layered, tau TauPair, s *Scratch, cutover int) (
 	if s.marksValid { // a baseline built without watermarks offers no prefix
 		stableX := func(t int) bool {
 			u := tau.AUnits[t]
-			return chain == nil || u == 0 || chain.AStableSince(u, prev.epoch)
+			return !cross || u == 0 || ix.AStableSince(u, prev.epoch)
 		}
 		maxP := min(k, kp)
 		for px < maxP && prev.Tau.AUnits[px] == tau.AUnits[px] && stableX(px) {
@@ -211,7 +167,7 @@ func BuildDelta(ix Index, prev *Layered, tau TauPair, s *Scratch, cutover int) (
 		if k == kp && px == k && prev.Tau.AUnits[k] == tau.AUnits[k] && stableX(k) {
 			px = k + 1
 			for q < k && prev.Tau.BUnits[q] == tau.BUnits[q] &&
-				(chain == nil || chain.YStableSince(tau.BUnits[q], prev.epoch)) {
+				(!cross || ix.YStableSince(tau.BUnits[q], prev.epoch)) {
 				q++
 			}
 		}
@@ -221,7 +177,6 @@ func BuildDelta(ix Index, prev *Layered, tau TauPair, s *Scratch, cutover int) (
 	}
 	reused = px + q
 
-	s.nextBad()
 	s.recMarks = true // chaining implies the next baseline needs marks too
 	s.layerIDEnd = ensureLen32(s.layerIDEnd, k+2)
 	s.layerXEnd = ensureLen32(s.layerXEnd, k+2)
@@ -229,37 +184,26 @@ func BuildDelta(ix Index, prev *Layered, tau TauPair, s *Scratch, cutover int) (
 	s.gapYEnd = ensureLen32(s.gapYEnd, k+1)
 	s.gapIDEnd = ensureLen32(s.gapIDEnd, k+1)
 
-	l = &Layered{Par: par, Tau: s.ownTau(tau), W: w, Prm: prm, K: k, scratch: s}
-	if rc, ok := ix.(RoundChainer); ok {
-		l.epoch = rc.RoundEpoch()
-	}
+	l = &Layered{Par: par, Tau: s.ownTau(tau), W: w, Prm: prm, K: k, scratch: s, epoch: ix.RoundEpoch()}
 	baseSeq := prev.seq
 	s.buildSeq++
 	l.seq = s.buildSeq
 	s.last = l
 
-	// lookup returns the compact id of the copy of v in layer t when the
-	// arena's current arrays record one, or −1. Entries are validated
-	// against the arrays rather than a fresh stamp: truncation discards
-	// suffix ids, so a stale table entry either points past the live arrays
-	// or at an id the rebuild reassigned to a different copy.
-	lookup := func(t, v int) int32 {
-		d := t*n + v
-		if s.idMark[d] != s.stamp {
-			return -1
-		}
-		id := s.idAt[d]
-		if int(id) >= len(s.vertOrig) || s.vertLayer[id] != int32(t) || s.vertOrig[id] != int32(v) {
-			return -1
-		}
-		return id
-	}
+	// assign returns the compact id of the copy of v in layer t, creating it
+	// unless the arena's current arrays already record one. Entries are
+	// validated against the arrays rather than a fresh stamp: truncation
+	// discards suffix ids, so a stale table entry either points past the
+	// live arrays or at an id the rebuild reassigned to a different copy.
 	assign := func(t, v int) int32 {
-		if id := lookup(t, v); id >= 0 {
-			return id
+		d := t*n + v
+		if s.idMark[d] == s.stamp {
+			id := s.idAt[d]
+			if int(id) < len(s.vertOrig) && s.vertLayer[id] == int32(t) && s.vertOrig[id] == int32(v) {
+				return id
+			}
 		}
 		id := int32(len(s.vertOrig))
-		d := t*n + v
 		s.idMark[d] = s.stamp
 		s.idAt[d] = id
 		s.vertOrig = append(s.vertOrig, int32(v))
@@ -300,71 +244,29 @@ func BuildDelta(ix Index, prev *Layered, tau TauPair, s *Scratch, cutover int) (
 			s.layerXEnd[t+1] = int32(len(s.x))
 			s.layerIXEnd[t+1] = int32(len(s.ix))
 		}
-		s.lastXIDs = len(s.vertOrig)
-		s.gapIDEnd[0] = int32(s.lastXIDs)
+		s.gapIDEnd[0] = int32(len(s.vertOrig))
 		s.gapYEnd[0] = 0
 	}
-	xIDs := s.lastXIDs
 
-	// survives mirrors BuildIndexed's vertex filter; "has an X edge" is
-	// "was assigned an id during the X stage" (ids below the stage-1a
-	// watermark), which holds for kept and rebuilt layers alike.
-	survives := func(t, v int) bool {
-		if id := lookup(t, v); id >= 0 && int(id) < xIDs {
-			return true
-		}
-		d := t*n + v
-		if s.badMark[d] == s.badStamp {
-			return false
-		}
-		keep := false
-		switch t {
-		case 0:
-			keep = par.Side[v] && !par.M.IsMatched(v) && tau.AUnits[0] == 0
-		case k:
-			keep = !par.Side[v] && !par.M.IsMatched(v) && tau.AUnits[k] == 0
-		}
-		if !keep {
-			s.badMark[d] = s.badStamp
-		}
-		return keep
-	}
-
-	yg, grouped := ix.(YGrouper)
-	grouped = grouped && yg.YGroupsOK()
-
+	// Y stage: one grouped lookup per rebuilt gap replaces the filtered
+	// bucket scan — the group holds exactly the survivors, in bucket order.
 	for t := q; t < k; t++ {
-		if grouped {
-			// One classified-group lookup replaces the filtered bucket
-			// scan: the group holds exactly the survivors, in bucket order.
-			row, col := -1, -1
-			switch {
-			case tau.AUnits[t] > 0:
-				row = tau.AUnits[t]
-			case t == 0:
-				row = 0 // free R endpoints, the first-layer τA = 0 rule
-			}
-			switch {
-			case tau.AUnits[t+1] > 0:
-				col = tau.AUnits[t+1]
-			case t+1 == k:
-				col = FreeLBit // free L endpoints, the last-layer rule
-			}
-			if row >= 0 && col >= 0 {
-				for _, e := range yg.YGroup(tau.BUnits[t], row, col) {
-					s.y = append(s.y, graph.Edge{U: int(assign(t, e.U)), V: int(assign(t+1, e.V)), W: e.W})
-				}
-			}
-		} else {
-			for _, e := range ix.B(tau.BUnits[t]) {
-				r, lv := e.U, e.V
-				if !par.Side[r] {
-					r, lv = lv, r
-				}
-				if !survives(t, r) || !survives(t+1, lv) {
-					continue
-				}
-				s.y = append(s.y, graph.Edge{U: int(assign(t, r)), V: int(assign(t+1, lv)), W: e.W})
+		row, col := -1, -1
+		switch {
+		case tau.AUnits[t] > 0:
+			row = tau.AUnits[t]
+		case t == 0:
+			row = 0 // free R endpoints, the first-layer τA = 0 rule
+		}
+		switch {
+		case tau.AUnits[t+1] > 0:
+			col = tau.AUnits[t+1]
+		case t+1 == k:
+			col = FreeLBit // free L endpoints, the last-layer rule
+		}
+		if row >= 0 && col >= 0 {
+			for _, e := range ix.YGroup(tau.BUnits[t], row, col) {
+				s.y = append(s.y, graph.Edge{U: int(assign(t, e.U)), V: int(assign(t+1, e.V)), W: e.W})
 			}
 		}
 		s.gapYEnd[t+1] = int32(len(s.y))

@@ -37,7 +37,7 @@ func assertSameLayered(t testing.TB, label string, got, want *Layered) {
 // and asserts every build equals a from-scratch BuildIndexed over the same
 // index. Returns the total segments reused, so callers can assert the chain
 // actually chained.
-func deltaChainCheck(t testing.TB, ix Index, pairs []TauPair, s *Scratch, cutover int) int {
+func deltaChainCheck(t testing.TB, ix *IncView, pairs []TauPair, s *Scratch, cutover int) int {
 	t.Helper()
 	reused, _, _ := deltaChainFrom(t, ix, pairs, s, cutover, nil, nil)
 	return reused
@@ -49,7 +49,7 @@ func deltaChainCheck(t testing.TB, ix Index, pairs []TauPair, s *Scratch, cutove
 // call exercises the cross-round link of BuildDelta. It returns the chain's
 // new tail alongside the reuse total so callers can thread it into the next
 // round.
-func deltaChainFrom(t testing.TB, ix Index, pairs []TauPair, s *Scratch, cutover int,
+func deltaChainFrom(t testing.TB, ix *IncView, pairs []TauPair, s *Scratch, cutover int,
 	prev, prevSnap *Layered) (int, *Layered, *Layered) {
 	t.Helper()
 	s.EnableDeltaBaseline()
@@ -145,8 +145,7 @@ func assertDeltaInfo(t testing.TB, pi int, got, base *Layered, baseSeq uint64) {
 
 // TestBuildDeltaMatchesBuildIndexed is the unit-level differential: over
 // random instances, evolving matchings, and fresh bipartitions, every
-// delta-chained build — through the grouped IncView path and the filtered
-// BucketIndex fallback alike, at several cutover thresholds — must be
+// delta-chained build, at several cutover thresholds, must be
 // byte-identical to a from-scratch BuildIndexed of the same pair.
 func TestBuildDeltaMatchesBuildIndexed(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -159,7 +158,7 @@ func TestBuildDeltaMatchesBuildIndexed(t *testing.T) {
 		ws := testClassWeights(edges, prm)
 		inc := NewIncIndex(n, edges, ws, prm)
 		m := graph.NewMatching(n)
-		sInc, sRef := NewScratch(), NewScratch()
+		sInc := NewScratch()
 		enum := NewPairScratch()
 		cutover := []int{0, 1, 2, 5, 100}[trial%5]
 
@@ -169,7 +168,7 @@ func TestBuildDeltaMatchesBuildIndexed(t *testing.T) {
 			}
 			par := Parametrize(n, edges, m, rng)
 			inc.BeginRound(par)
-			for c, w := range ws {
+			for c := range ws {
 				if c%3 != round%3 { // subsample classes per round for speed
 					continue
 				}
@@ -186,11 +185,7 @@ func TestBuildDeltaMatchesBuildIndexed(t *testing.T) {
 				if len(pairs) < 2 {
 					continue
 				}
-				// Grouped path over the incremental view.
 				reusedTotal += deltaChainCheck(t, v, pairs, sInc, cutover)
-				// Filtered-scan fallback over a naive BucketIndex.
-				ref := NewBucketIndex(par, w, prm)
-				deltaChainCheck(t, ref, pairs, sRef, cutover)
 			}
 		}
 	}
@@ -203,14 +198,20 @@ func TestBuildDeltaMatchesBuildIndexed(t *testing.T) {
 // hazard: a baseline that is stale (a later build reused its scratch),
 // detached, foreign to the scratch, missing, or built from a different index
 // state must be refused with the matching sentinel error — never silently
-// diffed against overwritten storage — and the arena must remain usable.
+// diffed against overwritten storage — and the arena must remain usable. A
+// view too fine for the grouped Y tables is refused the same way.
 func TestBuildDeltaScratchHazards(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inst := graph.PlantedMatching(24, 96, 50, 120, rng)
 	edges := inst.G.Edges()
 	prm := Params{}.WithDefaults()
 	par := Parametrize(24, edges, inst.Opt, rng)
-	ix := NewBucketIndex(par, 128, prm)
+	ws := testClassWeights(edges, prm)
+	inc := NewIncIndex(24, edges, ws, prm)
+	if err := inc.BeginRound(par); err != nil {
+		t.Fatal(err)
+	}
+	ix := inc.View(len(ws) / 2)
 	pairs := EnumerateGoodPairs(prm)
 	if len(pairs) < 3 {
 		t.Fatal("need at least 3 good pairs")
@@ -229,7 +230,7 @@ func TestBuildDeltaScratchHazards(t *testing.T) {
 	if _, _, err := BuildDelta(ix, lay1, pairs[2], NewScratch(), 1); !errors.Is(err, ErrDeltaScratch) {
 		t.Fatalf("foreign scratch: got %v, want ErrDeltaScratch", err)
 	}
-	ix2 := NewBucketIndex(par, 64, prm)
+	ix2 := inc.View(len(ws)/2 + 1) // another class weight
 	if _, _, err := BuildDelta(ix2, lay1, pairs[2], s, 1); !errors.Is(err, ErrDeltaMismatch) {
 		t.Fatalf("index mismatch: got %v, want ErrDeltaMismatch", err)
 	}
@@ -247,6 +248,28 @@ func TestBuildDeltaScratchHazards(t *testing.T) {
 		t.Fatalf("post-error delta: %v", err)
 	}
 	assertSameLayered(t, "post-error delta", next, BuildIndexed(ix, pairs[1], nil))
+
+	// Granularity 1/64 is past the grouped Y tables (maxU ≥ FreeLBit): a
+	// live, same-view baseline is still refused, since BuildDelta has no
+	// other Y stage.
+	fine := Params{Granularity: 1.0 / 64}.WithDefaults()
+	fws := testClassWeights(edges, fine)
+	finc := NewIncIndex(24, edges, fws, fine)
+	if err := finc.BeginRound(par); err != nil {
+		t.Fatal(err)
+	}
+	fv := finc.View(len(fws) / 2)
+	if fv.YGroupsOK() {
+		t.Fatal("grouped Y tables available at granularity 1/64")
+	}
+	fpairs := EnumerateGoodPairsLimited(fine,
+		func(int) bool { return true }, func(int) bool { return true }, 2)
+	fs := NewScratch()
+	fs.EnableDeltaBaseline()
+	base := BuildIndexed(fv, fpairs[0], fs)
+	if _, _, err := BuildDelta(fv, base, fpairs[1], fs, 1); !errors.Is(err, ErrDeltaMismatch) {
+		t.Fatalf("view past YGroupsOK: got %v, want ErrDeltaMismatch", err)
+	}
 }
 
 // naiveClassDirty recomputes the dirty-class predicate from a from-scratch
@@ -325,13 +348,11 @@ func TestDirtyClassGate(t *testing.T) {
 
 // FuzzBuildDelta mutates the matched windows (matching toggles with weight
 // perturbation), the τ-masks (fresh bipartitions per round), and the delta
-// cutover threshold, and holds every delta-chained build — grouped and
-// fallback paths — byte-identical to the from-scratch BuildIndexed of the
-// same pair over both index implementations. The grouped path's chains are
-// carried ACROSS rounds (per-class scratch and tail, as core does under
-// cross-round chaining), so a revisited class's first build exercises the
-// crossing-status diff at the round link; the fallback path restarts
-// round-locally, as a non-RoundChainer index must.
+// cutover threshold, and holds every delta-chained build byte-identical to
+// the from-scratch BuildIndexed of the same pair. The chains are carried
+// ACROSS rounds (per-class scratch and tail, as core does under cross-round
+// chaining), so a revisited class's first build exercises the
+// crossing-status diff at the round link.
 func FuzzBuildDelta(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(1), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(int64(2), uint8(1), uint8(0), []byte{0xff, 0x80, 0x10, 9, 9, 9})
@@ -354,7 +375,6 @@ func FuzzBuildDelta(f *testing.F) {
 		ws := testClassWeights(edges, prm)
 		inc := NewIncIndex(n, edges, ws, prm)
 		m := graph.NewMatching(n)
-		sRef := NewScratch()
 		sIncs := make([]*Scratch, len(ws))
 		tails := make([]*Layered, len(ws))
 		tailSnaps := make([]*Layered, len(ws))
@@ -374,7 +394,7 @@ func FuzzBuildDelta(f *testing.F) {
 			if err := inc.BeginRound(par); err != nil {
 				t.Fatal(err)
 			}
-			for c, w := range ws {
+			for c := range ws {
 				if c%3 != r%3 { // subsample classes per round for speed
 					continue
 				}
@@ -397,7 +417,6 @@ func FuzzBuildDelta(f *testing.F) {
 				_, tail, snap := deltaChainFrom(t, v, pairs, sIncs[c], cutover,
 					tails[c], tailSnaps[c])
 				tails[c], tailSnaps[c] = tail, snap
-				deltaChainCheck(t, NewBucketIndex(par, w, prm), pairs, sRef, cutover)
 			}
 		}
 	})

@@ -115,8 +115,8 @@ func TestBuildDeltaCrossRound(t *testing.T) {
 }
 
 // TestBuildDeltaCrossRoundGuards pins the link's refusal conditions: a
-// baseline from an index that cannot vouch for cross-round stability (plain
-// BucketIndex — no RoundChainer), and a baseline whose round epoch is ahead
+// baseline that carries no round epoch (built over a plain BucketIndex,
+// which keeps no change clock), and a baseline whose round epoch is ahead
 // of the index's (a chain tail smuggled in from a longer-lived index), must
 // both be refused with ErrDeltaMismatch rather than diffed across the redraw.
 func TestBuildDeltaCrossRoundGuards(t *testing.T) {
@@ -138,21 +138,9 @@ func TestBuildDeltaCrossRoundGuards(t *testing.T) {
 	side2 := crossRoundSides(side, 1, rng) // same sides, distinct Parametrized
 	par2 := ParametrizeWithSide(n, edges, inst.Opt, side2)
 
-	// BucketIndex baseline: same class weight and params, but the index
-	// cannot prove any bucket stable across the redraw.
+	// BucketIndex baseline: same class weight and params, but it carries
+	// no epoch, so nothing proves any bucket stable across the redraw.
 	c := len(ws) / 2
-	s := NewScratch()
-	s.EnableDeltaBaseline()
-	ref1 := NewBucketIndex(par1, ws[c], prm)
-	tail := BuildIndexed(ref1, pairs[0], s)
-	ref2 := NewBucketIndex(par2, ws[c], prm)
-	if _, _, err := BuildDelta(ref2, tail, pairs[1], s, 1); !errors.Is(err, ErrDeltaMismatch) {
-		t.Fatalf("non-RoundChainer cross-round baseline: got %v, want ErrDeltaMismatch", err)
-	}
-
-	// Epoch regression: a tail built at epoch 2 of one IncIndex offered to a
-	// fresh IncIndex sitting at epoch 1. The arena would accept the diff; the
-	// epoch check must not.
 	incA := NewIncIndex(n, edges, ws, prm)
 	if err := incA.BeginRound(par1); err != nil {
 		t.Fatal(err)
@@ -160,6 +148,16 @@ func TestBuildDeltaCrossRoundGuards(t *testing.T) {
 	if err := incA.BeginRound(par2); err != nil {
 		t.Fatal(err)
 	}
+	s := NewScratch()
+	s.EnableDeltaBaseline()
+	tail := BuildIndexed(NewBucketIndex(par1, ws[c], prm), pairs[0], s)
+	if _, _, err := BuildDelta(incA.View(c), tail, pairs[1], s, 1); !errors.Is(err, ErrDeltaMismatch) {
+		t.Fatalf("epoch-less cross-round baseline: got %v, want ErrDeltaMismatch", err)
+	}
+
+	// Epoch regression: a tail built at epoch 2 of one IncIndex offered to a
+	// fresh IncIndex sitting at epoch 1. The arena would accept the diff; the
+	// epoch check must not.
 	sA := NewScratch()
 	sA.EnableDeltaBaseline()
 	tailA := BuildIndexed(incA.View(c), pairs[0], sA)

@@ -141,7 +141,7 @@ type IncIndex struct {
 	crossB   []int32 // crossing unmatched live edge indices, one round pass
 	cntStamp []uint32
 
-	// Grouped Y tables (YGrouper): per (class, τB unit), the bucket's
+	// Grouped Y tables (IncView.YGroup): per (class, τB unit), the bucket's
 	// crossing edges partitioned by the survival classification of their
 	// endpoints, lazily materialised per round like the probe rows — except
 	// that a partition whose inputs are unchanged since it was last built
@@ -1057,14 +1057,14 @@ func (x *IncIndex) yEffEpoch(c, u int) uint64 {
 }
 
 // RoundEpoch returns the index's BeginRound count — the round clock the
-// cross-round delta chain keys on (RoundChainer interface). Zero means
-// BeginRound has never run.
+// cross-round delta chain keys on (a build records it, and BuildDelta
+// compares it with the view's). Zero means BeginRound has never run.
 func (v *IncView) RoundEpoch() uint64 { return v.ix.epoch }
 
 // AStableSince reports whether this class's unit-u τA bucket — membership,
 // entry weights, and member orientation — is unchanged since the given
-// epoch (RoundChainer interface): a kept X layer of a build from that epoch
-// is byte-identical to what a fresh build would emit now, side entries
+// epoch: a kept X layer of a cross-round BuildDelta from that epoch is
+// byte-identical to what a fresh build would emit now, side entries
 // included.
 func (v *IncView) AStableSince(u int, epoch uint64) bool {
 	if u < 1 || u > v.ix.maxU {
@@ -1075,8 +1075,8 @@ func (v *IncView) AStableSince(u int, epoch uint64) bool {
 
 // YStableSince reports whether this class's unit-u grouped Y partition
 // inputs — τB bucket membership and orientation plus every in-window
-// endpoint's survival classification — are unchanged since the given epoch
-// (RoundChainer interface).
+// endpoint's survival classification — are unchanged since the given epoch:
+// a kept Y gap of a cross-round BuildDelta from that epoch is byte-identical.
 func (v *IncView) YStableSince(u int, epoch uint64) bool {
 	if u < 2 || u > v.ix.maxU {
 		return false
@@ -1179,15 +1179,15 @@ func (x *IncIndex) rowsFromSpans(c, u int, tab *ygTab) {
 	}
 }
 
-// YGroupsOK reports whether the grouped Y lookup is available (YGrouper
-// interface); the classification shares the survival probe's unit-bit
-// bound, so it degrades exactly when ProbeY does.
+// YGroupsOK reports whether the grouped Y lookup is available; the
+// classification shares the survival probe's unit-bit bound, so it fails
+// exactly where Oracle does, and BuildDelta refuses such a view.
 func (v *IncView) YGroupsOK() bool { return v.ix.maxU < freeLBit }
 
 // YGroup returns the unit-u unmatched crossing edges surviving between a
 // layer of matched unit row and a successor layer of matched unit col
-// (YGrouper interface; row 0 = free R, col FreeLBit = free L), oriented
-// U = R endpoint, V = L endpoint, in bucket order.
+// (row 0 = free R, col FreeLBit = free L; callers gate on YGroupsOK),
+// oriented U = R endpoint, V = L endpoint, in bucket order.
 func (v *IncView) YGroup(u, row, col int) []graph.Edge {
 	if u < 2 || u > v.ix.maxU || row < 0 || row > 0xff || col < 0 || col > 0xff {
 		return nil

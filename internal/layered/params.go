@@ -20,17 +20,21 @@
 // redraw, an augmentation, or a graph edit touched — edits arrive through
 // the BeginEdits/Note*/EndEdits protocol and charge the same per-(class,
 // unit) change clocks a redraw stamps, so downstream consumers need no new
-// invariants. BuildDelta patches a previous Layered build into the next
-// pair's (bit-identical to BuildIndexed by construction); its DeltaInfo
-// names the baseline build and the byte-shared suffix of the L' edge list,
-// which is exactly what bipartite.RepairHK needs to patch the matching
-// solve on top. A baseline that cannot be proven fresh is rejected with
-// one of the five ErrDelta* sentinels (NoBase, Detached, Scratch, Stale,
-// Mismatch) and the caller rebuilds from scratch — the build rung of
-// core's degradation ladder. The RoundChainer interface is the freshness
-// oracle for baselines that survived a redraw: the index reports its epoch
-// and per-(class, unit) stability spans, letting BuildDelta keep exactly
-// the segments whose buckets provably did not change.
+// invariants. BuildDelta patches a previous Layered build over the same
+// IncView into the next pair's (bit-identical to BuildIndexed by
+// construction), reading every rebuilt Y gap from the view's grouped Y
+// tables; its DeltaInfo names the baseline build and the byte-shared
+// prefix of the L' edge list, which is exactly what bipartite.RepairHK
+// needs to patch the matching solve on top. A baseline that cannot be
+// proven fresh, or a view too fine for the grouped tables (granularity
+// finer than 1/62), is rejected with one of the five ErrDelta* sentinels
+// (NoBase, Detached, Scratch, Stale, Mismatch) and the caller builds from
+// scratch — the build rung of core's degradation ladder. The view's round
+// epoch and per-(class, unit) change clocks (RoundEpoch, AStableSince,
+// YStableSince) are the freshness oracle for baselines that survived a
+// redraw, letting BuildDelta keep exactly the segments whose buckets
+// provably did not change. BucketIndex, the per-round rebuild, serves the
+// naive path and the cold rungs through BuildIndexed alone.
 package layered
 
 // Params collects the discretisation parameters of the layered-graph

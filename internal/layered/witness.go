@@ -12,8 +12,10 @@ import (
 // short weighted augmentation (an alternating path, or a cycle presented as
 // its blown-up walk, Section 1.1.2), produce the bipartition, the good
 // (τA, τB) pair, and verify that the resulting layered graph contains the
-// walk. Tests and the E8 experiment use it to check that every structured
-// augmentation is capturable, which is the coverage half of Theorem 4.8.
+// walk. The package tests use it to check that every structured
+// augmentation is capturable, which is the coverage half of Theorem 4.8
+// (Invariant 8). The E8 experiment measures capture end to end instead,
+// through core.FindClassAugmentations.
 
 // Witness is a constructed Lemma 4.12 certificate.
 type Witness struct {

@@ -2,6 +2,7 @@ package solvertest
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -356,6 +357,35 @@ func TestAmortizeFineGranularityFallback(t *testing.T) {
 		19, 2)
 	if sA.ProbeSkips != 0 || sA.CacheHits != 0 {
 		t.Errorf("fine granularity still ran the amortised pipeline: %+v", sA)
+	}
+}
+
+// TestAmortizeChainBoundary pins where the delta chain runs. At
+// granularity 1/62 the class views' bit tables exist (maxU < FreeLBit), so
+// an amortised Solve delta-chains its builds. At 1/63 and 1/64 they do
+// not: every pair builds from scratch, with no delta build and no fallback
+// rung taken, because the sweep never offers BuildDelta a view it would
+// refuse. At all three the matching equals the naive path's every round.
+func TestAmortizeChainBoundary(t *testing.T) {
+	inst := graph.BandedWeights(16, 64, 100, rand.New(rand.NewSource(5)))
+	w := Workload{Name: "banded", G: inst.G}
+	for _, c := range []struct {
+		units  float64
+		chains bool
+	}{{62, true}, {63, false}, {64, false}} {
+		prm := layered.Params{Granularity: 1 / c.units}
+		_, sA := AssertBitIdentical(t, w,
+			core.Options{Layered: prm, MaxPairsPerClass: 30},
+			core.Options{Layered: prm, MaxPairsPerClass: 30, Amortize: true},
+			21, 3)
+		if c.chains != (sA.DeltaBuilds > 0) {
+			t.Errorf("granularity 1/%v: %d delta builds, want chaining %v", c.units, sA.DeltaBuilds, c.chains)
+		}
+		for _, f := range sA.Fields() {
+			if strings.HasPrefix(f.Name, "fallback-") && f.Value != 0 {
+				t.Errorf("granularity 1/%v: %s = %d, want 0", c.units, f.Name, f.Value)
+			}
+		}
 	}
 }
 

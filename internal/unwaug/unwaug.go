@@ -25,7 +25,6 @@ type Finder struct {
 	// 2 each), so |S| <= 4|M| and total space is O(|M|) + O(active free
 	// vertices), as in the lemma.
 	support map[int][]graph.Edge
-	fed     int
 	acct    *stream.Accountant
 }
 
@@ -68,7 +67,6 @@ func (f *Finder) Reset(m *graph.Matching, beta float64) {
 	} else {
 		clear(f.support)
 	}
-	f.fed = 0
 	f.acct = nil
 }
 
@@ -84,7 +82,6 @@ func (f *Finder) Matching() *graph.Matching { return f.m }
 // vertices are ignored; an unmatched–matched edge (u, v) joins the support
 // set when deg_S(u) < lambda and deg_S(v) < 2.
 func (f *Finder) Feed(e graph.Edge) {
-	f.fed++
 	um, vm := f.m.IsMatched(e.U), f.m.IsMatched(e.V)
 	if um == vm {
 		return
@@ -112,9 +109,6 @@ func (f *Finder) SupportSize() int {
 	}
 	return total
 }
-
-// FedEdges returns how many edges have been offered.
-func (f *Finder) FedEdges() int { return f.fed }
 
 // Finalize greedily extracts vertex-disjoint 3-augmenting paths a–u–v–b from
 // S ∪ M: (u,v) in M, a–u and v–b in S, a ≠ b, all four vertices unused by

@@ -167,21 +167,18 @@ type ApproxOptions struct {
 	Delta float64
 	// MaxRounds and Patience bound the improvement loop.
 	MaxRounds, Patience int
-	// Amortize routes the run through the cross-round amortised pipeline
-	// (incremental viability index, probe-guided pair enumeration,
-	// cross-class solve cache, delta-chained builds, Hopcroft–Karp repair)
-	// — bit-identical results, see core.Options.Amortize.
-	Amortize bool
 	// Workers bounds the per-class worker pool of ApproxWeighted and
 	// ApproxWeightedSnapshot (see core.Options.Workers). The model drivers
 	// ignore it: each installs one stateful subroutine and runs the class
 	// sweep sequentially.
 	Workers int
-	// CacheGate tunes the cross-class cache's hit-rate gate; it is
-	// bit-identity-preserving at any setting (see core.Options.CacheGate).
-	CacheGate int
 }
 
+// coreOptions maps the facade options onto the reduction's. Every driver
+// runs the cross-round amortised pipeline (incremental viability index,
+// probe-guided pair enumeration, cross-class solve cache, delta-chained
+// builds, Hopcroft–Karp repair), which returns the naive path's matching
+// bit for bit (see core.Options.Amortize).
 func (o ApproxOptions) coreOptions() core.Options {
 	return core.Options{
 		Layered: layered.Params{
@@ -191,9 +188,8 @@ func (o ApproxOptions) coreOptions() core.Options {
 		Rng:       rand.New(rand.NewSource(o.Seed)),
 		MaxRounds: o.MaxRounds,
 		Patience:  o.Patience,
-		Amortize:  o.Amortize,
+		Amortize:  true,
 		Workers:   o.Workers,
-		CacheGate: o.CacheGate,
 	}
 }
 
