@@ -77,19 +77,6 @@ func TestSolveMPCQualityAndRounds(t *testing.T) {
 	}
 }
 
-func TestSolveMPCRespectsTinyMemory(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	inst := graph.PlantedMatching(40, 400, 100, 200, rng)
-	_, err := SolveMPC(inst.G, nil, MPCOptions{
-		Core:          Options{Rng: rng, MaxRounds: 3},
-		MemPerMachine: 3, // absurd: must trip the accountant
-		Machines:      2,
-	})
-	if err == nil {
-		t.Error("tiny per-machine memory accepted")
-	}
-}
-
 func TestDriversMatchOfflineQuality(t *testing.T) {
 	// The model drivers use approximate subroutines; their output should
 	// land near the offline exact-subroutine reduction on the same

@@ -98,6 +98,34 @@ func TestPersistentPanicSurfacesAsError(t *testing.T) {
 	}
 }
 
+// TestSolveReturnsSolverError: a plain error from an installed solver is no
+// state fault, so the ladder does not absorb it — no class re-runs cold, the
+// solver sees each failing instance once — and Solve returns it unchanged.
+// This is how an MPC subroutine over its per-machine memory surfaces (the
+// simulator's check itself is bipartite.TestMPCMemoryEnforced).
+func TestSolveReturnsSolverError(t *testing.T) {
+	g := fallbackTestInstance()
+	errRefused := errors.New("solver refused the instance")
+	for _, amortize := range []bool{false, true} {
+		calls := 0
+		res, err := Solve(g, nil, Options{Amortize: amortize, MaxRounds: 3, Rng: rand.New(rand.NewSource(3)),
+			PhasedSolverFactory: func() PhasedSolver {
+				return func(*bipartite.Bip) (*graph.Matching, int, error) {
+					calls++
+					return nil, 0, errRefused
+				}
+			}})
+		if !errors.Is(err, errRefused) {
+			t.Fatalf("amortize=%v: err = %v, want the solver's error", amortize, err)
+		}
+		st := res.Stats
+		if calls == 0 || calls != st.SolverCalls || st.FallbackClasses != 0 || st.Rounds != 0 {
+			t.Errorf("amortize=%v: %d solver calls, SolverCalls %d, FallbackClasses %d, Rounds %d; want one call per counted solve, no fallback, no finished round",
+				amortize, calls, st.SolverCalls, st.FallbackClasses, st.Rounds)
+		}
+	}
+}
+
 // TestBeginRoundPanicResets covers the reset rung: a transient panic in the
 // amortised round setup rebuilds the context (bit-identically, by the
 // rebuild-twin equivalence); a persistent one disables amortisation. Both

@@ -18,12 +18,6 @@ type MPCOptions struct {
 	// Delta is the (1−δ) target handed to the unweighted MPC subroutine.
 	// Default 0.2.
 	Delta float64
-	// Machines per subroutine instance; 0 means the paper's O(m/n) of the
-	// instance's layered graph.
-	Machines int
-	// MemPerMachine in words; 0 derives a near-linear default from the
-	// instance size.
-	MemPerMachine int
 }
 
 // MPCResult reports the matching with the round accounting of the MPC model.
@@ -60,16 +54,11 @@ func SolveMPC(g *graph.Graph, initial *graph.Matching, opts MPCOptions) (MPCResu
 	}
 
 	solver := func(b *bipartite.Bip) (*graph.Matching, int, error) {
-		machines := opts.Machines
-		if machines <= 0 {
-			machines = mpc.MachinesFor(len(b.Edges), b.N)
-		}
-		mem := opts.MemPerMachine
-		if mem <= 0 {
-			// Near-linear default: partition share plus O(n) state plus
-			// the coordinator's merge buffer.
-			mem = 2*len(b.Edges)/machines + (machines+2)*b.N + 16
-		}
+		// Each instance gets the paper's O(m/n) machines of its layered
+		// graph, with near-linear memory per machine: the partition share
+		// plus O(n) state plus the coordinator's merge buffer.
+		machines := mpc.MachinesFor(len(b.Edges), b.N)
+		mem := 2*len(b.Edges)/machines + (machines+2)*b.N + 16
 		mr, err := bipartite.MPC(b, opts.Delta, machines, mem, rng)
 		if err != nil {
 			return nil, 0, err

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Augmentation describes a modification of a matching: remove the Remove
@@ -164,20 +165,28 @@ func ApplyDisjoint(m *Matching, augs []Augmentation) (Weight, int) {
 // and the non-matching edges of C are added.
 //
 // The caller supplies only the edges to add (the non-matching edges); the
-// removals are derived from m. The add edges must be vertex disjoint.
+// removals are derived from m, in the order the add list first touches
+// them, so equal inputs give equal slices. The add edges must be vertex
+// disjoint. Add lists are short (bounded by the layer count), so the
+// duplicate check is a linear scan over the removals found so far, and an
+// augmentation that removes nothing allocates nothing.
 func PathAugmentation(m *Matching, add []Edge) Augmentation {
-	removeSet := make(map[Key]Edge)
+	var remove []Edge
 	for _, e := range add {
 		for _, v := range [2]int{e.U, e.V} {
-			if u := m.Mate(v); u != Unmatched {
-				me := Edge{U: v, V: u, W: m.EdgeWeightAt(v)}.Canonical()
-				removeSet[me.EdgeKey()] = me
+			u := m.Mate(v)
+			if u == Unmatched {
+				continue
 			}
+			me := Edge{U: v, V: u, W: m.EdgeWeightAt(v)}.Canonical()
+			if slices.Contains(remove, me) {
+				continue
+			}
+			if remove == nil {
+				remove = make([]Edge, 0, 2*len(add))
+			}
+			remove = append(remove, me)
 		}
-	}
-	remove := make([]Edge, 0, len(removeSet))
-	for _, e := range removeSet {
-		remove = append(remove, e)
 	}
 	return Augmentation{Remove: remove, Add: add}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -145,6 +146,26 @@ func TestPathAugmentationDerivesRemovals(t *testing.T) {
 	}
 	if gain != 9 {
 		t.Errorf("realised gain = %d", gain)
+	}
+}
+
+// TestPathAugmentationRemoveOrder: the removals come back in the order the
+// add list first touches them, identically on every call. A matched edge
+// reached from both of its endpoints (4-5 below) is listed once.
+func TestPathAugmentationRemoveOrder(t *testing.T) {
+	m := NewMatching(20)
+	for _, e := range []Edge{{U: 10, V: 11, W: 3}, {U: 0, V: 1, W: 4}, {U: 4, V: 5, W: 5},
+		{U: 8, V: 9, W: 6}, {U: 2, V: 3, W: 7}, {U: 15, V: 14, W: 8}, {U: 6, V: 7, W: 9}} {
+		mustAdd(m, e)
+	}
+	add := []Edge{{U: 11, V: 14, W: 20}, {U: 9, V: 4, W: 20}, {U: 5, V: 1, W: 20},
+		{U: 3, V: 12, W: 20}, {U: 7, V: 13, W: 20}}
+	want := []Edge{{U: 10, V: 11, W: 3}, {U: 14, V: 15, W: 8}, {U: 8, V: 9, W: 6},
+		{U: 4, V: 5, W: 5}, {U: 0, V: 1, W: 4}, {U: 2, V: 3, W: 7}, {U: 6, V: 7, W: 9}}
+	for call := 0; call < 50; call++ {
+		if got := PathAugmentation(m, add).Remove; !slices.Equal(got, want) {
+			t.Fatalf("call %d: Remove = %v, want %v", call, got, want)
+		}
 	}
 }
 

@@ -194,7 +194,8 @@ func NewScratch() *Scratch { return &Scratch{} }
 // EnableDeltaBaseline makes subsequent BuildIndexed calls on this arena
 // record the per-layer watermarks BuildDelta diffs against (BuildDelta
 // itself always records them). Off by default so the naive build path pays
-// no bookkeeping; the amortised class sweep enables it on its worker arenas.
+// no bookkeeping; the amortised class sweep enables it on each class's
+// private arena, where the class's delta chain lives across rounds.
 func (s *Scratch) EnableDeltaBaseline() { s.recMarks = true }
 
 // ownTau copies tau's unit vectors into arena-owned storage (see tauBuf):

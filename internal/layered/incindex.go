@@ -3,6 +3,8 @@ package layered
 import (
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
@@ -148,15 +150,14 @@ type IncIndex struct {
 	// (ygEpoch at or after the bucket's effective change epoch, see
 	// yEffEpoch) is revalidated across the round boundary instead of
 	// rebuilt: the PR 7 keying of the survival tables by crossing-status
-	// deltas rather than by round. Since PR 9 the spans live in a flat
-	// open-addressed table (ygTab) instead of a map[uint16]ygSpan — the
-	// YGroup lookup on the build hot path pays two array reads instead of
-	// map hashing, and the table's key set doubles as the word-parallel
-	// source for the survival probe rows (rowsFromSpans).
+	// deltas rather than by round. The (class, unit) probe rows below hold
+	// exactly the partition's non-empty (row, col) cells, so since PR 20
+	// they are its index: the groups are stored in key order and a group's
+	// position is a rank over the rows' set bits (ygPart), with no hash
+	// table. A reused partition re-stamps its probe rows with it.
 	ygStamp [][]uint32
 	ygEpoch [][]uint64
-	ygFlat  [][][]graph.Edge
-	ygTabs  [][]ygTab
+	yg      [][]ygPart
 
 	// ysStamp/ysEff memoise yEffEpoch per (class, unit) within a round: the
 	// max over the bucket's yChg and its in-window edges' endpoint vChg.
@@ -187,7 +188,8 @@ type IncIndex struct {
 	// unit la. Row 0 collects edges whose R endpoint is free (the τA = 0
 	// first-layer rule) and bit freeLBit the ones whose L endpoint is free
 	// (the last-layer rule), so one AND answers "would layer t contribute a
-	// Y edge" for any pair.
+	// Y edge" for any pair. probeRows is their only builder; the grouped Y
+	// tables read them as their index.
 	prStamp [][]uint32
 	pRows   [][][]uint64
 
@@ -283,8 +285,7 @@ func NewIncIndex(n int, edges []graph.Edge, ws []float64, prm Params) *IncIndex 
 	x.cntStamp = make([]uint32, len(ws))
 	x.ygStamp = make([][]uint32, len(ws))
 	x.ygEpoch = make([][]uint64, len(ws))
-	x.ygFlat = make([][][]graph.Edge, len(ws))
-	x.ygTabs = make([][]ygTab, len(ws))
+	x.yg = make([][]ygPart, len(ws))
 	x.aChg = make([][]uint64, len(ws))
 	x.yChg = make([][]uint64, len(ws))
 	x.ysStamp = make([][]uint32, len(ws))
@@ -308,8 +309,7 @@ func NewIncIndex(n int, edges []graph.Edge, ws []float64, prm Params) *IncIndex 
 		x.pRows[c] = make([][]uint64, maxU+1)
 		x.ygStamp[c] = make([]uint32, maxU+1)
 		x.ygEpoch[c] = make([]uint64, maxU+1)
-		x.ygFlat[c] = make([][]graph.Edge, maxU+1)
-		x.ygTabs[c] = make([]ygTab, maxU+1)
+		x.yg[c] = make([]ygPart, maxU+1)
 		x.aChg[c] = make([]uint64, maxU+1)
 		x.yChg[c] = make([]uint64, maxU+1)
 		x.ysStamp[c] = make([]uint32, maxU+1)
@@ -823,12 +823,10 @@ func (x *IncIndex) probeRows(c, u int) []uint64 {
 	}
 	for _, e := range x.bLive(c, u) {
 		// classifyY is the one copy of the endpoint survival rule, shared
-		// with the grouped Y tables so the probe and YGroup cannot drift.
-		key, _, ok := x.classifyY(c, e)
-		if !ok {
-			continue // an endpoint matched off the bipartition: dead
+		// with the grouped Y tables, which these rows index.
+		if row, col, _, ok := x.classifyY(c, e); ok {
+			rows[row] |= 1 << uint(col)
 		}
-		rows[key>>8] |= 1 << uint(key&0xff)
 	}
 	return rows
 }
@@ -890,134 +888,24 @@ func (v *IncView) Oracle() (SurvivalOracle, bool) {
 	return v, true
 }
 
-// ygSpan locates one survival group inside a flattened unit bucket:
-// flat[off : off+n] holds the group's edges; fill is the materialisation
-// cursor and equals n once the table is built.
-type ygSpan struct{ off, n, fill int32 }
-
-// ygTab is a flat open-addressed hash table from packed (row, col)
-// survival keys to ygSpan — the PR 9 replacement for map[uint16]ygSpan on
-// the YGroup hot path. keys holds key+1 (0 = empty, so reset is a memclr);
-// spans is the parallel value array. Linear probing over a power-of-two
-// slot count; the key universe is bounded (row ≤ maxU < FreeLBit, col ≤
-// FreeLBit, so < 64·64 distinct keys), which keeps even a saturated table
-// small and the load factor capped by grow().
-type ygTab struct {
-	keys  []uint32
-	spans []ygSpan
-	used  int
-}
-
-// ygHash spreads a packed key over the table: Fibonacci multiplicative
-// hashing, high bits taken by the caller's mask via >> is unnecessary —
-// the multiplier is odd so the low bits are already a bijection, and
-// linear probing tolerates the residual clustering.
-func ygHash(key uint16) uint32 { return uint32(key) * 0x9E3779B1 }
-
-// reset clears the table in place, growing the slot array to hold at
-// least hint entries below a ½ load factor. The hint is capped at the key
-// universe (64·64): a bucket can hold far more edges than there are
-// distinct classifications, and slots beyond the universe can never fill.
-func (t *ygTab) reset(hint int) {
-	if hint > 64*64 {
-		hint = 64 * 64
-	}
-	want := 16
-	for want < 2*hint {
-		want <<= 1
-	}
-	if cap(t.keys) >= want {
-		t.keys = t.keys[:cap(t.keys)]
-		t.spans = t.spans[:cap(t.keys)]
-		clear(t.keys)
-		clear(t.spans)
-	} else {
-		t.keys = make([]uint32, want)
-		t.spans = make([]ygSpan, want)
-	}
-	t.used = 0
-}
-
-// ref returns the span slot for key, inserting an empty one if absent.
-func (t *ygTab) ref(key uint16) *ygSpan {
-	if 2*(t.used+1) > len(t.keys) {
-		t.grow()
-	}
-	mask := uint32(len(t.keys) - 1)
-	for i := ygHash(key) & mask; ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case uint32(key) + 1:
-			return &t.spans[i]
-		case 0:
-			t.keys[i] = uint32(key) + 1
-			t.used++
-			return &t.spans[i]
-		}
-	}
-}
-
-// get returns the span for key, or ok = false.
-func (t *ygTab) get(key uint16) (ygSpan, bool) {
-	if len(t.keys) == 0 {
-		return ygSpan{}, false
-	}
-	mask := uint32(len(t.keys) - 1)
-	for i := ygHash(key) & mask; ; i = (i + 1) & mask {
-		switch t.keys[i] {
-		case uint32(key) + 1:
-			return t.spans[i], true
-		case 0:
-			return ygSpan{}, false
-		}
-	}
-}
-
-// grow doubles the slot array and rehashes the occupied slots.
-func (t *ygTab) grow() {
-	oldK, oldS := t.keys, t.spans
-	want := 2 * len(oldK)
-	if want < 16 {
-		want = 16
-	}
-	t.keys = make([]uint32, want)
-	t.spans = make([]ygSpan, want)
-	mask := uint32(want - 1)
-	for i, k := range oldK {
-		if k == 0 {
-			continue
-		}
-		for j := ygHash(uint16(k-1)) & mask; ; j = (j + 1) & mask {
-			if t.keys[j] == 0 {
-				t.keys[j] = k
-				t.spans[j] = oldS[i]
-				break
-			}
-		}
-	}
-}
-
-// ygKey packs a (row, col) survival classification; rows and cols fit a
-// byte (units ≤ maxIncUnit and the FreeLBit marker).
-func ygKey(row, col int) uint16 { return uint16(row)<<8 | uint16(col) }
-
 // classifyY orients a crossing unmatched edge R→L and classifies it by the
-// matched units (or freeness) of its endpoints — the single copy of the
-// endpoint survival rule, consumed bitwise by probeRows and as edge lists
-// by the grouped Y tables. ok is false for dead edges (an endpoint matched
-// off the bipartition survives in no layer).
-func (x *IncIndex) classifyY(c int, e graph.Edge) (key uint16, re graph.Edge, ok bool) {
+// matched units (or freeness) of its endpoints: row is the R endpoint's
+// unit (0 when free), col the L endpoint's (FreeLBit when free). It is the
+// single copy of the endpoint survival rule, consumed bitwise by probeRows
+// and as edge lists by the grouped Y tables. ok is false for dead edges (an
+// endpoint matched off the bipartition survives in no layer).
+func (x *IncIndex) classifyY(c int, e graph.Edge) (row, col int, re graph.Edge, ok bool) {
 	r, l := e.U, e.V
 	if !x.par.Side[r] {
 		r, l = l, r
 	}
-	var row, col int
 	switch {
 	case x.vStamp[c][r] == x.stamp:
 		row = int(x.vUnit[c][r]) // matched crossing, unit ≥ 1
 	case !x.par.M.IsMatched(r):
 		row = 0 // free: the first-layer τA = 0 rule
 	default:
-		return 0, re, false
+		return 0, 0, re, false
 	}
 	switch {
 	case x.vStamp[c][l] == x.stamp:
@@ -1025,9 +913,9 @@ func (x *IncIndex) classifyY(c int, e graph.Edge) (key uint16, re graph.Edge, ok
 	case !x.par.M.IsMatched(l):
 		col = freeLBit // free: the last-layer τA = 0 rule
 	default:
-		return 0, re, false
+		return 0, 0, re, false
 	}
-	return ygKey(row, col), graph.Edge{U: r, V: l, W: e.W}, true
+	return row, col, graph.Edge{U: r, V: l, W: e.W}, true
 }
 
 // yEffEpoch returns the epoch of the last change relevant to the (c, u)
@@ -1084,99 +972,87 @@ func (v *IncView) YStableSince(u int, epoch uint64) bool {
 	return v.ix.yEffEpoch(v.c, u) <= epoch
 }
 
+// ygPart is one (class, unit) grouped-Y partition, indexed by the unit's
+// probe rows: its groups are stored in key order (row, then column
+// ascending), so the group of a set probe bit (row, col) sits at rank
+// base[row] + popcount(rows[row] below bit col) and holds the edges
+// flat[off[rank] : off[rank+1]].
+type ygPart struct {
+	base []int32      // base[row]: probe bits set in rows 0..row-1
+	off  []int32      // group start offsets into flat, by rank
+	flat []graph.Edge // the surviving edges, oriented R→L, in key order
+}
+
+// rank returns the key-order position of group (row, col) among the set
+// bits of rows.
+func (p *ygPart) rank(rows []uint64, row, col int) int32 {
+	return p.base[row] + int32(bits.OnesCount64(rows[row]&(1<<uint(col)-1)))
+}
+
 // ensureYGroups materialises the class's unit-u survival partition for the
 // round: the unit-u crossing bucket, dead edges dropped, survivors grouped
 // by (row, col) classification with bucket order preserved inside each
-// group. Cost is two passes over the bucket, paid once per (class, unit) —
-// and, since PR 7, not even per round: a partition whose inputs are
-// unchanged since it was built (yEffEpoch at or before its ygEpoch) is
-// revalidated across the BeginRound redraw instead of rebuilt, keyed by the
-// crossing-status delta clock rather than the round stamp.
-func (x *IncIndex) ensureYGroups(c, u int) (*ygTab, []graph.Edge) {
-	tab := &x.ygTabs[c][u]
+// group. The unit's probe rows (probeRows, their only builder) index the
+// groups, so the build is a counting sort by rank: two classifyY passes
+// over the bucket, paid once per (class, unit) — and, since PR 7, not even
+// per round: a partition whose inputs are unchanged since it was built
+// (yEffEpoch at or before its ygEpoch) is revalidated across the BeginRound
+// redraw instead of rebuilt, keyed by the crossing-status delta clock
+// rather than the round stamp.
+func (x *IncIndex) ensureYGroups(c, u int) *ygPart {
+	p := &x.yg[c][u]
 	if x.ygStamp[c][u] == x.stamp {
-		return tab, x.ygFlat[c][u]
+		return p
 	}
-	if tab.keys != nil && x.ygEpoch[c][u] > 0 && x.yEffEpoch(c, u) <= x.ygEpoch[c][u] {
+	if x.ygEpoch[c][u] > 0 && x.yEffEpoch(c, u) <= x.ygEpoch[c][u] {
 		// Cross-round reuse: nothing the partition depends on changed since
 		// it was last (re)built, so last round's grouping is this round's,
-		// bit for bit. The probe rows ride along: the retained table's key
-		// set rebuilds them word-parallel without touching the bucket.
+		// bit for bit, and so are the probe rows indexing it — every probe
+		// build since ran on the same inputs, because a round whose inputs
+		// changed would also have moved yEffEpoch past ygEpoch. Rows and
+		// groups are re-stamped together.
 		x.ygStamp[c][u] = x.stamp
 		x.ygEpoch[c][u] = x.epoch
-		x.rowsFromSpans(c, u, tab)
-		return tab, x.ygFlat[c][u]
+		x.prStamp[c][u] = x.stamp
+		return p
 	}
 	x.ygStamp[c][u] = x.stamp
 	x.ygEpoch[c][u] = x.epoch
-	x.ensureProbe(c)
+	// probeRows brings the rows, and the class's survival set classifyY
+	// reads, up to this round. Rows the reuse branch stamped come with a
+	// stamped partition, which returned above.
+	rows := x.probeRows(c, u)
+	p.base = ensureLen32(p.base, len(rows))
+	groups := int32(0)
+	for r, row := range rows {
+		p.base[r] = groups
+		groups += int32(bits.OnesCount64(row))
+	}
+	// Counting sort by rank. Counts land two slots up, so after the prefix
+	// sum off[g+1] is group g's start and serves as its fill cursor; the
+	// fill pass leaves off[g] at every group's start.
+	off := slices.Grow(p.off[:0], int(groups)+2)[:groups+2]
+	clear(off)
 	bucket := x.bLive(c, u)
-	tab.reset(len(bucket))
-	flat := x.ygFlat[c][u]
-	if cap(flat) < len(bucket) {
-		flat = make([]graph.Edge, len(bucket))
-	}
-	kept := 0
 	for _, e := range bucket {
-		key, _, ok := x.classifyY(c, e)
-		if !ok {
-			continue
+		if row, col, _, ok := x.classifyY(c, e); ok {
+			off[p.rank(rows, row, col)+2]++
 		}
-		tab.ref(key).n++
-		kept++
 	}
-	flat = flat[:kept]
-	off := int32(0)
-	for i, k := range tab.keys {
-		if k == 0 {
-			continue
-		}
-		tab.spans[i].off = off
-		off += tab.spans[i].n
+	for g := 2; g < len(off); g++ {
+		off[g] += off[g-1]
 	}
+	kept := int(off[groups+1])
+	p.flat = slices.Grow(p.flat[:0], kept)[:kept]
 	for _, e := range bucket {
-		key, re, ok := x.classifyY(c, e)
-		if !ok {
-			continue
+		if row, col, re, ok := x.classifyY(c, e); ok {
+			g := p.rank(rows, row, col) + 1
+			p.flat[off[g]] = re
+			off[g]++
 		}
-		sp := tab.ref(key)
-		flat[sp.off+sp.fill] = re
-		sp.fill++
 	}
-	x.ygFlat[c][u] = flat
-	// Same-pass probe rows: the table's key set is exactly the bit set the
-	// per-edge probe build would produce, so the unit's survival rows come
-	// for free here — one OR per distinct classification.
-	x.rowsFromSpans(c, u, tab)
-	return tab, flat
-}
-
-// rowsFromSpans rebuilds the (c, u) survival probe rows word-parallel from
-// a current grouped-Y span table: one bit-OR per occupied slot instead of
-// one classifyY per bucket edge. The bits are identical to probeRows' own
-// per-edge build because both sides derive from the same classifyY calls
-// over the same live bucket (the table keeps exactly the classifications
-// with at least one surviving edge). No-op if the rows already carry this
-// round's stamp.
-func (x *IncIndex) rowsFromSpans(c, u int, tab *ygTab) {
-	if x.prStamp[c][u] == x.stamp {
-		return
-	}
-	x.prStamp[c][u] = x.stamp
-	rows := x.pRows[c][u]
-	if rows == nil {
-		rows = make([]uint64, x.maxU+1)
-		x.pRows[c][u] = rows
-	} else {
-		clear(rows)
-	}
-	for _, k := range tab.keys {
-		if k == 0 {
-			continue
-		}
-		key := uint16(k - 1)
-		rows[key>>8] |= 1 << uint(key&0xff)
-	}
+	p.off = off[:groups+1]
+	return p
 }
 
 // YGroupsOK reports whether the grouped Y lookup is available; the
@@ -1186,18 +1062,21 @@ func (v *IncView) YGroupsOK() bool { return v.ix.maxU < freeLBit }
 
 // YGroup returns the unit-u unmatched crossing edges surviving between a
 // layer of matched unit row and a successor layer of matched unit col
-// (row 0 = free R, col FreeLBit = free L; callers gate on YGroupsOK),
-// oriented U = R endpoint, V = L endpoint, in bucket order.
+// (row 0 = free R, col FreeLBit = free L), oriented U = R endpoint, V = L
+// endpoint, in bucket order. Callers gate on YGroupsOK; past it YGroup
+// returns nil.
 func (v *IncView) YGroup(u, row, col int) []graph.Edge {
-	if u < 2 || u > v.ix.maxU || row < 0 || row > 0xff || col < 0 || col > 0xff {
+	x := v.ix
+	if !v.YGroupsOK() || u < 2 || u > x.maxU || row < 0 || row > x.maxU || col < 0 || col > freeLBit {
 		return nil
 	}
-	tab, flat := v.ix.ensureYGroups(v.c, u)
-	sp, ok := tab.get(ygKey(row, col))
-	if !ok {
+	p := x.ensureYGroups(v.c, u)
+	rows := x.pRows[v.c][u]
+	if rows[row]&(1<<uint(col)) == 0 {
 		return nil
 	}
-	return flat[sp.off : sp.off+sp.n]
+	g := p.rank(rows, row, col)
+	return p.flat[p.off[g]:p.off[g+1]]
 }
 
 // PairKey appends a cache key identifying the pair's layered graph up to

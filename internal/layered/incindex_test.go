@@ -1,6 +1,7 @@
 package layered
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,11 +46,15 @@ func testClassWeights(edges []graph.Edge, prm Params) []float64 {
 
 // assertViewMatchesBucket compares one class view of the incremental index
 // against a freshly rebuilt BucketIndex: identical edge sequences for every
-// unit the enumeration can query, identical counts, and identical masks up
-// to the documented bMask bits 0 and 1.
+// unit the enumeration can query, identical counts, identical masks up to
+// the documented bMask bits 0 and 1, and grouped Y tables and probe rows
+// that agree with a classification of the rebuild's τB buckets.
 func assertViewMatchesBucket(t testing.TB, v *IncView, ref *BucketIndex, prm Params) {
 	t.Helper()
 	maxU, _ := prm.Units()
+	if maxU < freeLBit {
+		assertYGroupsMatchBucket(t, v, ref, maxU)
+	}
 	for u := 1; u <= maxU; u++ {
 		if got, want := v.A(u), ref.A(u); !edgeSlicesEqual(got, want) {
 			t.Fatalf("A(%d): incremental %v != rebuild %v", u, got, want)
@@ -77,6 +82,62 @@ func assertViewMatchesBucket(t testing.TB, v *IncView, ref *BucketIndex, prm Par
 		}
 		if ib != rb&^0b11 {
 			t.Fatalf("bMask: %b != %b (bits >= 2)", ib, rb&^0b11)
+		}
+	}
+}
+
+// assertYGroupsMatchBucket classifies every edge of the rebuild's τB
+// buckets by Definition 4.10's endpoint rule — R endpoint: the τA unit of
+// its crossing matched edge, 0 when free; L endpoint: likewise, FreeLBit
+// when free; an endpoint matched by a non-crossing edge kills the edge —
+// and checks, for every unit and (row, col) cell, that YGroup is exactly
+// the cell's edges oriented R→L in bucket order, and that the probe row
+// LayerRow(u, row) has bit col set exactly when the cell is non-empty.
+// The groups are read before the rows, so a partition revalidated across
+// rounds is checked together with the rows it re-stamps.
+func assertYGroupsMatchBucket(t testing.TB, v *IncView, ref *BucketIndex, maxU int) {
+	t.Helper()
+	par := ref.Parametrization()
+	unit := map[int]int{}
+	for u := 1; u <= maxU; u++ {
+		for _, e := range ref.A(u) {
+			unit[e.U], unit[e.V] = u, u
+		}
+	}
+	classify := func(x, free int) (int, bool) {
+		if u, ok := unit[x]; ok {
+			return u, true
+		}
+		return free, !par.M.IsMatched(x)
+	}
+	for u := 2; u <= maxU; u++ {
+		cells := map[[2]int][]graph.Edge{}
+		for _, e := range ref.B(u) {
+			r, l := e.U, e.V
+			if !par.Side[r] {
+				r, l = l, r
+			}
+			row, okR := classify(r, 0)
+			col, okL := classify(l, freeLBit)
+			if okR && okL {
+				cell := [2]int{row, col}
+				cells[cell] = append(cells[cell], graph.Edge{U: r, V: l, W: e.W})
+			}
+		}
+		for row := 0; row <= maxU; row++ {
+			for col := 0; col <= freeLBit; col++ {
+				if got, want := v.YGroup(u, row, col), cells[[2]int{row, col}]; !edgeSlicesEqual(got, want) {
+					t.Fatalf("YGroup(%d,%d,%d): %v, want %v", u, row, col, got, want)
+				}
+			}
+		}
+		for row := 0; row <= maxU; row++ {
+			bits := v.LayerRow(u, row)
+			for col := 0; col <= freeLBit; col++ {
+				if got, want := bits&(1<<uint(col)) != 0, len(cells[[2]int{row, col}]) > 0; got != want {
+					t.Fatalf("LayerRow(%d,%d) bit %d = %v, want %v", u, row, col, got, want)
+				}
+			}
 		}
 	}
 }
@@ -162,6 +223,86 @@ func TestIncIndexMatchesBucketIndex(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestIncIndexStampWrap runs an index across the wrap of its uint32 round
+// stamp: after one ordinary round (stamp 1) the stamp jumps to two below
+// 2³², and the round after the jump reads only the even classes, so the
+// odd ones still hold stamp-1 entries when the wrap restarts the stamp at 1
+// — entries BeginRound must clear. Rounds that change the matching and
+// redraw the sides alternate with rounds that change nothing, and the wrap
+// round runs both ways, so grouped Y partitions are also revalidated right
+// after the clear. Every view, grouped-Y cell and probe row must equal a
+// fresh index's on the same parametrization.
+func TestIncIndexStampWrap(t *testing.T) {
+	const jump, wrap = 1, 2 // the stamp jumps before round 1 and wraps in round 2
+	for _, changeAtWrap := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(41))
+		n := 24
+		edges := graph.RandomGraph(n, 4*n, 64, rng).G.Edges()
+		prm := Params{Granularity: 0.25}.WithDefaults()
+		maxU, _ := prm.Units()
+		ws := testClassWeights(edges, prm)
+		inc := NewIncIndex(n, edges, ws, prm)
+		m := graph.NewMatching(n)
+		side := make([]bool, n)
+		reusedAtWrap := 0
+		for round := 0; round < 6; round++ {
+			if round == jump {
+				inc.stamp = math.MaxUint32 - 1
+			}
+			change := round == jump || round%2 == 0
+			if round == wrap {
+				change = changeAtWrap
+			}
+			if change {
+				for k := 0; k < 3; k++ {
+					mutateMatching(m, edges[rng.Intn(len(edges))], byte(rng.Intn(256)))
+				}
+				for v := range side {
+					side[v] = rng.Intn(2) == 1
+				}
+			}
+			par := ParametrizeWithSide(n, edges, m, side)
+			if err := inc.BeginRound(par); err != nil {
+				t.Fatal(err)
+			}
+			if round == wrap && inc.stamp != 1 {
+				t.Fatalf("round %d: stamp %d, want the wrap's restart at 1", round, inc.stamp)
+			}
+			fresh := NewIncIndex(n, edges, ws, prm)
+			if err := fresh.BeginRound(par); err != nil {
+				t.Fatal(err)
+			}
+			for c, w := range ws {
+				if round == jump && c%2 == 1 {
+					continue
+				}
+				for u := 2; u <= maxU; u++ {
+					// The memoised yEffEpoch is a stamped table too, so it
+					// is read every round.
+					built := inc.ygEpoch[c][u]
+					if stable := inc.yEffEpoch(c, u) <= built; stable && built > 0 && round == wrap {
+						reusedAtWrap++ // the next YGroup call revalidates
+					}
+				}
+				v, f := inc.View(c), fresh.View(c)
+				assertYGroupsMatch(t, v, f, maxU)
+				for u := 2; u <= maxU; u++ {
+					for row := 0; row <= maxU; row++ {
+						if got, want := v.LayerRow(u, row), f.LayerRow(u, row); got != want {
+							t.Fatalf("wrap %v round %d class %d: LayerRow(%d,%d) %b, fresh %b",
+								changeAtWrap, round, c, u, row, got, want)
+						}
+					}
+				}
+				assertViewMatchesBucket(t, v, NewBucketIndex(par, w, prm), prm)
+			}
+		}
+		if reusedAtWrap == 0 {
+			t.Fatalf("wrap %v: no grouped-Y partition was revalidated in the wrap round", changeAtWrap)
 		}
 	}
 }
