@@ -24,7 +24,9 @@
 //	                rejected request queues nothing
 //	POST /tick      apply the queued batch and re-converge; reports the
 //	                ops applied, the augmentation gain, and the new weight
-//	POST /snapshot  persist a resumable checkpoint to the -snapshot path
+//	POST /snapshot  persist a resumable checkpoint to the -snapshot path;
+//	                it holds the last tick's state, and "pending" reports
+//	                the queued ops it leaves out (tick before snapshotting)
 //
 // With -tick > 0 the server also ticks on a timer, logging a failed tick
 // to standard error; with -tick 0 (the default) ticks happen only on
@@ -310,6 +312,7 @@ func (s *server) handler() http.Handler {
 		}
 		writeJSON(w, map[string]any{
 			"path": s.cfg.snapshot, "tick": s.ticks, "rng-draws": s.cs.Draws(),
+			"pending": s.pending.Len(),
 		})
 	})
 

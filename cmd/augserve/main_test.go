@@ -216,6 +216,43 @@ func TestServeSnapshotRestart(t *testing.T) {
 	}
 }
 
+// TestSnapshotReportsPending: a snapshot holds the last tick's state, so
+// ops /mutate queued after that tick are not in it. The /snapshot response
+// counts them, and a server resumed from the snapshot has not applied them.
+func TestSnapshotReportsPending(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	inst := graph.RandomGraph(30, 120, 32, rng)
+	cfg := config{seed: 11, snapshot: filepath.Join(t.TempDir(), "serve.snap")}
+	cfg.opts = cfg.options()
+	s1 := newServer(inst.G.Clone(), cfg)
+	ts1 := httptest.NewServer(s1.handler())
+	defer ts1.Close()
+
+	postJSON(t, ts1.URL+"/mutate", []mutationReq{
+		{Op: "insert", U: 1, V: 28, W: 50},
+		{Op: "insert", U: 2, V: 27, W: 40},
+	}, nil)
+	var snap struct{ Tick, Pending int }
+	postJSON(t, ts1.URL+"/snapshot", nil, &snap)
+	if snap.Tick != 0 || snap.Pending != 2 {
+		t.Fatalf("snapshot response tick %d pending %d, want 0 and 2", snap.Tick, snap.Pending)
+	}
+
+	cfg2 := cfg
+	cfg2.resume = true
+	s2 := newServer(inst.G.Clone(), cfg2)
+	if !s2.resumed {
+		t.Fatalf("server did not resume (cold: %s)", s2.coldMsg)
+	}
+	ts2 := httptest.NewServer(s2.handler())
+	defer ts2.Close()
+	var m struct{ M int }
+	getJSON(t, ts2.URL+"/matching", &m)
+	if m.M != inst.G.M() {
+		t.Fatalf("resumed graph has %d edges, want the %d of the last tick", m.M, inst.G.M())
+	}
+}
+
 // TestMutateRejectQueuesNothing is the regression for the /mutate
 // partial-queue seam bug (PR 9): a request rejected with 400 — a valid
 // prefix followed by an unknown op, or by an op that breaks the graph's

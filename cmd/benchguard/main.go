@@ -19,6 +19,10 @@
 //     baseline (needs `go test -benchmem`). Deterministic in principle,
 //     but tied to the same drifting bins, so warning-severity too.
 //
+// A benchmark that appears on several lines (go test -count=N) is gated
+// and reported on the median of its lines, so one noisy sample cannot flip
+// a gate.
+//
 // With -out FILE the parsed measurements and every check's verdict —
 // including the warning-severity breaches that did not fail the run — are
 // written as JSON, the per-run perf artifact CI uploads so that regressions
@@ -38,6 +42,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -53,16 +58,31 @@ func main() {
 // allocs group is present when the run used -benchmem.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9]+) allocs/op)?`)
 
-// measurement is one benchmark's parsed numbers. AllocsPerOp is -1 when the
-// run did not report allocations (no -benchmem); a real 0 means an
-// allocation-free benchmark, so the field is always emitted.
+// measurement is one benchmark's numbers: the medians over its Samples
+// lines. AllocsPerOp is -1 when the run did not report allocations (no
+// -benchmem); a real 0 means an allocation-free benchmark, so the field is
+// always emitted.
 type measurement struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	Samples     int     `json:"samples"`
+}
+
+// median returns the middle value of xs, or the mean of the two middle
+// values for an even count.
+func median[T int64 | float64](xs []T) T {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 func parseBench(r *os.File) (map[string]measurement, error) {
-	out := make(map[string]measurement)
+	ns := make(map[string][]float64)
+	allocs := make(map[string][]int64)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
@@ -71,17 +91,22 @@ func parseBench(r *os.File) (map[string]measurement, error) {
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
+		v, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
 			return nil, fmt.Errorf("line %q: %w", line, err)
 		}
-		mm := measurement{NsPerOp: ns, AllocsPerOp: -1}
+		a := int64(-1)
 		if m[3] != "" {
-			if mm.AllocsPerOp, err = strconv.ParseInt(m[3], 10, 64); err != nil {
+			if a, err = strconv.ParseInt(m[3], 10, 64); err != nil {
 				return nil, fmt.Errorf("line %q: %w", line, err)
 			}
 		}
-		out[m[1]] = mm
+		ns[m[1]] = append(ns[m[1]], v)
+		allocs[m[1]] = append(allocs[m[1]], a)
+	}
+	out := make(map[string]measurement, len(ns))
+	for name, vs := range ns {
+		out[name] = measurement{NsPerOp: median(vs), AllocsPerOp: median(allocs[name]), Samples: len(vs)}
 	}
 	return out, sc.Err()
 }

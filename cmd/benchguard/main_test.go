@@ -103,6 +103,7 @@ type testReport struct {
 	Benchmarks map[string]struct {
 		NsPerOp     float64 `json:"ns_per_op"`
 		AllocsPerOp int64   `json:"allocs_per_op"`
+		Samples     int     `json:"samples"`
 	} `json:"benchmarks"`
 	Checks []struct {
 		Kind     string `json:"kind"`
@@ -123,6 +124,45 @@ func readReport(t *testing.T, path string) testReport {
 		t.Fatalf("bad report JSON: %v", err)
 	}
 	return rep
+}
+
+// TestSpeedupGatesOnMedian: under go test -count=N every benchmark prints N
+// lines, and the gate and the report take the median of each benchmark's
+// lines. The last RepairHK line is an outlier that alone would fail the
+// 1.4x gate (1010/1100); the medians pass it (1000/700). BenchmarkSolve's
+// two lines pin the even-count rule, the mean of the middle pair.
+func TestSpeedupGatesOnMedian(t *testing.T) {
+	const repeated = `BenchmarkRepairHK-2           	 1000000	       690 ns/op	       0 allocs/op
+BenchmarkRepairHK-2           	 1000000	       700 ns/op	       0 allocs/op
+BenchmarkRepairHK-2           	 1000000	      1100 ns/op	       2 allocs/op
+BenchmarkRepairHKBaseline-2   	 1000000	      1000 ns/op	       3 allocs/op
+BenchmarkRepairHKBaseline-2   	 1000000	       980 ns/op	       3 allocs/op
+BenchmarkRepairHKBaseline-2   	 1000000	      1010 ns/op	       3 allocs/op
+BenchmarkSolve-2              	      40	  10000000 ns/op	     100 allocs/op
+BenchmarkSolve-2              	      40	  30000000 ns/op	     300 allocs/op
+PASS
+`
+	out := filepath.Join(t.TempDir(), "result.json")
+	if err := runWithInput(t, repeated,
+		"-speedup", "BenchmarkRepairHK/BenchmarkRepairHKBaseline>=1.4", "-out", out); err != nil {
+		t.Fatalf("median ratio 1000/700 failed the 1.4x gate: %v", err)
+	}
+	rep := readReport(t, out)
+	for name, want := range map[string]struct {
+		ns      float64
+		allocs  int64
+		samples int
+	}{
+		"BenchmarkRepairHK":         {700, 0, 3},
+		"BenchmarkRepairHKBaseline": {1000, 3, 3},
+		"BenchmarkSolve":            {20000000, 200, 2},
+	} {
+		got := rep.Benchmarks[name]
+		if got.NsPerOp != want.ns || got.AllocsPerOp != want.allocs || got.Samples != want.samples {
+			t.Errorf("%s: report %+v, want median %v ns/op, %d allocs/op over %d samples",
+				name, got, want.ns, want.allocs, want.samples)
+		}
+	}
 }
 
 func TestNoInput(t *testing.T) {

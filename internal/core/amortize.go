@@ -1,7 +1,8 @@
 package core
 
 // This file holds the amortised cross-round machinery a Runner threads
-// through Algorithm 3 when Options.Amortize is set. Each piece keeps its
+// through Algorithm 3 when Options.Amortize is set (at granularity 1/62
+// or coarser; finer runs take the naive path). Each piece keeps its
 // naive twin alive as the differential oracle: the incremental index
 // against the per-(round, class) BucketIndex rebuild, and the cross-class
 // cache against an uncached sweep — see internal/solvertest and the core

@@ -28,7 +28,10 @@
 // of re-solving.
 // Every differential layer is bit-identical to its from-scratch
 // counterpart by construction, and the differential suite in
-// internal/solvertest asserts it family by family.
+// internal/solvertest asserts it family by family. The pipeline runs
+// whole or not at all: at granularity 1/62 or coarser every layer runs,
+// and finer (layered.CanIndexIncrementally) a Runner takes the naive
+// path.
 //
 // # The degradation ladder
 //
@@ -162,11 +165,10 @@ type Options struct {
 	// builds and solves (Invariants 19, 21 and 24). The differential suite
 	// (internal/solvertest) asserts it. Stats.LayeredBuilt counts
 	// probe-rejected pairs as built so the two paths stay comparable.
-	// Granularities finer than 1/62 exceed the probe's bit tables: pairs
-	// are enumerated unpruned and every pair builds from scratch (no delta
-	// chain, hence no repair). Finer than 1/255 they exceed the index's
-	// compact unit storage and silently fall back to the naive path
-	// (layered.CanIndexIncrementally).
+	// The pipeline runs whole or not at all: the index's per-unit tables
+	// are one 64-bit word, so at granularities finer than 1/62
+	// (layered.CanIndexIncrementally) no index is built and Amortize runs
+	// the naive path, with its matching and its counters.
 	Amortize bool
 	// CacheGate tunes the per-class hit-rate gate on the cross-class solve
 	// cache: a class whose cache lookups have produced zero hits after
@@ -222,14 +224,14 @@ type Stats struct {
 	LayeredBuilt int
 	// ProbeSkips counts (τA, τB) pairs the amortised survival probe
 	// rejected without constructing their layered graph (always 0 on the
-	// naive path). The probe runs only inside the enumeration, so it
-	// always equals EnumPruned.
+	// naive path, which every run finer than granularity 1/62 takes). The
+	// probe runs only inside the enumeration, so it always equals
+	// EnumPruned.
 	ProbeSkips int
 	// EnumPruned counts the subset of ProbeSkips the probe-guided
 	// enumeration pruned during pair generation — dead pairs that were
 	// never materialised at all, only charged to the per-class pair limit
-	// by their closed-form subtree count (always 0 on the naive path and
-	// at discretisations past the probe's bit tables).
+	// by their closed-form subtree count (always 0 on the naive path).
 	EnumPruned int
 	// CacheHits counts pair solves served by the per-round cross-class
 	// cache instead of the solver (always 0 on the naive path).
@@ -502,15 +504,15 @@ type Runner struct {
 	mutPending bool
 }
 
-// NewRunner prepares a round runner for g. With opts.Amortize the
-// incremental viability index is built here, once, and every subsequent
-// Round applies only the matching deltas.
+// NewRunner prepares a round runner for g. With opts.Amortize, at
+// granularity 1/62 or coarser, the incremental viability index is built
+// here, once, and every subsequent Round applies only the matching deltas;
+// otherwise every Round runs the naive path.
 func NewRunner(g *graph.Graph, opts Options) *Runner {
 	opts = opts.withDefaults()
 	r := &Runner{g: g, opts: opts}
-	// Discretisations finer than the incremental index's compact unit
-	// storage fall back to the naive path rather than wrap units silently;
-	// the amortised pipeline is an optimisation, never a behaviour change.
+	// The index's per-unit tables are one word wide: finer discretisations
+	// run the naive path, which returns the same matching.
 	if opts.Amortize && layered.CanIndexIncrementally(opts.Layered) {
 		r.am = newAmortizer(g, opts)
 		r.weights = r.am.weights
@@ -733,15 +735,6 @@ func FindClassAugmentations(
 	return classAugmentations(par, m, w, newClassWorker(opts), opts, stats, nil)
 }
 
-// oracleOf unwraps the class context's survival oracle: non-nil only on the
-// amortised path at discretisations the probe's bit tables cover.
-func oracleOf(ac *amortClassCtx) (layered.SurvivalOracle, bool) {
-	if ac == nil {
-		return nil, false
-	}
-	return ac.view.Oracle()
-}
-
 // classAugmentations is Algorithm 4 for one augmentation class W: over all
 // good pairs whose weight windows are populated (a bucket-count lookup —
 // the same buckets the layered builds then iterate), build the layered
@@ -756,8 +749,11 @@ func oracleOf(ac *amortClassCtx) (layered.SurvivalOracle, bool) {
 // the cross-class cache replays the candidates of an identical layered
 // graph solved earlier this round, the delta chain patches the class's
 // previous build (across the redraw too), and the repair solver patches
-// the previous solve's retained CSR. The probe and the chain need the
-// view's bit tables (granularity 1/62 or coarser).
+// the previous solve's retained CSR. A class context exists only at
+// granularity 1/62 or coarser (layered.CanIndexIncrementally), so all four
+// run whenever it does. Without one, the naive branch filters the pairs by
+// the BucketIndex masks (by its counts past 64 units) and builds each from
+// scratch.
 //
 // Note: Algorithm 4 as analysed returns only the single best pair's set
 // A(τA,τB); the union with a shared conflict set is pointwise at least as
@@ -780,7 +776,9 @@ func classAugmentations(
 	if ac != nil && faultinject.Fire(faultinject.WorkerPanic) {
 		panic("faultinject: injected worker panic in class sweep")
 	}
+	// Every enumeration below stops at MaxPairsPerClass pairs.
 	var ix layered.Index
+	var pairs []layered.TauPair
 	if ac != nil {
 		ix = ac.view
 		// The class's delta chain lives on a class-private arena so its
@@ -791,43 +789,32 @@ func classAugmentations(
 			ac.scratch = layered.NewScratch()
 		}
 		scratch = ac.scratch
+		// Probe-guided enumeration: dead pairs are pruned inside the
+		// generation recursion instead of generated and then probed. The
+		// pruned count is exactly the set ProbeY would have rejected, so
+		// the naive/amortised stats still reconcile.
+		aMask, bMask, _ := ac.view.Masks()
+		var pruned int
+		pairs, pruned = layered.EnumerateSurvivingPairs(
+			opts.Layered, aMask, bMask, opts.MaxPairsPerClass, ac.view, ac.enum)
+		stats.LayeredBuilt += pruned
+		stats.ProbeSkips += pruned
+		stats.EnumPruned += pruned
+		// The sweep delta-chains this class's builds, so the first pair's
+		// from-scratch build must record the diff watermarks.
+		scratch.EnableDeltaBaseline()
 	} else {
-		ix = scratch.Index(par, w, opts.Layered)
-	}
-	var pairs []layered.TauPair
-	// chain is set where the class view's bit tables exist (maxU <
-	// layered.FreeLBit): the enumeration is probe-guided, and the grouped
-	// Y tables BuildDelta reads let the sweep delta-chain its builds. Past
-	// them every pair builds from scratch.
-	chain := false
-	if aMask, bMask, ok := ix.Masks(); ok {
-		if orc, probeOK := oracleOf(ac); probeOK {
-			// Probe-guided enumeration: dead pairs are pruned inside the
-			// generation recursion instead of generated and then probed.
-			// The pruned count is exactly the set ProbeY would have
-			// rejected, so the naive/amortised stats still reconcile.
-			var pruned int
-			pairs, pruned = layered.EnumerateSurvivingPairs(
-				opts.Layered, aMask, bMask, opts.MaxPairsPerClass, orc, ac.enum)
-			stats.LayeredBuilt += pruned
-			stats.ProbeSkips += pruned
-			stats.EnumPruned += pruned
-			// The sweep delta-chains this class's builds, so the first
-			// pair's from-scratch build must record the diff watermarks.
-			scratch.EnableDeltaBaseline()
-			chain = true
-		} else {
+		bix := scratch.Index(par, w, opts.Layered)
+		ix = bix
+		if aMask, bMask, ok := bix.Masks(); ok {
 			pairs = layered.EnumerateGoodPairsMasked(opts.Layered, aMask, bMask, opts.MaxPairsPerClass)
+		} else {
+			pairs = layered.EnumerateGoodPairsLimited(opts.Layered,
+				func(u int) bool { return u == 0 || bix.ACount(u) > 0 },
+				func(u int) bool { return bix.BCount(u) > 0 },
+				opts.MaxPairsPerClass,
+			)
 		}
-	} else {
-		pairs = layered.EnumerateGoodPairsLimited(opts.Layered,
-			func(u int) bool { return u == 0 || ix.ACount(u) > 0 },
-			func(u int) bool { return ix.BCount(u) > 0 },
-			opts.MaxPairsPerClass,
-		)
-	}
-	if len(pairs) > opts.MaxPairsPerClass {
-		pairs = pairs[:opts.MaxPairsPerClass]
 	}
 	rep := cw.repair
 	if rep != nil && ac != nil {
@@ -889,7 +876,7 @@ func classAugmentations(
 		}
 		var lay *layered.Layered
 		crossBuilt := false
-		if chain && prevLay != nil {
+		if ac != nil && prevLay != nil {
 			link := prevLay.Par != par // baseline from a previous round
 			// Cutover 1 chains always: the grouped Y-stage lookup pays off
 			// even with no segment to reuse.

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 )
 
@@ -31,58 +30,21 @@ func (a Augmentation) Gain() Weight {
 }
 
 // ErrInvalidAugmentation is returned by Apply when the augmentation does not
-// fit the matching (a Remove edge is absent, or an Add edge conflicts).
+// fit the matching (see Applies).
 var ErrInvalidAugmentation = errors.New("graph: invalid augmentation")
 
-// Apply applies a to m, returning the realised gain. On error m is left
-// unchanged.
+// Apply applies a to m, returning the realised gain. It returns
+// ErrInvalidAugmentation, with m unchanged, exactly when Applies refuses a.
 func Apply(m *Matching, a Augmentation) (Weight, error) {
-	for _, e := range a.Remove {
-		if !m.Has(e.U, e.V) {
-			return 0, fmt.Errorf("%w: remove edge %v not in matching", ErrInvalidAugmentation, e)
-		}
+	if !Applies(m, a) {
+		return 0, ErrInvalidAugmentation
 	}
-	// Validate the add set against a simulated post-removal state.
-	removed := make(map[int]struct{}, 2*len(a.Remove))
-	for _, e := range a.Remove {
-		removed[e.U] = struct{}{}
-		removed[e.V] = struct{}{}
-	}
-	used := make(map[int]struct{}, 2*len(a.Add))
-	for _, e := range a.Add {
-		if e.U == e.V {
-			return 0, fmt.Errorf("%w: self loop %v", ErrInvalidAugmentation, e)
-		}
-		for _, v := range [2]int{e.U, e.V} {
-			if _, dup := used[v]; dup {
-				return 0, fmt.Errorf("%w: add edges share vertex %d", ErrInvalidAugmentation, v)
-			}
-			used[v] = struct{}{}
-			if _, freed := removed[v]; !freed && m.IsMatched(v) {
-				return 0, fmt.Errorf("%w: add edge %v conflicts at vertex %d", ErrInvalidAugmentation, e, v)
-			}
-		}
-	}
-	var gain Weight
-	for _, e := range a.Remove {
-		gain -= e.W
-		// Has was verified above, so Remove cannot fail.
-		if err := m.Remove(e.U, e.V); err != nil {
-			return 0, err
-		}
-	}
-	for _, e := range a.Add {
-		gain += e.W
-		if err := m.Add(e); err != nil {
-			return 0, err
-		}
-	}
-	return gain, nil
+	return apply(m, a), nil
 }
 
-// Applies reports whether a fits m (every Remove edge matched, Add edges
-// vertex-disjoint and free after the removals) — the Apply precondition
-// without the cost of constructing rejection errors. The greedy
+// Applies reports whether a fits m (every Remove edge matched and listed
+// once, Add edges of positive weight, vertex-disjoint and free after the
+// removals) — the one fit rule of Apply and ApplyDisjoint. The greedy
 // conflict-resolution loops reject most of their candidates, so the
 // rejection path must not allocate; augmentations are short (bounded by the
 // layer count), so the quadratic endpoint scans beat building sets.
@@ -138,24 +100,29 @@ func ApplyDisjoint(m *Matching, augs []Augmentation) (Weight, int) {
 		if !Applies(m, a) {
 			continue
 		}
-		var gain Weight
-		for _, e := range a.Remove {
-			gain -= e.W
-			// Applies verified membership; Remove cannot fail.
-			if err := m.Remove(e.U, e.V); err != nil {
-				panic(err)
-			}
-		}
-		for _, e := range a.Add {
-			gain += e.W
-			if err := m.Add(e); err != nil {
-				panic(err)
-			}
-		}
-		total += gain
+		total += apply(m, a)
 		applied++
 	}
 	return total, applied
+}
+
+// apply applies an augmentation Applies accepted and returns its gain.
+func apply(m *Matching, a Augmentation) Weight {
+	var gain Weight
+	for _, e := range a.Remove {
+		gain -= e.W
+		// Applies verified membership; Remove cannot fail.
+		if err := m.Remove(e.U, e.V); err != nil {
+			panic(err)
+		}
+	}
+	for _, e := range a.Add {
+		gain += e.W
+		if err := m.Add(e); err != nil {
+			panic(err)
+		}
+	}
+	return gain
 }
 
 // PathAugmentation builds the augmentation corresponding to an alternating
@@ -189,11 +156,4 @@ func PathAugmentation(m *Matching, add []Edge) Augmentation {
 		}
 	}
 	return Augmentation{Remove: remove, Add: add}
-}
-
-// GainOf computes the gain of adding the given vertex-disjoint edge set to m
-// after evicting the conflicting matched edges (the w+ of Definition 4.5 for
-// the induced augmentation).
-func GainOf(m *Matching, add []Edge) Weight {
-	return PathAugmentation(m, add).Gain()
 }

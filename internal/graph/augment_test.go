@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -52,14 +53,22 @@ func TestApplyRejectsInvalid(t *testing.T) {
 		{"add conflicts", Augmentation{Add: []Edge{{U: 1, V: 2, W: 9}}}},
 		{"add self loop", Augmentation{Add: []Edge{{U: 2, V: 2, W: 9}}}},
 		{"adds share vertex", Augmentation{Add: []Edge{{U: 2, V: 3, W: 1}, {U: 3, V: 2, W: 1}}}},
+		{"remove listed twice", Augmentation{
+			Remove: []Edge{{U: 0, V: 1, W: 5}, {U: 0, V: 1, W: 5}},
+			Add:    []Edge{{U: 2, V: 3, W: 1}},
+		}},
+		{"add non-positive weight", Augmentation{Add: []Edge{{U: 2, V: 3, W: -4}}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			before := m.Weight()
-			if _, err := Apply(m, tt.a); err == nil {
-				t.Error("invalid augmentation accepted")
+			before, size := m.Weight(), m.Size()
+			if _, err := Apply(m, tt.a); !errors.Is(err, ErrInvalidAugmentation) {
+				t.Errorf("Apply = %v, want ErrInvalidAugmentation", err)
 			}
-			if m.Weight() != before {
+			if Applies(m, tt.a) {
+				t.Error("Applies accepts what Apply refused")
+			}
+			if m.Weight() != before || m.Size() != size {
 				t.Error("failed Apply mutated the matching")
 			}
 			if err := m.Validate(); err != nil {
@@ -136,9 +145,6 @@ func TestPathAugmentationDerivesRemovals(t *testing.T) {
 	}
 	if a.Gain() != 20-11 {
 		t.Errorf("gain = %d, want 9", a.Gain())
-	}
-	if GainOf(m, []Edge{{U: 2, V: 3, W: 20}}) != 9 {
-		t.Error("GainOf disagrees")
 	}
 	gain, err := Apply(m, a)
 	if err != nil {

@@ -20,14 +20,15 @@ func BUnitOf(wt graph.Weight, w float64, prm Params) int {
 	return int(math.Floor(float64(wt) / (prm.Granularity * w)))
 }
 
-// Index is the bucket view BuildIndexed and the Algorithm 4 viability
-// filter consume: the parametrized edges of one class weight, grouped by τ
-// unit. Two implementations exist: BucketIndex rebuilds the grouping from
-// scratch per (round, class) — the naive path, kept as the differential
-// oracle — and IncIndex amortises it across a whole Solve run. Both must
-// return identical edge sequences for every unit the Table-1 enumeration
-// can query (A units 1..maxU, B units 2..maxU); the differential and fuzz
-// suites assert it.
+// Index is the bucket view BuildIndexed consumes: the parametrized edges of
+// one class weight, grouped by τ unit. Two implementations exist:
+// BucketIndex rebuilds the grouping from scratch per (round, class) — the
+// naive path, kept as the differential oracle — and IncIndex's views
+// amortise it across a whole Solve run. Both must return identical edge
+// sequences for every unit the Table-1 enumeration can query (A units
+// 1..maxU, B units 2..maxU); the differential and fuzz suites assert it.
+// Each form summarises its populated units for the enumeration itself
+// (BucketIndex.Masks, IncView.Masks).
 type Index interface {
 	// Parametrization returns the round's parametrized graph.
 	Parametrization() *Parametrized
@@ -41,12 +42,6 @@ type Index interface {
 	// B returns the unmatched crossing edges whose weight lies in the
 	// unit-u τB window, in par.B (graph-edge) order.
 	B(u int) []graph.Edge
-	// ACount and BCount return len(A(u)) and len(B(u)).
-	ACount(u int) int
-	BCount(u int) int
-	// Masks summarises the populated units as bitmasks (see
-	// BucketIndex.Masks); ok is false when the unit range exceeds 63 bits.
-	Masks() (aMask, bMask uint64, ok bool)
 }
 
 // BucketIndex pre-buckets a parametrization's edges by τ unit for one class

@@ -27,8 +27,7 @@ var (
 	// ErrDeltaMismatch: prev was built from a different class weight or
 	// discretisation than the view currently describes, or from a different
 	// parametrization the view's change clock cannot vouch for, so equal τ
-	// units would not imply equal buckets; or the view is too fine for the
-	// grouped Y tables (IncView.YGroupsOK), BuildDelta's only Y stage.
+	// units would not imply equal buckets.
 	ErrDeltaMismatch = errors.New("layered: BuildDelta baseline was built from a different index state")
 )
 
@@ -96,9 +95,9 @@ type DeltaInfo struct {
 // whenever anything is reusable.
 //
 // reused counts the segments carried over unchanged (Stats.DeltaLayersReused).
-// A non-nil error means prev is not a valid baseline, or the view is past
-// YGroupsOK (see the ErrDelta* conditions); the arena is left untouched and
-// the caller should build via BuildIndexed instead.
+// A non-nil error means prev is not a valid baseline (see the ErrDelta*
+// conditions); the arena is left untouched and the caller should build via
+// BuildIndexed instead.
 func BuildDelta(ix *IncView, prev *Layered, tau TauPair, s *Scratch, cutover int) (l *Layered, reused int, err error) {
 	if prev == nil || s == nil {
 		return nil, 0, ErrDeltaNoBase
@@ -118,7 +117,7 @@ func BuildDelta(ix *IncView, prev *Layered, tau TauPair, s *Scratch, cutover int
 		return nil, 0, ErrDeltaStale
 	}
 	par, w, prm := ix.Parametrization(), ix.ClassWeight(), ix.Config()
-	if prev.W != w || prev.Prm != prm || !ix.YGroupsOK() {
+	if prev.W != w || prev.Prm != prm {
 		return nil, 0, ErrDeltaMismatch
 	}
 	// cross marks the cross-round path: the baseline was built from an

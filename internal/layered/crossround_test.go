@@ -280,16 +280,6 @@ func TestBeginRoundBusy(t *testing.T) {
 	}
 	// The round is fully usable: the refused call left no half-synced state.
 	for c := range ws {
-		ref := NewBucketIndex(par, ws[c], prm)
-		v := inc.View(c)
-		maxU, _ := prm.Units()
-		for u := 1; u <= maxU; u++ {
-			if v.ACount(u) != ref.ACount(u) {
-				t.Fatalf("class %d unit %d: A counts diverge after busy refusal", c, u)
-			}
-			if u >= 2 && v.BCount(u) != ref.BCount(u) {
-				t.Fatalf("class %d unit %d: B counts diverge after busy refusal", c, u)
-			}
-		}
+		assertViewMatchesBucket(t, inc.View(c), NewBucketIndex(par, ws[c], prm), prm)
 	}
 }

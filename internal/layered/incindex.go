@@ -14,7 +14,7 @@ import (
 // ErrBeginRoundBusy: BeginRound was entered while another BeginRound on the
 // same index was still running (concurrent or re-entrant use, which the type
 // contract forbids). The entering call performed no mutation — the dirty
-// digest, counts, and matched list are whatever the running call leaves —
+// digest, masks, and matched list are whatever the running call leaves —
 // so the caller can absorb the sentinel through the degradation ladder's
 // reset rung (core counts it in Stats.FallbackResets and rebuilds the
 // amortised context) instead of risking a silently corrupted round setup.
@@ -37,11 +37,11 @@ var ErrBeginRoundBusy = errors.New("layered: concurrent or re-entrant IncIndex.B
 //     smaller endpoint) order, each carrying its per-class τA units.
 //     BeginRound merge-diffs it against the round's matching, recomputing
 //     window arithmetic only for edges whose matched status changed.
-//   - per-round viability counts and lazily materialised buckets: the
+//   - per-round populated-unit masks and lazily materialised buckets: the
 //     bipartition is redrawn every round, so crossing status is the one
 //     per-edge input that cannot be amortised; BeginRound folds it into
-//     exact per-(class, unit) counts with a single integer pass over the
-//     live slots, and A(u)/B(u) buckets materialise on first use by a pair.
+//     per-class unit bitmasks with a single integer pass over the live
+//     slots, and A(u)/B(u) buckets materialise on first use by a pair.
 //
 // Every materialised bucket reproduces the BucketIndex edge sequence
 // bit-for-bit (same content, same order), so a Solve run over an IncIndex
@@ -49,9 +49,12 @@ var ErrBeginRoundBusy = errors.New("layered: concurrent or re-entrant IncIndex.B
 // differential suite and FuzzIncrementalIndex assert this. The only
 // deliberate divergences are the units the enumeration can never query:
 // IncView.A(0) and IncView.B(0), IncView.B(1) are empty (BuildIndexed skips
-// τA = 0 layers and Table 1 forbids τB < 2g), so bMask lacks bits 0 and 1 —
-// the memoised pair enumeration sees a different cache key but computes the
-// identical pair list.
+// τA = 0 layers and Table 1 forbids τB < 2g), so bMask lacks bits 0 and 1.
+//
+// The index exists only at granularity 1/62 or coarser (maxU < FreeLBit,
+// see CanIndexIncrementally): every per-unit table is one 64-bit word wide,
+// so the masks, the survival probe, the grouped Y tables and BuildDelta
+// all run on every index there is, with no finer-grained fallback.
 //
 // An IncIndex is not safe for concurrent BeginRound use; within one round,
 // distinct class views may be used from distinct goroutines (all per-class
@@ -89,11 +92,11 @@ type IncIndex struct {
 	matched []matchedEdge
 	swap    []matchedEdge // ping-pong buffer for the merge-diff
 
-	// Per-round state, versioned by stamp (wrap clears everything).
+	// Per-round state, versioned by stamp (wrap clears everything). The
+	// masks hold bit u when the class's unit-u window has a crossing edge
+	// (aMask also bit 0, the τA = 0 free marker).
 	stamp uint32
 	par   *Parametrized
-	aCnt  [][]int32
-	bCnt  [][]int32
 	aMask []uint64
 	bMask []uint64
 
@@ -132,16 +135,12 @@ type IncIndex struct {
 
 	// Round-scoped dirty-class gate: dirty[c] is true when class c's τ
 	// windows contain at least one crossing edge this round. Clean classes
-	// skip the per-(class, unit) folding entirely — their counts are
-	// logically zero (cntStamp[c] lags the round stamp) and their masks are
-	// the empty-window constants — and provably enumerate zero surviving
+	// keep the empty-window masks and provably enumerate zero surviving
 	// pairs, so core.Runner skips them wholesale (Stats.ClassesSkippedDirty).
 	dirty    []bool
-	dirtyCnt int
 	dirtySum uint64  // digest over (stamp, dirty[]) sealed by BeginRound
 	dDiff    []int32 // class-range diff array for the dirty marking
 	crossB   []int32 // crossing unmatched live edge indices, one round pass
-	cntStamp []uint32
 
 	// Grouped Y tables (IncView.YGroup): per (class, τB unit), the bucket's
 	// crossing edges partitioned by the survival classification of their
@@ -197,8 +196,7 @@ type IncIndex struct {
 }
 
 // freeLBit marks "L endpoint free" in a probe row; unit bits occupy
-// 0..maxU, so the probe requires maxU < freeLBit and falls back to
-// building every pair at finer discretisations.
+// 0..maxU, so the index requires maxU < freeLBit (CanIndexIncrementally).
 const freeLBit = 63
 
 type matchedEdge struct {
@@ -214,25 +212,21 @@ type matchedEdge struct {
 	sideU bool
 }
 
-// maxIncUnit is the largest τ unit the index's compact storage can hold:
-// units live in uint8 slots (bUnits, matchedEdge.units, vUnit, the PairKey
-// bytes). Discretisations finer than 1/255 overflow them, so callers gate
-// on CanIndexIncrementally and fall back to the naive BucketIndex path.
-const maxIncUnit = 255
-
 // CanIndexIncrementally reports whether the discretisation fits the
-// incremental index's compact unit storage. The masks and the survival
-// probe have their own, tighter fallbacks (64 and 63 units); this bound is
-// the hard one past which bucket contents themselves would silently wrap.
+// incremental index: maxU < FreeLBit, granularity 1/62 or coarser, where
+// every unit is a bit of the one-word masks, probe rows and grouped Y keys
+// (and fits the uint8 unit slots). Finer discretisations run the naive
+// BucketIndex path.
 func CanIndexIncrementally(prm Params) bool {
 	maxU, _ := prm.WithDefaults().Units()
-	return maxU <= maxIncUnit
+	return maxU < freeLBit
 }
 
 // NewIncIndex builds the static half of the index for the given class
 // weights (descending, as ClassWeights returns them) and discretisation,
 // which must satisfy CanIndexIncrementally (NewIncIndex panics otherwise:
-// a wrapped unit would not fail loudly, it would return wrong buckets).
+// a unit past the bit tables would not fail loudly, it would collide with
+// the free-L marker).
 // The edge slice is aliased and must not change during the index's life
 // except through the edit protocol (BeginEdits/Note*/EndEdits, which
 // re-alias the post-edit slice); the reduction itself never mutates the
@@ -240,7 +234,7 @@ func CanIndexIncrementally(prm Params) bool {
 func NewIncIndex(n int, edges []graph.Edge, ws []float64, prm Params) *IncIndex {
 	prm = prm.WithDefaults()
 	maxU, _ := prm.Units()
-	if maxU > maxIncUnit {
+	if maxU >= freeLBit {
 		panic("layered: granularity too fine for IncIndex (gate on CanIndexIncrementally)")
 	}
 	x := &IncIndex{n: n, edges: edges, ws: ws, prm: prm, maxU: maxU}
@@ -263,8 +257,6 @@ func NewIncIndex(n int, edges []graph.Edge, ws []float64, prm Params) *IncIndex 
 		}
 	}
 
-	x.aCnt = make([][]int32, len(ws))
-	x.bCnt = make([][]int32, len(ws))
 	x.aMask = make([]uint64, len(ws))
 	x.bMask = make([]uint64, len(ws))
 	x.aStamp = make([][]uint32, len(ws))
@@ -282,7 +274,6 @@ func NewIncIndex(n int, edges []graph.Edge, ws []float64, prm Params) *IncIndex 
 	x.pRows = make([][][]uint64, len(ws))
 	x.dirty = make([]bool, len(ws))
 	x.dDiff = make([]int32, len(ws)+1)
-	x.cntStamp = make([]uint32, len(ws))
 	x.ygStamp = make([][]uint32, len(ws))
 	x.ygEpoch = make([][]uint64, len(ws))
 	x.yg = make([][]ygPart, len(ws))
@@ -293,8 +284,6 @@ func NewIncIndex(n int, edges []graph.Edge, ws []float64, prm Params) *IncIndex 
 	x.vChg = make([]uint64, n)
 	x.ePrev = make([]uint8, len(edges))
 	for c := range ws {
-		x.aCnt[c] = make([]int32, maxU+1)
-		x.bCnt[c] = make([]int32, maxU+1)
 		x.aStamp[c] = make([]uint32, maxU+1)
 		x.bStamp[c] = make([]uint32, maxU+1)
 		x.aBuf[c] = make([][]graph.Edge, maxU+1)
@@ -372,7 +361,7 @@ func (x *IncIndex) bandOf(w graph.Weight) (start int32, units []uint8) {
 // BeginRound points the index at the round's parametrization: it
 // merge-diffs the matched list against par.M (window arithmetic only for
 // edges whose matched status or weight changed), then folds the fresh
-// bipartition into exact per-(class, unit) viability counts and masks. All
+// bipartition into the per-class populated-unit masks. All
 // bucket materialisations and probe sets of the previous round are
 // invalidated by a stamp bump; alongside, the cross-round change clock
 // (epoch, aChg/yChg/vChg) records which buckets actually changed, so the
@@ -402,7 +391,6 @@ func (x *IncIndex) BeginRound(par *Parametrized) error {
 			clear(x.ysStamp[c])
 		}
 		clear(x.probeStamp)
-		clear(x.cntStamp)
 		x.stamp = 1
 	}
 
@@ -479,7 +467,7 @@ func (x *IncIndex) BeginRound(par *Parametrized) error {
 	// Dirty marking: one crossing pass over the edges, charging each
 	// crossing edge's contiguous live-class band (and each crossing matched
 	// edge's unit prefix) to a class-range diff array. Classes no crossing
-	// edge touches are clean and skip all per-(class, unit) work below.
+	// edge touches are clean and keep the empty-window masks.
 	// The same pass diffs each in-window edge's liveness and orientation
 	// against its previous-round state (ePrev) and charges changes to the
 	// τB change clock — the B-side half of the cross-round keying.
@@ -519,28 +507,21 @@ func (x *IncIndex) BeginRound(par *Parametrized) error {
 		x.dDiff[0]++
 		x.dDiff[len(me.units)]--
 	}
-	x.dirtyCnt = 0
 	run := int32(0)
 	for c := range x.ws {
 		run += x.dDiff[c]
 		x.dirty[c] = run > 0
-		if x.dirty[c] {
-			x.dirtyCnt++
-			clear(x.aCnt[c])
-			clear(x.bCnt[c])
-			x.cntStamp[c] = x.stamp
-		}
+		x.aMask[c], x.bMask[c] = 1, 0 // empty windows: only the τA = 0 free marker
 	}
 
-	// Fold the crossing edges into exact per-(class, unit) counts. Every
-	// increment lands in a dirty class by construction (a crossing in-window
-	// edge is what dirties a class), so clean classes keep their stale
-	// buffers — the cntStamp gate makes ACount/BCount read them as zero.
+	// OR each crossing edge's unit into the masks of its classes. Every bit
+	// lands in a dirty class by construction (a crossing in-window edge is
+	// what dirties a class), so clean classes keep the empty-window masks.
 	for _, ei := range x.crossB {
 		i := int(ei)
 		for k := int32(0); k < x.bLen[i]; k++ {
 			c := int(x.bStart[i]) + int(k)
-			x.bCnt[c][x.bUnits[x.bOff[i]+k]]++
+			x.bMask[c] |= 1 << x.bUnits[x.bOff[i]+k]
 		}
 	}
 	for mi := range x.matched {
@@ -549,27 +530,8 @@ func (x *IncIndex) BeginRound(par *Parametrized) error {
 			continue
 		}
 		for c, u := range me.units {
-			x.aCnt[c][u]++
+			x.aMask[c] |= 1 << u
 		}
-	}
-
-	for c := range x.ws {
-		if !x.dirty[c] {
-			x.aMask[c], x.bMask[c] = 1, 0 // empty windows: only the τA = 0 free marker
-			continue
-		}
-		aMask, bMask := uint64(1), uint64(0)
-		if x.maxU < 64 {
-			for u := 1; u <= x.maxU; u++ {
-				if x.aCnt[c][u] > 0 {
-					aMask |= 1 << uint(u)
-				}
-				if x.bCnt[c][u] > 0 {
-					bMask |= 1 << uint(u)
-				}
-			}
-		}
-		x.aMask[c], x.bMask[c] = aMask, bMask
 	}
 
 	// Seal the dirty bitmap under a digest: DirtyGateOK re-derives it, so
@@ -645,16 +607,14 @@ func (x *IncIndex) DirtyGateOK() bool { return x.dirtyDigest() == x.dirtySum }
 // the set against naive BucketIndex rebuilds.
 func (x *IncIndex) RoundDirty(c int) bool { return x.dirty[c] }
 
-// DirtyClasses returns the number of dirty classes in the current round.
-func (x *IncIndex) DirtyClasses() int { return x.dirtyCnt }
-
 // View returns the class-c bucket view for the current round. Views from
 // distinct classes may be used concurrently; a single view may not.
 func (x *IncIndex) View(c int) *IncView { return &x.views[c] }
 
 // IncView adapts one class of an IncIndex to the Index interface and adds
-// the amortised extras: the survival probe and the content digests the
-// cross-class solve cache keys on.
+// the amortised extras: the populated-unit masks, the survival probe, the
+// grouped Y tables and change clocks BuildDelta reads, and the content
+// digests the cross-class solve cache keys on.
 type IncView struct {
 	ix *IncIndex
 	c  int
@@ -750,30 +710,10 @@ func (x *IncIndex) bDigest(c, u int) uint64 {
 	return x.bDig[c][u]
 }
 
-// ACount returns the exact crossing-filtered count of the unit-u τA window.
-// Clean classes (no crossing edge in any window) skip the round's count
-// folding; the stamp gate reads their untouched buffers as zero.
-func (v *IncView) ACount(u int) int {
-	if u < 1 || u > v.ix.maxU || v.ix.cntStamp[v.c] != v.ix.stamp {
-		return 0
-	}
-	return int(v.ix.aCnt[v.c][u])
-}
-
-// BCount returns the exact crossing-filtered count of the unit-u τB window.
-func (v *IncView) BCount(u int) int {
-	if u < 2 || u > v.ix.maxU || v.ix.cntStamp[v.c] != v.ix.stamp {
-		return 0
-	}
-	return int(v.ix.bCnt[v.c][u])
-}
-
 // Masks returns the populated-unit bitmasks (see BucketIndex.Masks). The
-// bMask omits bits 0 and 1, which no good τB entry can name.
+// bMask omits bits 0 and 1, which no good τB entry can name. ok is always
+// true: an index exists only where the units fit one word.
 func (v *IncView) Masks() (aMask, bMask uint64, ok bool) {
-	if v.ix.maxU+1 > 64 {
-		return 0, 0, false
-	}
 	return v.ix.aMask[v.c], v.ix.bMask[v.c], true
 }
 
@@ -837,13 +777,9 @@ func (x *IncIndex) probeRows(c, u int) []uint64 {
 // The probe applies the same window and vertex filters as BuildIndexed but
 // shares the per-(class, unit) survival tables across every pair of the
 // class, so a doomed pair costs O(layers) bit tests instead of a full
-// build. At discretisations too fine for the bit tables (maxU ≥ 63) the
-// probe conservatively keeps every pair.
+// build.
 func (v *IncView) ProbeY(tau TauPair) bool {
 	x, c := v.ix, v.c
-	if x.maxU >= freeLBit {
-		return true
-	}
 	k := tau.K()
 	for t := 0; t < k; t++ {
 		rows := x.probeRows(c, tau.BUnits[t])
@@ -872,19 +808,14 @@ func (v *IncView) ProbeY(tau TauPair) bool {
 // LayerRow returns the probe row of the unit-b unmatched window at matched-
 // unit row a (SurvivalOracle interface): the same per-(class, unit) crossing
 // tables ProbeY consults, exposed so the pair enumeration can prune dead
-// subtrees during generation. Callers must gate on Oracle (the rows exist
-// only while maxU < FreeLBit).
+// subtrees during generation.
 func (v *IncView) LayerRow(bUnit, aUnit int) uint64 {
 	return v.ix.probeRows(v.c, bUnit)[aUnit]
 }
 
-// Oracle returns the view as a SurvivalOracle for probe-guided enumeration,
-// or ok = false at discretisations too fine for the bit tables (maxU ≥ 63,
-// where ProbeY likewise degrades to keeping every pair).
+// Oracle returns the view as a SurvivalOracle for probe-guided enumeration.
+// ok is always true: an index exists only where the probe rows do.
 func (v *IncView) Oracle() (SurvivalOracle, bool) {
-	if v.ix.maxU >= freeLBit {
-		return nil, false
-	}
 	return v, true
 }
 
@@ -1055,19 +986,13 @@ func (x *IncIndex) ensureYGroups(c, u int) *ygPart {
 	return p
 }
 
-// YGroupsOK reports whether the grouped Y lookup is available; the
-// classification shares the survival probe's unit-bit bound, so it fails
-// exactly where Oracle does, and BuildDelta refuses such a view.
-func (v *IncView) YGroupsOK() bool { return v.ix.maxU < freeLBit }
-
 // YGroup returns the unit-u unmatched crossing edges surviving between a
 // layer of matched unit row and a successor layer of matched unit col
 // (row 0 = free R, col FreeLBit = free L), oriented U = R endpoint, V = L
-// endpoint, in bucket order. Callers gate on YGroupsOK; past it YGroup
-// returns nil.
+// endpoint, in bucket order.
 func (v *IncView) YGroup(u, row, col int) []graph.Edge {
 	x := v.ix
-	if !v.YGroupsOK() || u < 2 || u > x.maxU || row < 0 || row > x.maxU || col < 0 || col > freeLBit {
+	if u < 2 || u > x.maxU || row < 0 || row > x.maxU || col < 0 || col > freeLBit {
 		return nil
 	}
 	p := x.ensureYGroups(v.c, u)

@@ -133,9 +133,7 @@ func TestIncIndexEditsMatchFresh(t *testing.T) {
 			for c, w := range ws {
 				ref := NewBucketIndex(par, w, prm)
 				assertViewMatchesBucket(t, inc.View(c), ref, prm)
-				if maxU < freeLBit {
-					assertYGroupsMatch(t, inc.View(c), fresh.View(c), maxU)
-				}
+				assertYGroupsMatch(t, inc.View(c), fresh.View(c), maxU)
 			}
 		}
 	}

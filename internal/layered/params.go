@@ -26,15 +26,16 @@
 // tables; its DeltaInfo names the baseline build and the byte-shared
 // prefix of the L' edge list, which is exactly what bipartite.RepairHK
 // needs to patch the matching solve on top. A baseline that cannot be
-// proven fresh, or a view too fine for the grouped tables (granularity
-// finer than 1/62), is rejected with one of the five ErrDelta* sentinels
+// proven fresh is rejected with one of the five ErrDelta* sentinels
 // (NoBase, Detached, Scratch, Stale, Mismatch) and the caller builds from
 // scratch — the build rung of core's degradation ladder. The view's round
 // epoch and per-(class, unit) change clocks (RoundEpoch, AStableSince,
 // YStableSince) are the freshness oracle for baselines that survived a
 // redraw, letting BuildDelta keep exactly the segments whose buckets
-// provably did not change. BucketIndex, the per-round rebuild, serves the
-// naive path and the cold rungs through BuildIndexed alone.
+// provably did not change. An IncIndex exists only at granularity 1/62 or
+// coarser (CanIndexIncrementally), where each per-unit table is one 64-bit
+// word; finer discretisations, the naive path and the cold rungs use
+// BucketIndex, the per-round rebuild, through BuildIndexed alone.
 package layered
 
 // Params collects the discretisation parameters of the layered-graph

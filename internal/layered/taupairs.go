@@ -225,9 +225,9 @@ func EnumerateSurvivingPairs(p Params, aMask, bMask uint64, limit int, o Surviva
 	p = p.WithDefaults()
 	maxU, capU := p.Units()
 	if maxU >= freeLBit {
-		// Unit bits would collide with the free-L marker; the probe path
-		// gates on this bound (IncView.Oracle), so reaching here is a
-		// caller bug rather than a fallback case.
+		// Unit bits would collide with the free-L marker; an oracle comes
+		// from an IncIndex, which exists only below this bound
+		// (CanIndexIncrementally), so reaching here is a caller bug.
 		panic("layered: discretisation too fine for survival-guided enumeration")
 	}
 	if s == nil {

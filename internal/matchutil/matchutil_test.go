@@ -144,7 +144,7 @@ func TestMaxWeightExactNoImprovingEdgeQuick(t *testing.T) {
 			return false
 		}
 		for _, e := range inst.G.Edges() {
-			if graph.GainOf(m, []graph.Edge{e}) > 0 {
+			if graph.PathAugmentation(m, []graph.Edge{e}).Gain() > 0 {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package solvertest
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -342,51 +343,67 @@ func equalTauPairs(a, b layered.TauPair) bool {
 	return true
 }
 
-// TestAmortizeFineGranularityFallback pins the fallback past the
-// incremental index's compact unit storage: at granularity 1/300 the
-// amortised configuration must silently use the naive path (no amortised
-// counters) and still return the naive matchings — not wrap τ units.
-func TestAmortizeFineGranularityFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	inst := graph.PlantedMatching(8, 12, 100, 200, rng)
-	w := Workload{Name: "fine-granularity", G: inst.G}
-	fine := layered.Params{Granularity: 1.0 / 300}
-	_, sA := AssertBitIdentical(t, w,
-		core.Options{Layered: fine, MaxPairsPerClass: 10},
-		core.Options{Layered: fine, MaxPairsPerClass: 10, Amortize: true},
-		19, 2)
-	if sA.ProbeSkips != 0 || sA.CacheHits != 0 {
-		t.Errorf("fine granularity still ran the amortised pipeline: %+v", sA)
+// granularityRow is one granularity at which assertGranularityBoundary
+// runs a workload naive and amortised.
+type granularityRow struct {
+	units, maxPairs, rounds int
+	seed                    int64
+}
+
+// assertGranularityBoundary pins where the amortised pipeline runs: whole
+// at granularity 1/62 and coarser, not at all past it. At 1/62 the class
+// views' bit tables exist (maxU < FreeLBit), so an amortised run prunes
+// pairs inside the enumeration and delta-chains its builds, with no
+// fallback rung taken. Finer, no index is built and the amortised
+// configuration runs the naive path, so its whole Stats equals the naive
+// run's. At every granularity the matching equals the naive path's every
+// round.
+func assertGranularityBoundary(t *testing.T, w Workload, rows ...granularityRow) {
+	t.Helper()
+	for _, c := range rows {
+		units := c.units
+		t.Run(fmt.Sprintf("granularity_1_%d", units), func(t *testing.T) {
+			prm := layered.Params{Granularity: 1 / float64(units)}
+			sN, sA := AssertBitIdentical(t, w,
+				core.Options{Layered: prm, MaxPairsPerClass: c.maxPairs},
+				core.Options{Layered: prm, MaxPairsPerClass: c.maxPairs, Amortize: true},
+				c.seed, c.rounds)
+			if units > 62 {
+				if sA != sN {
+					t.Errorf("amortised stats differ from the naive run's:\n%+v\nvs\n%+v", sA, sN)
+				}
+				return
+			}
+			if sA.DeltaBuilds == 0 || sA.EnumPruned == 0 {
+				t.Errorf("amortised run did not chain: %d delta builds, %d pruned pairs", sA.DeltaBuilds, sA.EnumPruned)
+			}
+			for _, f := range sA.Fields() {
+				if strings.HasPrefix(f.Name, "fallback-") && f.Value != 0 {
+					t.Errorf("%s = %d, want 0", f.Name, f.Value)
+				}
+			}
+		})
 	}
 }
 
-// TestAmortizeChainBoundary pins where the delta chain runs. At
-// granularity 1/62 the class views' bit tables exist (maxU < FreeLBit), so
-// an amortised Solve delta-chains its builds. At 1/63 and 1/64 they do
-// not: every pair builds from scratch, with no delta build and no fallback
-// rung taken, because the sweep never offers BuildDelta a view it would
-// refuse. At all three the matching equals the naive path's every round.
+// TestAmortizeChainBoundary runs assertGranularityBoundary on either side
+// of the class views' bit tables: 1/62 delta-chains, 1/63 and 1/64 run
+// the naive path whole.
 func TestAmortizeChainBoundary(t *testing.T) {
-	inst := graph.BandedWeights(16, 64, 100, rand.New(rand.NewSource(5)))
-	w := Workload{Name: "banded", G: inst.G}
-	for _, c := range []struct {
-		units  float64
-		chains bool
-	}{{62, true}, {63, false}, {64, false}} {
-		prm := layered.Params{Granularity: 1 / c.units}
-		_, sA := AssertBitIdentical(t, w,
-			core.Options{Layered: prm, MaxPairsPerClass: 30},
-			core.Options{Layered: prm, MaxPairsPerClass: 30, Amortize: true},
-			21, 3)
-		if c.chains != (sA.DeltaBuilds > 0) {
-			t.Errorf("granularity 1/%v: %d delta builds, want chaining %v", c.units, sA.DeltaBuilds, c.chains)
-		}
-		for _, f := range sA.Fields() {
-			if strings.HasPrefix(f.Name, "fallback-") && f.Value != 0 {
-				t.Errorf("granularity 1/%v: %s = %d, want 0", c.units, f.Name, f.Value)
-			}
-		}
-	}
+	band := Workload{Name: "banded", G: graph.BandedWeights(16, 64, 100, rand.New(rand.NewSource(5))).G}
+	assertGranularityBoundary(t, band,
+		granularityRow{62, 30, 3, 21}, granularityRow{63, 30, 3, 21}, granularityRow{64, 30, 3, 21})
+}
+
+// TestAmortizeFineGranularityFallback runs assertGranularityBoundary far
+// past the bit tables, where an amortised configuration must run the
+// naive path whole rather than wrap τ units. Past 64 units the naive
+// enumeration filters pairs unit by unit, which on the band costs
+// minutes, so these rows run a smaller planted instance.
+func TestAmortizeFineGranularityFallback(t *testing.T) {
+	planted := Workload{Name: "planted", G: graph.PlantedMatching(8, 12, 100, 200, rand.New(rand.NewSource(9))).G}
+	assertGranularityBoundary(t, planted,
+		granularityRow{255, 10, 2, 19}, granularityRow{300, 10, 2, 19})
 }
 
 func optsWithRng(opts core.Options, seed int64) core.Options {
