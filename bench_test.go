@@ -228,15 +228,8 @@ func forEachBenchClass(b *testing.B, inst graph.Instance, rng *rand.Rand, fn fun
 	enum := layered.NewPairScratch()
 	for c := range weights {
 		v := inc.View(c)
-		aMask, bMask, ok := v.Masks()
-		if !ok {
-			b.Fatal("masks unavailable")
-		}
-		orc, ok := v.Oracle()
-		if !ok {
-			b.Fatal("oracle unavailable")
-		}
-		ps, _ := layered.EnumerateSurvivingPairs(prm, aMask, bMask, 800, orc, enum)
+		aMask, bMask, _ := v.Masks()
+		ps, _ := layered.EnumerateSurvivingPairs(prm, aMask, bMask, 800, v, enum)
 		pairs := make([]layered.TauPair, 0, len(ps))
 		for _, tau := range ps {
 			pairs = append(pairs, layered.TauPair{
@@ -257,7 +250,6 @@ func forEachBenchClass(b *testing.B, inst graph.Instance, rng *rand.Rand, fn fun
 // Layered header).
 func BenchmarkBuildDelta(b *testing.B) {
 	view, pairs, scratch := setupBuildDeltaBench(b)
-	scratch.EnableDeltaBaseline()
 	prev := layered.BuildIndexed(view, pairs[0], scratch)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -271,9 +263,8 @@ func BenchmarkBuildDelta(b *testing.B) {
 }
 
 // BenchmarkBuildDeltaBaseline is BenchmarkBuildDelta with every pair of the
-// same chain rebuilt from scratch by BuildIndexed on an unmarked arena
-// (no watermark recording, like the real delta-disabled pipeline) — the
-// honest denominator for the delta speedup.
+// same chain rebuilt from scratch by BuildIndexed, the build the naive path
+// runs — the honest denominator for the delta speedup.
 func BenchmarkBuildDeltaBaseline(b *testing.B) {
 	view, pairs, scratch := setupBuildDeltaBench(b)
 	b.ReportAllocs()
@@ -285,8 +276,8 @@ func BenchmarkBuildDeltaBaseline(b *testing.B) {
 
 // BenchmarkRepairHK measures the incremental Hopcroft–Karp repair on the
 // BenchmarkBuildDelta instance's surviving-pair chain: the chain is
-// delta-built once outside the timer (each instance detached with its
-// DeltaInfo), and every
+// delta-built once outside the timer (each instance copied out of the
+// build arena with its DeltaInfo), and every
 // iteration solves the next instance by patching the previous solve's
 // retained CSR (bipartite.RepairHK; the wrap-around instance, whose
 // baseline is not the previous solve, falls back to the retained full
@@ -333,7 +324,7 @@ func BenchmarkRepairHKBaseline(b *testing.B) {
 }
 
 // repairCase is one solved instance of the repair benchmark chain: the
-// bipartite view (content-owned, detached from the build arena), the
+// bipartite view (content-owned, copied out of the build arena), the
 // build's DeltaInfo against its chain predecessor, and its BuildSeq.
 type repairCase struct {
 	bip   *bipartite.Bip
@@ -344,7 +335,7 @@ type repairCase struct {
 // setupRepairChain delta-builds a surviving-pair chain of the
 // BenchmarkLayeredBuild planted instance once and snapshots each instance
 // (the shared-prefix property the repair relies on is a property of the
-// edge-list content, so detached copies preserve it). Among the instance's
+// edge-list content, so copies preserve it). Among the instance's
 // classes it picks the chain with the densest shared structure per solve —
 // the highest average kept L' prefix — the regime the repair exists for,
 // mirroring how setupBuildDeltaBench picks the class with the most
@@ -359,7 +350,6 @@ func setupRepairChain(b *testing.B) []repairCase {
 			return
 		}
 		scratch := layered.NewScratch()
-		scratch.EnableDeltaBaseline()
 		chain := make([]repairCase, 0, len(ps))
 		kept := 0
 		var prev *layered.Layered

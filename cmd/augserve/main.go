@@ -17,11 +17,12 @@
 //	GET  /matching  current matching: weight, size, graph dims, tick, edges
 //	GET  /stats     the core.Stats ledger as a flat JSON object (reflective:
 //	                a counter added by a future PR appears automatically)
-//	POST /mutate    queue mutations: JSON array of {"op","u","v","w"}
+//	POST /mutate    queue mutations: one JSON array of {"op","u","v","w"}
 //	                (op: insert | delete | reweight; w ignored for delete);
-//	                an unknown op, a vertex outside [0, n), a self loop or
-//	                a w ≤ 0 is a 400, a body over 1 MiB is a 413, and a
-//	                rejected request queues nothing
+//	                an unknown op, a vertex outside [0, n), a self loop,
+//	                a w ≤ 0 or anything but whitespace after the array is
+//	                a 400, a body over 1 MiB is a 413, and a rejected
+//	                request queues nothing
 //	POST /tick      apply the queued batch and re-converge; reports the
 //	                ops applied, the augmentation gain, and the new weight
 //	POST /snapshot  persist a resumable checkpoint to the -snapshot path;
@@ -233,8 +234,18 @@ func (s *server) handler() http.Handler {
 
 	mux.HandleFunc("POST /mutate", func(w http.ResponseWriter, r *http.Request) {
 		var reqs []mutationReq
-		body := http.MaxBytesReader(w, r.Body, maxMutateBody)
-		if err := json.NewDecoder(body).Decode(&reqs); err != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMutateBody))
+		err := dec.Decode(&reqs)
+		if err == nil {
+			// Only whitespace may follow the array: a second value or
+			// trailing bytes would otherwise be dropped unread.
+			if _, err = dec.Token(); err == io.EOF {
+				err = nil
+			} else if err == nil {
+				err = errors.New("unexpected data after the JSON array")
+			}
+		}
+		if err != nil {
 			status := http.StatusBadRequest
 			if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
 				status = http.StatusRequestEntityTooLarge

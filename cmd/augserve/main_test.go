@@ -259,8 +259,10 @@ func TestSnapshotReportsPending(t *testing.T) {
 // edge rules — must leave the pending queue untouched. The old handler
 // appended ops as it validated and bailed mid-loop, so the rejected
 // request's prefix applied on the next tick; a client that fixed and
-// retried the request would apply it twice. A body over the size cap is
-// rejected the same way, with 413.
+// retried the request would apply it twice. A body with anything but
+// whitespace after the array is rejected the same way (the handler used to
+// queue the first array and drop the rest), and a body over the size cap
+// with 413.
 func TestMutateRejectQueuesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	inst := graph.RandomGraph(12, 30, 16, rng)
@@ -296,6 +298,25 @@ func TestMutateRejectQueuesNothing(t *testing.T) {
 		if tick.Applied != 0 || tick.Error != "" {
 			t.Fatalf("request ending in %+v left ops behind: tick applied %d (error %q), want 0",
 				bad, tick.Applied, tick.Error)
+		}
+	}
+
+	// Data after the array is refused with 400 and queues nothing: the
+	// array is not queued while the rest of the body is dropped.
+	one := `[{"op":"insert","u":1,"v":7,"w":40}]`
+	for _, body := range []string{one + " " + one, one + " garbage", one + "]", one + "\n{}"} {
+		resp, err := http.Post(ts.URL+"/mutate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
+		}
+		var tick struct{ Applied int }
+		postJSON(t, ts.URL+"/tick", nil, &tick)
+		if tick.Applied != 0 {
+			t.Fatalf("body %q left %d ops behind, want 0", body, tick.Applied)
 		}
 	}
 

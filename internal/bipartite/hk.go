@@ -18,8 +18,8 @@
 // 21). A baseline that is missing, foreign, or inconsistent is rejected
 // with one of the three ErrRepair* sentinels (NoBase, Stale, Info) and
 // the caller re-solves cold — the solver rung of core's degradation
-// ladder; together with the five layered.ErrDelta* sentinels these are
-// the ladder's eight recoverable sentinels.
+// ladder; together with the four layered.ErrDelta* sentinels these are
+// the ladder's seven recoverable sentinels.
 package bipartite
 
 import (

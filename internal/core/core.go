@@ -37,12 +37,12 @@
 //
 // Retained state can go stale or corrupt (and the chaos suite forces it
 // to): each amortised layer checks its baseline and degrades one rung —
-// never to an error. A rejected delta baseline (the five layered.ErrDelta*
+// never to an error. A rejected delta baseline (the four layered.ErrDelta*
 // sentinels) rebuilds from scratch; a rejected repair baseline (the three
 // bipartite.ErrRepair* sentinels) re-solves cold; a cache entry failing
 // its checksum is evicted and re-solved; a poisoned class context is
 // quarantined for the rest of the Solve; a worker panic resets the whole
-// amortised context. The eight sentinels are the recoverable contract:
+// amortised context. The seven sentinels are the recoverable contract:
 // Stats.Fallback* counters record every rung taken, and results stay
 // bit-identical because each rung's cold path is the definition the warm
 // path is proved against.
@@ -800,9 +800,6 @@ func classAugmentations(
 		stats.LayeredBuilt += pruned
 		stats.ProbeSkips += pruned
 		stats.EnumPruned += pruned
-		// The sweep delta-chains this class's builds, so the first pair's
-		// from-scratch build must record the diff watermarks.
-		scratch.EnableDeltaBaseline()
 	} else {
 		bix := scratch.Index(par, w, opts.Layered)
 		ix = bix

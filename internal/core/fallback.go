@@ -47,7 +47,6 @@ func (e *PanicError) Error() string {
 // surfaced to the Solve caller.
 var stateFaultSentinels = []error{
 	layered.ErrDeltaNoBase,
-	layered.ErrDeltaDetached,
 	layered.ErrDeltaScratch,
 	layered.ErrDeltaStale,
 	layered.ErrDeltaMismatch,

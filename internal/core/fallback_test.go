@@ -207,11 +207,11 @@ func TestSentinelsNeverEscapeSolve(t *testing.T) {
 }
 
 // TestRecoverableFaultTaxonomy pins the ladder's error classification: all
-// eight corruption sentinels and recovered panics are absorbable; anything
+// seven corruption sentinels and recovered panics are absorbable; anything
 // else (a solver's contract error) is not.
 func TestRecoverableFaultTaxonomy(t *testing.T) {
 	for _, s := range []error{
-		layered.ErrDeltaNoBase, layered.ErrDeltaDetached, layered.ErrDeltaScratch,
+		layered.ErrDeltaNoBase, layered.ErrDeltaScratch,
 		layered.ErrDeltaStale, layered.ErrDeltaMismatch,
 		bipartite.ErrRepairNoBase, bipartite.ErrRepairStale, bipartite.ErrRepairInfo,
 	} {

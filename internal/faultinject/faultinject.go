@@ -6,7 +6,7 @@
 // plus a seed-keyed injector that fires each site at a configured rate.
 //
 // Every injected fault is DETECTABLE by construction: a site either raises
-// one of the ladder's eight recoverable sentinels (the five
+// one of the ladder's seven recoverable sentinels (the four
 // layered.ErrDelta* baseline rejections and the three bipartite.ErrRepair*
 // ones), corrupts state that a checksum self-check covers (cache digests,
 // the dirty bitmap), or panics where the worker pool recovers. The degradation

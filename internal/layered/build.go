@@ -58,7 +58,8 @@ type Layered struct {
 	// ID call; the hot path never needs it.
 	idOf map[int64]int32
 
-	// scratch-backed Layereds reuse the arena's side and ML' buffers.
+	// scratch is the arena the Layered's storage lives in; Sides,
+	// LPrimeEdges, MatchingLPrime and AugmentingWalks reuse its buffers.
 	scratch *Scratch
 }
 
@@ -67,7 +68,7 @@ type Layered struct {
 // equal BuildSeq means the same build. Consumers chaining per-solve state
 // across builds (the Hopcroft–Karp repair in core) compare it against
 // DeltaInfo.BaseSeq to verify the baseline they retained is the one the
-// delta was diffed against. Detached and nil-scratch builds report 0.
+// delta was diffed against.
 func (l *Layered) BuildSeq() uint64 { return l.seq }
 
 // Orig returns the original vertex of a compact layered id.
@@ -99,13 +100,14 @@ func (l *Layered) Has(t, v int) bool { return l.ID(t, v) >= 0 }
 
 // Scratch is a reusable arena for Build: the stamped dense lookup tables and
 // the edge/vertex slices that would otherwise be reallocated per (τA, τB)
-// pair. A Layered built with a Scratch aliases the arena's storage and is
-// valid only until the next build (BuildIndexed or BuildDelta) on the same
-// Scratch; build with a nil scratch (or call Detach) for a Layered that must
-// outlive the arena. In particular, a Layered retained across builds is NOT
-// a valid BuildDelta baseline — BuildDelta verifies the baseline is the
-// arena's latest build and returns ErrDeltaStale instead of silently
-// reading overwritten storage.
+// pair. Every Layered lives in an arena: it aliases the arena's storage and
+// is valid only until the next build (BuildIndexed or BuildDelta) on the
+// same Scratch. A Layered that must outlive a shared arena is built with a
+// nil scratch, which gives it a private one. Every build records the
+// per-layer watermarks BuildDelta diffs against, so the arena's latest
+// build is always a valid delta baseline and any earlier one is not:
+// BuildDelta verifies the baseline is the latest build and returns
+// ErrDeltaStale instead of silently reading overwritten storage.
 // A Scratch is not safe for concurrent use; use one per worker.
 type Scratch struct {
 	// stamp versions the dense id tables so they need no per-build clearing.
@@ -136,13 +138,7 @@ type Scratch struct {
 	// layerIDEnd[t] / layerXEnd[t] / layerIXEnd[t] are the id / X-edge /
 	// interior-X counts after X layers 0..t-1, gapYEnd[t] / gapIDEnd[t] the
 	// Y-edge / id counts after Y gaps 0..t-1 (gapIDEnd[0] is the id count
-	// when the X stage finished). Recording is opt-in
-	// (EnableDeltaBaseline): the naive build pays none of the bookkeeping;
-	// marksValid tracks whether the watermarks describe the latest build,
-	// and a BuildDelta whose baseline lacks them rebuilds in full (reusing
-	// nothing) before chaining normally.
-	recMarks   bool
-	marksValid bool
+	// when the X stage finished).
 	layerIDEnd []int32
 	layerXEnd  []int32
 	layerIXEnd []int32
@@ -150,7 +146,7 @@ type Scratch struct {
 	gapIDEnd   []int32
 
 	// tauBuf double-buffers arena-owned copies of the τ units of the two
-	// most recent baseline-recording builds. A caller's TauPair routinely
+	// most recent builds. A caller's TauPair routinely
 	// aliases a pair-enumeration scratch whose storage is overwritten by
 	// the NEXT enumeration — harmless while chains lived inside one
 	// class-round, but a cross-round baseline (PR 7) outlives that arena,
@@ -191,16 +187,17 @@ type Scratch struct {
 // NewScratch returns an empty arena.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// EnableDeltaBaseline makes subsequent BuildIndexed calls on this arena
-// record the per-layer watermarks BuildDelta diffs against (BuildDelta
-// itself always records them). Off by default so the naive build path pays
-// no bookkeeping; the amortised class sweep enables it on each class's
-// private arena, where the class's delta chain lives across rounds.
-func (s *Scratch) EnableDeltaBaseline() { s.recMarks = true }
+// EnableDeltaBaseline does nothing: every build on a Scratch records the
+// per-layer watermarks BuildDelta diffs against.
+//
+// Deprecated: there is no mode to enable; any build is a delta baseline
+// until the next build on its arena.
+func (s *Scratch) EnableDeltaBaseline() {}
 
 // ownTau copies tau's unit vectors into arena-owned storage (see tauBuf):
-// a build that may serve as a delta baseline must not retain the caller's
-// slices, which typically belong to a reusable pair-enumeration scratch.
+// every build may serve as a delta baseline, so it must not retain the
+// caller's slices, which typically belong to a reusable pair-enumeration
+// scratch.
 func (s *Scratch) ownTau(tau TauPair) TauPair {
 	i := s.tauFlip & 1
 	s.tauFlip++
@@ -246,6 +243,15 @@ func (s *Scratch) growDense(sz int) {
 	s.idAt = append(make([]int32, 0, sz), s.idAt...)[:sz:sz]
 }
 
+// sizeMarks sizes the watermark arrays for a build with k Y layers.
+func (s *Scratch) sizeMarks(k int) {
+	s.layerIDEnd = ensureLen32(s.layerIDEnd, k+2)
+	s.layerXEnd = ensureLen32(s.layerXEnd, k+2)
+	s.layerIXEnd = ensureLen32(s.layerIXEnd, k+2)
+	s.gapYEnd = ensureLen32(s.gapYEnd, k+1)
+	s.gapIDEnd = ensureLen32(s.gapIDEnd, k+1)
+}
+
 // ensureLen32 returns buf resized to n entries, preserving the prefix across
 // reallocation (entries beyond the previous length are stale until written).
 func ensureLen32(buf []int32, n int) []int32 {
@@ -270,8 +276,10 @@ func Build(par *Parametrized, tau TauPair, w float64, prm Params) *Layered {
 // lookup per layer), then the two-stage vertex filtering (intermediate
 // layers keep only matched vertices; the first layer keeps a free R vertex
 // only when it is free in M and τA_1 = 0, symmetrically for L vertices in
-// the last layer). When s is non-nil its storage is reused and the returned
-// Layered is valid only until the next build on s.
+// the last layer). The build records the watermarks that let a BuildDelta
+// on the same arena reuse its prefix. When s is non-nil its storage is
+// reused and the returned Layered is valid only until the next build on s;
+// a nil s builds on a private arena.
 func BuildIndexed(ix Index, tau TauPair, s *Scratch) *Layered {
 	if s == nil {
 		s = NewScratch()
@@ -283,22 +291,10 @@ func BuildIndexed(ix Index, tau TauPair, s *Scratch) *Layered {
 	s.vertOrig = s.vertOrig[:0]
 	s.vertLayer = s.vertLayer[:0]
 	s.x, s.y, s.ix = s.x[:0], s.y[:0], s.ix[:0]
-	if s.recMarks {
-		s.layerIDEnd = ensureLen32(s.layerIDEnd, k+2)
-		s.layerXEnd = ensureLen32(s.layerXEnd, k+2)
-		s.layerIXEnd = ensureLen32(s.layerIXEnd, k+2)
-		s.gapYEnd = ensureLen32(s.gapYEnd, k+1)
-		s.gapIDEnd = ensureLen32(s.gapIDEnd, k+1)
-		s.layerIDEnd[0], s.layerXEnd[0], s.layerIXEnd[0] = 0, 0, 0
-	} else {
-		s.marksValid = false
-	}
+	s.sizeMarks(k)
+	s.layerIDEnd[0], s.layerXEnd[0], s.layerIXEnd[0] = 0, 0, 0
 
-	stored := tau
-	if s.recMarks {
-		stored = s.ownTau(tau)
-	}
-	l := &Layered{Par: par, Tau: stored, W: w, Prm: prm, K: k, scratch: s}
+	l := &Layered{Par: par, Tau: s.ownTau(tau), W: w, Prm: prm, K: k, scratch: s}
 	if v, ok := ix.(*IncView); ok {
 		l.epoch = v.RoundEpoch()
 	}
@@ -336,16 +332,12 @@ func BuildIndexed(ix Index, tau TauPair, s *Scratch) *Layered {
 				}
 			}
 		}
-		if s.recMarks {
-			s.layerIDEnd[t+1] = int32(len(s.vertOrig))
-			s.layerXEnd[t+1] = int32(len(s.x))
-			s.layerIXEnd[t+1] = int32(len(s.ix))
-		}
+		s.layerIDEnd[t+1] = int32(len(s.vertOrig))
+		s.layerXEnd[t+1] = int32(len(s.x))
+		s.layerIXEnd[t+1] = int32(len(s.ix))
 	}
-	if s.recMarks {
-		s.gapIDEnd[0] = int32(len(s.vertOrig))
-		s.gapYEnd[0] = 0
-	}
+	s.gapIDEnd[0] = int32(len(s.vertOrig))
+	s.gapYEnd[0] = 0
 
 	// survives applies the Definition 4.10 vertex filter to the copy of v
 	// in layer t, memoising negative answers (positive ones are implied by
@@ -391,13 +383,8 @@ func BuildIndexed(ix Index, tau TauPair, s *Scratch) *Layered {
 			}
 			s.y = append(s.y, graph.Edge{U: int(assign(t, r)), V: int(assign(t+1, lv)), W: e.W})
 		}
-		if s.recMarks {
-			s.gapYEnd[t+1] = int32(len(s.y))
-			s.gapIDEnd[t+1] = int32(len(s.vertOrig))
-		}
-	}
-	if s.recMarks {
-		s.marksValid = true
+		s.gapYEnd[t+1] = int32(len(s.y))
+		s.gapIDEnd[t+1] = int32(len(s.vertOrig))
 	}
 
 	l.NumV = len(s.vertOrig)
@@ -406,36 +393,10 @@ func BuildIndexed(ix Index, tau TauPair, s *Scratch) *Layered {
 	return l
 }
 
-// Detach copies the Layered's storage out of its scratch arena so it remains
-// valid after the arena is reused. Any Layered retained across builds on the
-// same Scratch must be Detach()ed first — its slices alias storage the next
-// build overwrites. A detached Layered is a snapshot, not a live view of the
-// arena, so it is no longer usable as a BuildDelta baseline (BuildDelta
-// reports ErrDeltaDetached rather than diffing against copied storage).
-func (l *Layered) Detach() *Layered {
-	if l.scratch == nil {
-		return l
-	}
-	l.vertOrig = append([]int32(nil), l.vertOrig...)
-	l.vertLayer = append([]int32(nil), l.vertLayer...)
-	l.X = append([]graph.Edge(nil), l.X...)
-	l.Y = append([]graph.Edge(nil), l.Y...)
-	l.InteriorX = append([]graph.Edge(nil), l.InteriorX...)
-	l.scratch = nil
-	return l
-}
-
 // LPrimeEdges returns the edge set of L': the layered graph with the first
 // and last layers' matched edges removed (Algorithm 4 line 4), i.e. the
-// interior X edges plus all Y edges. Scratch-backed Layereds reuse the
-// arena's buffer.
+// interior X edges plus all Y edges, in the arena's reusable buffer.
 func (l *Layered) LPrimeEdges() []graph.Edge {
-	if l.scratch == nil {
-		out := make([]graph.Edge, 0, len(l.InteriorX)+len(l.Y))
-		out = append(out, l.InteriorX...)
-		out = append(out, l.Y...)
-		return out
-	}
 	s := l.scratch
 	out := s.lprime[:0]
 	// A delta build whose baseline filled this buffer keeps the shared
@@ -463,16 +424,9 @@ func (l *Layered) LPrimeEdges() []graph.Edge {
 // bipartite (every X and Y edge crosses).
 func (l *Layered) SideOf(id int) bool { return l.Par.Side[l.Orig(id)] }
 
-// Sides materialises the side array over the compact ids. Scratch-backed
-// Layereds reuse the arena's buffer.
+// Sides materialises the side array over the compact ids in the arena's
+// reusable buffer.
 func (l *Layered) Sides() []bool {
-	if l.scratch == nil {
-		side := make([]bool, l.NumV)
-		for id := range side {
-			side[id] = l.SideOf(id)
-		}
-		return side
-	}
 	s := l.scratch
 	if cap(s.sides) < l.NumV {
 		s.sides = make([]bool, l.NumV)
@@ -493,20 +447,16 @@ func (l *Layered) Sides() []bool {
 }
 
 // MatchingLPrime returns ML', the current matching restricted to L' (the
-// interior X edges), over compact layered ids. Scratch-backed Layereds
-// reuse the arena's matching.
+// interior X edges), over compact layered ids, in the arena's reusable
+// matching.
 func (l *Layered) MatchingLPrime() *graph.Matching {
-	var m *graph.Matching
-	if l.scratch != nil {
-		if l.scratch.mlp == nil {
-			l.scratch.mlp = graph.NewMatching(l.NumV)
-		} else {
-			l.scratch.mlp.Reset(l.NumV)
-		}
-		m = l.scratch.mlp
+	s := l.scratch
+	if s.mlp == nil {
+		s.mlp = graph.NewMatching(l.NumV)
 	} else {
-		m = graph.NewMatching(l.NumV)
+		s.mlp.Reset(l.NumV)
 	}
+	m := s.mlp
 	for _, e := range l.InteriorX {
 		// Interior X edges of one layer are a subset of a matching and
 		// layers are vertex-disjoint, so Add cannot fail.

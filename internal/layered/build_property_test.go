@@ -141,26 +141,3 @@ func TestBuildScratchReuseIsStable(t *testing.T) {
 		}
 	}
 }
-
-// TestDetachOutlivesScratch checks Detach deep-copies a scratch-backed
-// Layered before the arena is rebuilt.
-func TestDetachOutlivesScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	inst := graph.PlantedMatching(20, 80, 50, 100, rng)
-	par := Parametrize(inst.G.N(), inst.G.Edges(), inst.Opt, rng)
-	prm := Params{}.WithDefaults()
-	pairs := EnumerateGoodPairs(prm)
-
-	scratch := NewScratch()
-	ix := scratch.Index(par, 100, prm)
-	kept := BuildIndexed(ix, pairs[0], scratch).Detach()
-	wantX := append([]graph.Edge(nil), kept.X...)
-	for _, tau := range pairs[1:20] {
-		BuildIndexed(ix, tau, scratch)
-	}
-	for i := range wantX {
-		if kept.X[i] != wantX[i] {
-			t.Fatalf("detached X[%d] mutated by later builds", i)
-		}
-	}
-}

@@ -14,15 +14,12 @@ var (
 	// ErrDeltaNoBase: prev (or the scratch) is nil — there is nothing to
 	// diff against; the first pair of a chain must use BuildIndexed.
 	ErrDeltaNoBase = errors.New("layered: BuildDelta needs a previous scratch-backed build as baseline")
-	// ErrDeltaDetached: prev was Detach()ed. A detached Layered is a copied
-	// snapshot, not a live view of the arena, so diffing against it would
-	// not describe the arena's current contents.
-	ErrDeltaDetached = errors.New("layered: BuildDelta baseline was detached from its scratch")
-	// ErrDeltaScratch: prev was built on a different arena than s.
+	// ErrDeltaScratch: prev was built on a different arena than s, or is a
+	// copy that lives in no arena at all.
 	ErrDeltaScratch = errors.New("layered: BuildDelta baseline belongs to a different scratch")
 	// ErrDeltaStale: a later build already ran on the arena, overwriting the
-	// storage prev aliases. Retaining a Layered across builds requires
-	// Detach(); chaining deltas requires prev to be the latest build.
+	// storage prev aliases. Chaining deltas requires prev to be the arena's
+	// latest build.
 	ErrDeltaStale = errors.New("layered: BuildDelta baseline is stale (a later build reused its scratch)")
 	// ErrDeltaMismatch: prev was built from a different class weight or
 	// discretisation than the view currently describes, or from a different
@@ -107,9 +104,6 @@ func BuildDelta(ix *IncView, prev *Layered, tau TauPair, s *Scratch, cutover int
 	if faultinject.Fire(faultinject.DeltaStale) {
 		return nil, 0, ErrDeltaStale
 	}
-	if prev.scratch == nil {
-		return nil, 0, ErrDeltaDetached
-	}
 	if prev.scratch != s {
 		return nil, 0, ErrDeltaScratch
 	}
@@ -153,35 +147,27 @@ func BuildDelta(ix *IncView, prev *Layered, tau TauPair, s *Scratch, cutover int
 	// boundary each kept segment further requires its bucket unchanged since
 	// the baseline's epoch (a τA = 0 layer holds no bucket content, so unit
 	// equality alone suffices there).
+	stableX := func(t int) bool {
+		u := tau.AUnits[t]
+		return !cross || u == 0 || ix.AStableSince(u, prev.epoch)
+	}
 	px, q := 0, 0
-	if s.marksValid { // a baseline built without watermarks offers no prefix
-		stableX := func(t int) bool {
-			u := tau.AUnits[t]
-			return !cross || u == 0 || ix.AStableSince(u, prev.epoch)
-		}
-		maxP := min(k, kp)
-		for px < maxP && prev.Tau.AUnits[px] == tau.AUnits[px] && stableX(px) {
-			px++
-		}
-		if k == kp && px == k && prev.Tau.AUnits[k] == tau.AUnits[k] && stableX(k) {
-			px = k + 1
-			for q < k && prev.Tau.BUnits[q] == tau.BUnits[q] &&
-				(!cross || ix.YStableSince(tau.BUnits[q], prev.epoch)) {
-				q++
-			}
+	maxP := min(k, kp)
+	for px < maxP && prev.Tau.AUnits[px] == tau.AUnits[px] && stableX(px) {
+		px++
+	}
+	if k == kp && px == k && prev.Tau.AUnits[k] == tau.AUnits[k] && stableX(k) {
+		px = k + 1
+		for q < k && prev.Tau.BUnits[q] == tau.BUnits[q] &&
+			(!cross || ix.YStableSince(tau.BUnits[q], prev.epoch)) {
+			q++
 		}
 	}
 	if px+q < cutover {
 		px, q = 0, 0
 	}
 	reused = px + q
-
-	s.recMarks = true // chaining implies the next baseline needs marks too
-	s.layerIDEnd = ensureLen32(s.layerIDEnd, k+2)
-	s.layerXEnd = ensureLen32(s.layerXEnd, k+2)
-	s.layerIXEnd = ensureLen32(s.layerIXEnd, k+2)
-	s.gapYEnd = ensureLen32(s.gapYEnd, k+1)
-	s.gapIDEnd = ensureLen32(s.gapIDEnd, k+1)
+	s.sizeMarks(k)
 
 	l = &Layered{Par: par, Tau: s.ownTau(tau), W: w, Prm: prm, K: k, scratch: s, epoch: ix.RoundEpoch()}
 	baseSeq := prev.seq
@@ -219,9 +205,6 @@ func BuildDelta(ix *IncView, prev *Layered, tau TauPair, s *Scratch, cutover int
 		// Truncate to the kept X prefix and rebuild layers px..k. The
 		// arena's stamp is NOT advanced: kept copies keep their table
 		// entries (and so their ids), discarded ones fail the array check.
-		if px == 0 { // watermarks may be unrecorded on this path
-			s.layerIDEnd[0], s.layerXEnd[0], s.layerIXEnd[0] = 0, 0, 0
-		}
 		s.vertOrig = s.vertOrig[:s.layerIDEnd[px]]
 		s.vertLayer = s.vertLayer[:s.layerIDEnd[px]]
 		s.x = s.x[:s.layerXEnd[px]]
@@ -272,7 +255,6 @@ func BuildDelta(ix *IncView, prev *Layered, tau TauPair, s *Scratch, cutover int
 		s.gapIDEnd[t+1] = int32(len(s.vertOrig))
 	}
 
-	s.marksValid = true
 	l.NumV = len(s.vertOrig)
 	l.vertOrig, l.vertLayer = s.vertOrig, s.vertLayer
 	l.X, l.Y, l.InteriorX = s.x, s.y, s.ix

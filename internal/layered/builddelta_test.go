@@ -52,7 +52,6 @@ func deltaChainCheck(t testing.TB, ix *IncView, pairs []TauPair, s *Scratch, cut
 func deltaChainFrom(t testing.TB, ix *IncView, pairs []TauPair, s *Scratch, cutover int,
 	prev, prevSnap *Layered) (int, *Layered, *Layered) {
 	t.Helper()
-	s.EnableDeltaBaseline()
 	reusedTotal := 0
 	for pi, tau := range pairs {
 		want := BuildIndexed(ix, tau, nil)
@@ -82,7 +81,7 @@ func deltaChainFrom(t testing.TB, ix *IncView, pairs []TauPair, s *Scratch, cuto
 }
 
 // snapshotLayered copies the build's solver-visible content out of the
-// arena (the test-side analogue of Detach, without touching the build).
+// arena into a Layered that lives in no arena.
 func snapshotLayered(l *Layered) *Layered {
 	cp := &Layered{K: l.K, NumV: l.NumV}
 	cp.X = append([]graph.Edge(nil), l.X...)
@@ -173,15 +172,8 @@ func TestBuildDeltaMatchesBuildIndexed(t *testing.T) {
 					continue
 				}
 				v := inc.View(c)
-				aMask, bMask, ok := v.Masks()
-				if !ok {
-					t.Fatal("masks unavailable at test granularity")
-				}
-				orc, ok := v.Oracle()
-				if !ok {
-					t.Fatal("oracle unavailable at test granularity")
-				}
-				pairs, _ := EnumerateSurvivingPairs(prm, aMask, bMask, 24, orc, enum)
+				aMask, bMask, _ := v.Masks()
+				pairs, _ := EnumerateSurvivingPairs(prm, aMask, bMask, 24, v, enum)
 				if len(pairs) < 2 {
 					continue
 				}
@@ -196,9 +188,10 @@ func TestBuildDeltaMatchesBuildIndexed(t *testing.T) {
 
 // TestBuildDeltaScratchHazards is the regression net for the arena reuse
 // hazard: a baseline that is stale (a later build reused its scratch),
-// detached, foreign to the scratch, missing, or built from a different index
-// state must be refused with the matching sentinel error — never silently
-// diffed against overwritten storage — and the arena must remain usable.
+// copied out of its arena, foreign to the scratch, missing, or built from a
+// different index state must be refused with the matching sentinel error —
+// never silently diffed against overwritten storage — and the arena must
+// remain usable.
 // Past the grouped Y tables there is no view to refuse: no index is built.
 func TestBuildDeltaScratchHazards(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -234,9 +227,9 @@ func TestBuildDeltaScratchHazards(t *testing.T) {
 	if _, _, err := BuildDelta(ix2, lay1, pairs[2], s, 1); !errors.Is(err, ErrDeltaMismatch) {
 		t.Fatalf("index mismatch: got %v, want ErrDeltaMismatch", err)
 	}
-	detached := BuildIndexed(ix, pairs[1], s).Detach()
-	if _, _, err := BuildDelta(ix, detached, pairs[2], s, 1); !errors.Is(err, ErrDeltaDetached) {
-		t.Fatalf("detached baseline: got %v, want ErrDeltaDetached", err)
+	copied := snapshotLayered(BuildIndexed(ix, pairs[1], s))
+	if _, _, err := BuildDelta(ix, copied, pairs[2], s, 1); !errors.Is(err, ErrDeltaScratch) {
+		t.Fatalf("copied baseline: got %v, want ErrDeltaScratch", err)
 	}
 
 	// A refused delta leaves the arena intact: the next builds (indexed and
@@ -392,15 +385,8 @@ func FuzzBuildDelta(f *testing.F) {
 					continue
 				}
 				v := inc.View(c)
-				aMask, bMask, ok := v.Masks()
-				if !ok {
-					continue
-				}
-				orc, ok := v.Oracle()
-				if !ok {
-					continue
-				}
-				pairs, _ := EnumerateSurvivingPairs(prm, aMask, bMask, 16, orc, enum)
+				aMask, bMask, _ := v.Masks()
+				pairs, _ := EnumerateSurvivingPairs(prm, aMask, bMask, 16, v, enum)
 				if len(pairs) < 2 {
 					continue
 				}

@@ -80,15 +80,8 @@ func TestBuildDeltaCrossRound(t *testing.T) {
 			}
 			for c := range ws {
 				v := inc.View(c)
-				aMask, bMask, ok := v.Masks()
-				if !ok {
-					t.Fatal("masks unavailable at test granularity")
-				}
-				orc, ok := v.Oracle()
-				if !ok {
-					t.Fatal("oracle unavailable at test granularity")
-				}
-				pairs, _ := EnumerateSurvivingPairs(prm, aMask, bMask, 12, orc, enum)
+				aMask, bMask, _ := v.Masks()
+				pairs, _ := EnumerateSurvivingPairs(prm, aMask, bMask, 12, v, enum)
 				if len(pairs) == 0 {
 					continue
 				}
@@ -149,7 +142,6 @@ func TestBuildDeltaCrossRoundGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewScratch()
-	s.EnableDeltaBaseline()
 	tail := BuildIndexed(NewBucketIndex(par1, ws[c], prm), pairs[0], s)
 	if _, _, err := BuildDelta(incA.View(c), tail, pairs[1], s, 1); !errors.Is(err, ErrDeltaMismatch) {
 		t.Fatalf("epoch-less cross-round baseline: got %v, want ErrDeltaMismatch", err)
@@ -159,7 +151,6 @@ func TestBuildDeltaCrossRoundGuards(t *testing.T) {
 	// fresh IncIndex sitting at epoch 1. The arena would accept the diff; the
 	// epoch check must not.
 	sA := NewScratch()
-	sA.EnableDeltaBaseline()
 	tailA := BuildIndexed(incA.View(c), pairs[0], sA)
 	incB := NewIncIndex(n, edges, ws, prm)
 	if err := incB.BeginRound(par1); err != nil {
@@ -218,7 +209,6 @@ func TestChainLinkFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewScratch()
-	s.EnableDeltaBaseline()
 	tail := BuildIndexed(inc.View(c), pairs[0], s)
 	par2 := ParametrizeWithSide(n, edges, inst.Opt, crossRoundSides(side, 1, rng))
 	if err := inc.BeginRound(par2); err != nil {

@@ -772,12 +772,14 @@ func (x *IncIndex) probeRows(c, u int) []uint64 {
 }
 
 // ProbeY reports whether the pair's layered graph would contain at least
-// one Y edge — the exact condition under which classAugmentations consults
-// it (an empty Y yields no augmenting structure and the build is skipped).
-// The probe applies the same window and vertex filters as BuildIndexed but
-// shares the per-(class, unit) survival tables across every pair of the
-// class, so a doomed pair costs O(layers) bit tests instead of a full
-// build.
+// one Y edge (an empty Y yields no augmenting structure). The probe applies
+// the same window and vertex filters as BuildIndexed but reads the
+// per-(class, unit) survival rows, so a doomed pair costs O(layers) bit
+// tests instead of a full build. No production path calls it: the
+// amortised sweep runs the same rows inside EnumerateSurvivingPairs
+// through LayerRow, pruning dead pairs during generation. Tests call it as
+// the generate-then-probe reference that the pruned enumeration must equal
+// (Invariant 17).
 func (v *IncView) ProbeY(tau TauPair) bool {
 	x, c := v.ix, v.c
 	k := tau.K()

@@ -25,9 +25,11 @@
 // construction), reading every rebuilt Y gap from the view's grouped Y
 // tables; its DeltaInfo names the baseline build and the byte-shared
 // prefix of the L' edge list, which is exactly what bipartite.RepairHK
-// needs to patch the matching solve on top. A baseline that cannot be
-// proven fresh is rejected with one of the five ErrDelta* sentinels
-// (NoBase, Detached, Scratch, Stale, Mismatch) and the caller builds from
+// needs to patch the matching solve on top. Every build lives in a
+// Scratch arena and records the watermarks BuildDelta diffs against, so
+// the arena's latest build is always a valid baseline. A baseline that
+// cannot be proven fresh is rejected with one of the four ErrDelta*
+// sentinels (NoBase, Scratch, Stale, Mismatch) and the caller builds from
 // scratch — the build rung of core's degradation ladder. The view's round
 // epoch and per-(class, unit) change clocks (RoundEpoch, AStableSince,
 // YStableSince) are the freshness oracle for baselines that survived a

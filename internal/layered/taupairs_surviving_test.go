@@ -222,14 +222,7 @@ func TestEnumerateSurvivingPairsIncView(t *testing.T) {
 			inc.BeginRound(par)
 			for c := 0; c < inc.Classes(); c++ {
 				view := inc.View(c)
-				orc, ok := view.Oracle()
-				if !ok {
-					t.Fatal("oracle unavailable at test granularity")
-				}
-				aMask, bMask, ok := view.Masks()
-				if !ok {
-					t.Fatal("masks unavailable at test granularity")
-				}
+				aMask, bMask, _ := view.Masks()
 				for _, limit := range []int{0, 7} {
 					naive := EnumerateGoodPairsMasked(prm, aMask, bMask, limit)
 					var want []TauPair
@@ -238,7 +231,7 @@ func TestEnumerateSurvivingPairsIncView(t *testing.T) {
 							want = append(want, tau)
 						}
 					}
-					got, pruned := EnumerateSurvivingPairs(prm, aMask, bMask, limit, orc, nil)
+					got, pruned := EnumerateSurvivingPairs(prm, aMask, bMask, limit, view, nil)
 					if len(got) != len(want) || pruned != len(naive)-len(want) {
 						t.Fatalf("class %d limit %d: %d pairs (%d pruned), want %d (%d)",
 							c, limit, len(got), pruned, len(want), len(naive)-len(want))

@@ -20,9 +20,6 @@ import (
 // reused between invocations: fn must not retain them.
 func (l *Layered) AugmentingWalks(mPrime *graph.Matching, fn func(Walk)) {
 	s := l.scratch
-	if s == nil {
-		s = NewScratch()
-	}
 	if len(l.InteriorX) == 0 {
 		// No interior matched edges: ML' is empty, so every M' edge is by
 		// itself an augmenting path. Emitting each from its smaller

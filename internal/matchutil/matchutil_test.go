@@ -197,6 +197,11 @@ func TestCountThreeAugmentable(t *testing.T) {
 	if got := CountThreeAugmentable(inst.G, m0); got != 8 {
 		t.Errorf("CountThreeAugmentable = %d, want 8", got)
 	}
+	// The scan is O(m): one all-false used set for the whole call, not a
+	// fresh O(n) one per neighbour lookup.
+	if allocs := testing.AllocsPerRun(10, func() { CountThreeAugmentable(inst.G, m0) }); allocs > 1 {
+		t.Errorf("CountThreeAugmentable allocates %v times per call, want at most 1", allocs)
+	}
 }
 
 func TestRatio(t *testing.T) {

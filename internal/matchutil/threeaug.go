@@ -23,10 +23,9 @@ func (p ThreeAugPath) Augmentation() graph.Augmentation {
 }
 
 // FindThreeAugPaths greedily extracts a maximal set of vertex-disjoint
-// 3-augmenting paths of m inside g (offline; used as the calibration oracle
-// for Lemma 3.1 experiments and the final extraction step of the streaming
-// algorithm). Cardinality semantics: any free–matched–matched–free path
-// qualifies regardless of weights.
+// 3-augmenting paths of m inside g. It is an offline reference: no solver
+// or experiment calls it; this package's tests do. Cardinality semantics:
+// any free–matched–matched–free path qualifies regardless of weights.
 func FindThreeAugPaths(g *graph.Graph, m *graph.Matching) []ThreeAugPath {
 	n := g.N()
 	adj := g.Adjacency()
@@ -78,26 +77,29 @@ func freeNeighbour(adj [][]graph.IncidentEdge, m *graph.Matching, used []bool, v
 func CountThreeAugmentable(g *graph.Graph, m *graph.Matching) int {
 	n := g.N()
 	adj := g.Adjacency()
+	// No vertex is used up here, and freeNeighbour only reads the set, so
+	// one all-false slice serves every call.
+	unused := make([]bool, n)
 	count := 0
 	for u := 0; u < n; u++ {
 		v := m.Mate(u)
 		if v == graph.Unmatched || v < u {
 			continue
 		}
-		a, _ := freeNeighbour(adj, m, make([]bool, n), u, -1)
+		a, _ := freeNeighbour(adj, m, unused, u, -1)
 		if a < 0 {
 			continue
 		}
-		b, _ := freeNeighbour(adj, m, make([]bool, n), v, a)
+		b, _ := freeNeighbour(adj, m, unused, v, a)
 		if b >= 0 {
 			count++
 			continue
 		}
-		a2, _ := freeNeighbour(adj, m, make([]bool, n), v, -1)
+		a2, _ := freeNeighbour(adj, m, unused, v, -1)
 		if a2 < 0 {
 			continue
 		}
-		if b2, _ := freeNeighbour(adj, m, make([]bool, n), u, a2); b2 >= 0 {
+		if b2, _ := freeNeighbour(adj, m, unused, u, a2); b2 >= 0 {
 			count++
 		}
 	}

@@ -150,17 +150,10 @@ func TestPrunedEnumerationMatchesProbe(t *testing.T) {
 			inc.BeginRound(par)
 			for c := 0; c < inc.Classes(); c++ {
 				view := inc.View(c)
-				orc, ok := view.Oracle()
-				if !ok {
-					t.Fatalf("%s: oracle unavailable at default granularity", w.Name)
-				}
-				aMask, bMask, ok := view.Masks()
-				if !ok {
-					t.Fatalf("%s: masks unavailable at default granularity", w.Name)
-				}
+				aMask, bMask, _ := view.Masks()
 				for _, limit := range []int{0, 1, 13, 800} {
 					naive, rejected := NaiveSurvivingPairs(prm, aMask, bMask, limit, view)
-					pruned, prunedCount := layered.EnumerateSurvivingPairs(prm, aMask, bMask, limit, orc, nil)
+					pruned, prunedCount := layered.EnumerateSurvivingPairs(prm, aMask, bMask, limit, view, nil)
 					if len(pruned) != len(naive) || prunedCount != rejected {
 						t.Fatalf("%s class %d limit %d: %d pairs (%d pruned) vs naive %d (%d rejected)",
 							w.Name, c, limit, len(pruned), prunedCount, len(naive), rejected)
@@ -200,7 +193,6 @@ func TestBuildDeltaMatchesBuildIndexed(t *testing.T) {
 		runner := core.NewRunner(w.G, optsWithRng(core.Options{}, 32))
 		parRng := rand.New(rand.NewSource(33))
 		scratch := layered.NewScratch()
-		scratch.EnableDeltaBaseline()
 		enum := layered.NewPairScratch()
 		var stats core.Stats
 		for round := 0; round < 3; round++ {
@@ -211,15 +203,8 @@ func TestBuildDeltaMatchesBuildIndexed(t *testing.T) {
 			inc.BeginRound(par)
 			for c := 0; c < inc.Classes(); c++ {
 				view := inc.View(c)
-				aMask, bMask, ok := view.Masks()
-				if !ok {
-					t.Fatalf("%s: masks unavailable at default granularity", w.Name)
-				}
-				orc, ok := view.Oracle()
-				if !ok {
-					t.Fatalf("%s: oracle unavailable at default granularity", w.Name)
-				}
-				pairs, _ := layered.EnumerateSurvivingPairs(prm, aMask, bMask, 800, orc, enum)
+				aMask, bMask, _ := view.Masks()
+				pairs, _ := layered.EnumerateSurvivingPairs(prm, aMask, bMask, 800, view, enum)
 				var prev *layered.Layered
 				for pi, tau := range pairs {
 					want := layered.BuildIndexed(view, tau, nil)
