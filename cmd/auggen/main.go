@@ -51,6 +51,21 @@ func run(args []string) error {
 	if *order != "arrival" && *order != "random" {
 		return fmt.Errorf("unknown order %q (want arrival or random)", *order)
 	}
+	if *n < 0 {
+		return fmt.Errorf("-n %d: want a non-negative count", *n)
+	}
+	if *m < 0 {
+		return fmt.Errorf("-m %d: want a non-negative count", *m)
+	}
+	// Every weight must be positive: planted, chain and cycle draw theirs
+	// from maxw/2 or 3·maxw/4, the other families from [1, maxw].
+	minW := int64(1)
+	if *family == "planted" || *family == "chain" || *family == "cycle" {
+		minW = 2
+	}
+	if *maxw < minW {
+		return fmt.Errorf("-maxw %d: family %s needs at least %d", *maxw, *family, minW)
+	}
 	rng := rand.New(rand.NewSource(*seed))
 
 	if *family == "stream" {

@@ -111,10 +111,15 @@ func RandomBipartite(nl, nr, m int, maxW Weight, rng *rand.Rand) Instance {
 // edges while the planted matching is perfect with every edge at least
 // minHeavy, any matching that deviates on k vertices loses more than it can
 // recover. Concretely we cap noise weights at heavyLow/4, which makes the
-// planted perfect matching strictly optimal.
+// planted perfect matching strictly optimal. heavyLow is clamped to 1 (a
+// planted edge needs a positive weight), and a graph below two vertices
+// gets no noise edges.
 func PlantedMatching(n, noiseEdges int, heavyLow, heavyHigh Weight, rng *rand.Rand) Instance {
 	if n%2 != 0 {
 		n++
+	}
+	if heavyLow < 1 {
+		heavyLow = 1
 	}
 	if heavyHigh < heavyLow {
 		heavyHigh = heavyLow
@@ -140,7 +145,7 @@ func PlantedMatching(n, noiseEdges int, heavyLow, heavyHigh Weight, rng *rand.Ra
 	if noiseCap < 1 {
 		noiseCap = 1
 	}
-	for added := 0; added < noiseEdges; {
+	for added := 0; added < noiseEdges && n >= 2; {
 		u := rng.Intn(n)
 		v := rng.Intn(n)
 		if u == v {
@@ -305,30 +310,18 @@ func ThreeAugWorkload(k int, beta float64, distractors int, rng *rand.Rand) (Ins
 	return Instance{G: g, OptWeight: optW, OptExact: true, Opt: opt}, m0
 }
 
-// GeometricWeights returns a graph where edge weights span many geometric
-// weight classes (powers of base up to maxClass), stressing the
-// weight-class machinery of Algorithm 1 and Algorithm 3.
+// GeometricWeights returns a random simple graph with (up to) m distinct
+// edges whose weights span many geometric weight classes (powers of base
+// up to maxClass), stressing the weight-class machinery of Algorithm 1 and
+// Algorithm 3.
 func GeometricWeights(n, m int, base, maxClass int, rng *rand.Rand) Instance {
-	g := New(n)
-	seen := make(map[Key]struct{}, m)
-	for len(g.edges) < m {
-		u := rng.Intn(n)
-		v := rng.Intn(n)
-		if u == v {
-			continue
-		}
-		k := KeyOf(u, v)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
+	return Instance{G: randomSimple(n, m, rng, func() Weight {
 		w := Weight(1)
 		for c := rng.Intn(maxClass); c > 0; c-- {
 			w *= Weight(base)
 		}
-		g.edges = append(g.edges, Edge{U: u, V: v, W: w})
-	}
-	return Instance{G: g}
+		return w
+	})}
 }
 
 func mustAdd(m *Matching, e Edge) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // Property: PlantedMatching's planted matching is truly optimal — verified
@@ -115,5 +116,52 @@ func TestGeneratorsEmitValidGraphsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGeometricWeightsClampsToCompleteGraph asks for more edges than the
+// complete graph has. The generator must return the complete graph; the
+// deadline turns a generator that never returns into a failure.
+func TestGeometricWeightsClampsToCompleteGraph(t *testing.T) {
+	for _, tc := range []struct{ n, m, want int }{{2, 3, 1}, {4, 7, 6}, {1, 5, 0}, {0, 2, 0}} {
+		done := make(chan Instance, 1)
+		go func() { done <- GeometricWeights(tc.n, tc.m, 2, 12, rand.New(rand.NewSource(3))) }()
+		select {
+		case inst := <-done:
+			if got := inst.G.M(); got != tc.want {
+				t.Errorf("GeometricWeights(n=%d, m=%d): %d edges, want %d", tc.n, tc.m, got, tc.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("GeometricWeights(n=%d, m=%d) did not return", tc.n, tc.m)
+		}
+	}
+}
+
+// TestPlantedMatchingPositiveWeights covers a heavy range reaching down to
+// zero: every edge, planted or noise, must still weigh at least 1, and the
+// result must pass the checking constructor.
+func TestPlantedMatchingPositiveWeights(t *testing.T) {
+	for _, r := range []struct{ low, high Weight }{{0, 0}, {0, 1}, {-3, 2}} {
+		for seed := int64(1); seed <= 5; seed++ {
+			inst := PlantedMatching(4, 2, r.low, r.high, rand.New(rand.NewSource(seed)))
+			for _, e := range inst.G.Edges() {
+				if e.W < 1 {
+					t.Fatalf("PlantedMatching(heavy [%d, %d], seed %d): edge %v", r.low, r.high, seed, e)
+				}
+			}
+			if _, err := FromEdges(inst.G.N(), inst.G.Edges()); err != nil {
+				t.Fatalf("PlantedMatching(heavy [%d, %d], seed %d): %v", r.low, r.high, seed, err)
+			}
+		}
+	}
+}
+
+// TestPlantedMatchingNoVertices asks for noise edges on an empty graph: the
+// generator must return the empty graph instead of drawing a vertex.
+func TestPlantedMatchingNoVertices(t *testing.T) {
+	inst := PlantedMatching(0, 5, 10, 20, rand.New(rand.NewSource(1)))
+	if inst.G.N() != 0 || inst.G.M() != 0 || inst.OptWeight != 0 {
+		t.Fatalf("PlantedMatching(0, 5): n=%d m=%d opt=%d, want an empty graph",
+			inst.G.N(), inst.G.M(), inst.OptWeight)
 	}
 }

@@ -37,16 +37,17 @@ type Index interface {
 	// Config returns the discretisation parameters.
 	Config() Params
 	// A returns the matched crossing edges whose weight lies in the unit-u
-	// τA window, in par.A (matching-edge) order.
+	// τA window, in the matching's order (ascending smaller endpoint, the
+	// graph.Matching.Edges order).
 	A(u int) []graph.Edge
 	// B returns the unmatched crossing edges whose weight lies in the
-	// unit-u τB window, in par.B (graph-edge) order.
+	// unit-u τB window, in the graph's edge order.
 	B(u int) []graph.Edge
 }
 
 // BucketIndex pre-buckets a parametrization's edges by τ unit for one class
 // weight W, so that Build touches only the edges whose weights lie in each
-// layer's window instead of rescanning all of par.A/par.B once per layer.
+// layer's window instead of rescanning every crossing edge once per layer.
 // The same counts drive the good-pair viability filter of Algorithm 4: a
 // pair whose any window is empty cannot contribute (an empty matched window
 // empties its layer and the vertex filter disconnects it; an empty unmatched
@@ -73,18 +74,28 @@ func NewBucketIndex(par *Parametrized, w float64, prm Params) *BucketIndex {
 }
 
 // Reset re-buckets the index for a new (par, w), reusing the bucket storage.
+// It draws the crossing edges from the parametrization itself: the matched
+// ones in the matching's order (ascending smaller endpoint), the unmatched
+// ones in the graph's edge order.
 func (ix *BucketIndex) Reset(par *Parametrized, w float64, prm Params) {
 	prm = prm.WithDefaults()
 	maxU, _ := prm.Units()
 	ix.Par, ix.W, ix.Prm = par, w, prm
 	ix.aBuckets = resetBuckets(ix.aBuckets, maxU+1)
 	ix.bBuckets = resetBuckets(ix.bBuckets, maxU+1)
-	for _, e := range par.A {
-		if u := AUnitOf(e.W, w, prm); u >= 0 && u <= maxU {
-			ix.aBuckets[u] = append(ix.aBuckets[u], e)
+	side, m := par.Side, par.M
+	for v := 0; v < m.N(); v++ {
+		if mate := m.Mate(v); mate > v && side[v] != side[mate] {
+			e := graph.Edge{U: v, V: mate, W: m.EdgeWeightAt(v)}
+			if u := AUnitOf(e.W, w, prm); u >= 0 && u <= maxU {
+				ix.aBuckets[u] = append(ix.aBuckets[u], e)
+			}
 		}
 	}
-	for _, e := range par.B {
+	for _, e := range par.edges {
+		if side[e.U] == side[e.V] || m.Has(e.U, e.V) {
+			continue
+		}
 		if u := BUnitOf(e.W, w, prm); u >= 0 && u <= maxU {
 			ix.bBuckets[u] = append(ix.bBuckets[u], e)
 		}

@@ -45,9 +45,10 @@ type Layered struct {
 	seq uint64
 
 	// epoch is the view's round clock (IncView.RoundEpoch) at build time,
-	// or 0 when the build read a BucketIndex. BuildDelta consults it to decide whether a baseline from an earlier
-	// round can still anchor a delta: a bucket unchanged since this epoch
-	// yields byte-identical kept segments across the bipartition redraw.
+	// or 0 when the build read a BucketIndex. BuildDelta consults it to
+	// decide whether a baseline from an earlier round can still anchor a
+	// delta: a bucket unchanged since this epoch yields byte-identical kept
+	// segments across the bipartition redraw.
 	epoch uint64
 
 	// vertOrig[id] and vertLayer[id] decode a compact id.
@@ -98,27 +99,27 @@ func (l *Layered) ID(t, v int) int {
 // incident edge.
 func (l *Layered) Has(t, v int) bool { return l.ID(t, v) >= 0 }
 
-// Scratch is a reusable arena for Build: the stamped dense lookup tables and
-// the edge/vertex slices that would otherwise be reallocated per (τA, τB)
-// pair. Every Layered lives in an arena: it aliases the arena's storage and
-// is valid only until the next build (BuildIndexed or BuildDelta) on the
-// same Scratch. A Layered that must outlive a shared arena is built with a
-// nil scratch, which gives it a private one. Every build records the
-// per-layer watermarks BuildDelta diffs against, so the arena's latest
-// build is always a valid delta baseline and any earlier one is not:
-// BuildDelta verifies the baseline is the latest build and returns
-// ErrDeltaStale instead of silently reading overwritten storage.
+// Scratch is a reusable arena for the layered builds: the stamped dense id
+// table and the edge/vertex slices that would otherwise be reallocated per
+// (τA, τB) pair. Every Layered lives in an arena: it aliases the arena's
+// storage and is valid only until the next build (BuildIndexed or
+// BuildDelta) on the same Scratch. A Layered that must outlive a shared
+// arena is built with a nil scratch, which gives it a private one. Both
+// builders run one assembly routine, which truncates the arena to a kept
+// prefix of the latest build (empty for BuildIndexed), rebuilds the rest
+// and records the per-layer watermarks BuildDelta diffs against, so the
+// arena's latest build is always a valid delta baseline and any earlier
+// one is not: BuildDelta verifies the baseline is the latest build and
+// returns ErrDeltaStale instead of silently reading overwritten storage.
 // A Scratch is not safe for concurrent use; use one per worker.
 type Scratch struct {
-	// stamp versions the dense id tables so they need no per-build clearing.
+	// stamp versions the dense id table so it needs no per-build clearing.
 	// BuildIndexed advances it every call; BuildDelta keeps it (reused
 	// prefix entries must stay valid) and relies on array-validity checks
 	// for staleness instead.
-	stamp   uint32
-	hasX    []uint32 // dense (t·n+v): stamped when the copy has an X edge
-	idMark  []uint32 // dense: stamped when a compact id is assigned
-	idAt    []int32  // dense: the compact id, valid when idMark is stamped
-	badMark []uint32 // dense: stamped when BuildIndexed finds the copy removed
+	stamp  uint32
+	idMark []uint32 // dense (t·n+v): stamped when a compact id is assigned
+	idAt   []int32  // dense: the compact id, valid when idMark is stamped
 
 	// last is the Layered the latest build on this arena returned — the
 	// only valid BuildDelta baseline (the staleness check: any earlier
@@ -212,44 +213,40 @@ func (s *Scratch) Index(par *Parametrized, w float64, prm Params) *BucketIndex {
 	return &s.index
 }
 
-// next advances the stamp and sizes the dense arrays for sz entries.
+// next advances the stamp and sizes the dense table for sz entries.
 func (s *Scratch) next(sz int) {
-	if len(s.hasX) < sz {
-		s.hasX = make([]uint32, sz)
+	if len(s.idMark) < sz {
 		s.idMark = make([]uint32, sz)
-		s.badMark = make([]uint32, sz)
 		s.idAt = make([]int32, sz)
 		s.stamp = 0
 	}
 	s.stamp++
-	if s.stamp == 0 { // wrapped: old stamps could collide, clear everything
-		clear(s.hasX)
+	if s.stamp == 0 { // wrapped: old stamps could collide, clear the marks
 		clear(s.idMark)
-		clear(s.badMark)
 		s.stamp = 1
 	}
 }
 
-// growDense widens the dense tables to sz entries preserving their contents,
+// growDense widens the dense table to sz entries preserving its contents,
 // so a delta build with more layers than its baseline keeps the reused
 // prefix's id entries valid.
 func (s *Scratch) growDense(sz int) {
-	if len(s.hasX) >= sz {
+	if len(s.idMark) >= sz {
 		return
 	}
-	s.hasX = append(make([]uint32, 0, sz), s.hasX...)[:sz:sz]
 	s.idMark = append(make([]uint32, 0, sz), s.idMark...)[:sz:sz]
-	s.badMark = append(make([]uint32, 0, sz), s.badMark...)[:sz:sz]
 	s.idAt = append(make([]int32, 0, sz), s.idAt...)[:sz:sz]
 }
 
-// sizeMarks sizes the watermark arrays for a build with k Y layers.
+// sizeMarks sizes the watermark arrays for a build with k Y layers. The
+// leading entries name the empty prefix, which every build may keep.
 func (s *Scratch) sizeMarks(k int) {
 	s.layerIDEnd = ensureLen32(s.layerIDEnd, k+2)
 	s.layerXEnd = ensureLen32(s.layerXEnd, k+2)
 	s.layerIXEnd = ensureLen32(s.layerIXEnd, k+2)
 	s.gapYEnd = ensureLen32(s.gapYEnd, k+1)
 	s.gapIDEnd = ensureLen32(s.gapIDEnd, k+1)
+	s.layerIDEnd[0], s.layerXEnd[0], s.layerIXEnd[0], s.gapYEnd[0] = 0, 0, 0, 0
 }
 
 // ensureLen32 returns buf resized to n entries, preserving the prefix across
@@ -276,38 +273,71 @@ func Build(par *Parametrized, tau TauPair, w float64, prm Params) *Layered {
 // lookup per layer), then the two-stage vertex filtering (intermediate
 // layers keep only matched vertices; the first layer keeps a free R vertex
 // only when it is free in M and τA_1 = 0, symmetrically for L vertices in
-// the last layer). The build records the watermarks that let a BuildDelta
-// on the same arena reuse its prefix. When s is non-nil its storage is
-// reused and the returned Layered is valid only until the next build on s;
-// a nil s builds on a private arena.
+// the last layer). It advances the arena's stamp and runs the assembly
+// routine BuildDelta shares with an empty kept prefix, so every Y gap is a
+// scan of its τB bucket through the vertex filter — the reference the
+// grouped Y tables of BuildDelta are held to. The build records the
+// watermarks that let a BuildDelta on the same arena reuse its prefix.
+// When s is non-nil its storage is reused and the returned Layered is
+// valid only until the next build on s; a nil s builds on a private arena.
 func BuildIndexed(ix Index, tau TauPair, s *Scratch) *Layered {
 	if s == nil {
 		s = NewScratch()
 	}
-	par, w, prm := ix.Parametrization(), ix.ClassWeight(), ix.Config()
-	k := tau.K()
-	n := par.N
-	s.next((k + 1) * n)
-	s.vertOrig = s.vertOrig[:0]
-	s.vertLayer = s.vertLayer[:0]
-	s.x, s.y, s.ix = s.x[:0], s.y[:0], s.ix[:0]
-	s.sizeMarks(k)
-	s.layerIDEnd[0], s.layerXEnd[0], s.layerIXEnd[0] = 0, 0, 0
-
-	l := &Layered{Par: par, Tau: s.ownTau(tau), W: w, Prm: prm, K: k, scratch: s}
+	par := ix.Parametrization()
+	s.next((tau.K() + 1) * par.N)
+	var epoch uint64
 	if v, ok := ix.(*IncView); ok {
-		l.epoch = v.RoundEpoch()
+		epoch = v.RoundEpoch()
 	}
+	return s.assemble(ix, nil, par, tau, ix.ClassWeight(), ix.Config(), epoch, 0, 0)
+}
+
+// assemble is the one body of both builders. It truncates the arena to the
+// kept prefix of its latest build — the first px X layers, and the first q
+// Y gaps when the whole X stage is kept (px = K+1; q is 0 otherwise) —
+// rebuilds the X layers and then the Y gaps past it, and records the
+// watermarks the next BuildDelta diffs against. The prefix's lengths become
+// the Layered's DeltaInfo counts, all zero for an empty prefix. A rebuilt Y
+// gap is one grouped lookup when grouped is non-nil (BuildDelta) and
+// otherwise a scan of the gap's τB bucket through the Definition 4.10
+// vertex filter, which is sound only on a freshly stamped arena with an
+// empty kept prefix (BuildIndexed): every current id table entry is then
+// one this build assigned.
+func (s *Scratch) assemble(ix Index, grouped *IncView, par *Parametrized, tau TauPair,
+	w float64, prm Params, epoch uint64, px, q int) *Layered {
+	k, n := tau.K(), par.N
+	s.sizeMarks(k)
+	l := &Layered{Par: par, Tau: s.ownTau(tau), W: w, Prm: prm, K: k, epoch: epoch, scratch: s}
 	s.buildSeq++
 	l.seq = s.buildSeq
 	s.last = l
 
-	// assign returns the compact id of the copy of v in layer t, creating
-	// it on first use.
+	// Truncate to the kept prefix. The watermarks of the kept segments are
+	// the baseline's, and the stages below only write entries past px / q.
+	delta := &l.Delta
+	delta.KeptXLayers, delta.KeptYGaps = px, q
+	delta.KeptIDs, delta.KeptX, delta.KeptInteriorX = int(s.layerIDEnd[px]), int(s.layerXEnd[px]), int(s.layerIXEnd[px])
+	if px == k+1 {
+		delta.KeptIDs, delta.KeptY = int(s.gapIDEnd[q]), int(s.gapYEnd[q])
+	}
+	delta.KeptLPrime = delta.KeptInteriorX + delta.KeptY
+	s.vertOrig, s.vertLayer = s.vertOrig[:delta.KeptIDs], s.vertLayer[:delta.KeptIDs]
+	s.x, s.ix, s.y = s.x[:delta.KeptX], s.ix[:delta.KeptInteriorX], s.y[:delta.KeptY]
+
+	// assign returns the compact id of the copy of v in layer t, creating it
+	// unless the arena's current arrays already record one. Entries are
+	// validated against the arrays as well as the stamp: a delta build keeps
+	// the stamp and truncation discards suffix ids, so a stale entry either
+	// points past the live arrays or at an id the rebuild reassigned to a
+	// different copy.
 	assign := func(t, v int) int32 {
 		d := t*n + v
 		if s.idMark[d] == s.stamp {
-			return s.idAt[d]
+			id := s.idAt[d]
+			if int(id) < len(s.vertOrig) && s.vertLayer[id] == int32(t) && s.vertOrig[id] == int32(v) {
+				return id
+			}
 		}
 		id := int32(len(s.vertOrig))
 		s.idMark[d] = s.stamp
@@ -317,15 +347,12 @@ func BuildIndexed(ix Index, tau TauPair, s *Scratch) *Layered {
 		return id
 	}
 
-	// Stage 1a: matched-edge windows. X endpoints always pass the vertex
-	// filter (they are matched within their layer), so ids are final here.
-	for t := 0; t <= k; t++ {
-		u := tau.AUnits[t]
-		if u != 0 { // a zero window ((0−g)W, 0] holds no positive weight
+	// X stage: matched-edge windows. X endpoints always pass the vertex
+	// filter (they are matched within their layer), so their ids are final.
+	for t := px; t <= k; t++ {
+		if u := tau.AUnits[t]; u != 0 { // a zero window ((0−g)W, 0] holds no positive weight
 			for _, e := range ix.A(u) {
 				le := graph.Edge{U: int(assign(t, e.U)), V: int(assign(t, e.V)), W: e.W}
-				s.hasX[t*n+e.U] = s.stamp
-				s.hasX[t*n+e.V] = s.stamp
 				s.x = append(s.x, le)
 				if t >= 1 && t <= k-1 {
 					s.ix = append(s.ix, le)
@@ -336,52 +363,60 @@ func BuildIndexed(ix Index, tau TauPair, s *Scratch) *Layered {
 		s.layerXEnd[t+1] = int32(len(s.x))
 		s.layerIXEnd[t+1] = int32(len(s.ix))
 	}
-	s.gapIDEnd[0] = int32(len(s.vertOrig))
-	s.gapYEnd[0] = 0
+	s.gapIDEnd[0] = s.layerIDEnd[k+1]
 
 	// survives applies the Definition 4.10 vertex filter to the copy of v
-	// in layer t, memoising negative answers (positive ones are implied by
-	// an id or an X stamp).
+	// in layer t. A copy carries an X edge of its layer exactly when the X
+	// stage gave it an id (current mark, id below gapIDEnd[0]); otherwise
+	// only the boundary layers' free-endpoint rules keep it.
 	survives := func(t, v int) bool {
 		d := t*n + v
-		if s.hasX[d] == s.stamp {
+		if s.idMark[d] == s.stamp && s.idAt[d] < s.gapIDEnd[0] {
 			return true
 		}
-		if s.badMark[d] == s.stamp {
-			return false
-		}
-		keep := false
 		switch t {
 		case 0:
 			// First layer: an R vertex with no X edge survives only when
 			// free in M and τA_1 = 0. An L vertex with no X edge is
 			// isolated (no Y edge reaches layer-0 L vertices).
-			keep = par.Side[v] && !par.M.IsMatched(v) && tau.AUnits[0] == 0
+			return par.Side[v] && !par.M.IsMatched(v) && tau.AUnits[0] == 0
 		case k:
 			// Last layer: symmetric with L vertices.
-			keep = !par.Side[v] && !par.M.IsMatched(v) && tau.AUnits[k] == 0
-		default:
-			// Intermediate layers: unmatched-in-X vertices are removed.
+			return !par.Side[v] && !par.M.IsMatched(v) && tau.AUnits[k] == 0
 		}
-		if !keep {
-			s.badMark[d] = s.stamp
-		}
-		return keep
+		return false // intermediate layers: unmatched-in-X vertices are removed
 	}
 
-	// Stage 1b + 2: unmatched-edge windows, filtered by endpoint survival.
-	for t := 0; t < k; t++ {
-		for _, e := range ix.B(tau.BUnits[t]) {
-			// Orient from the R endpoint in layer t to the L endpoint in
-			// layer t+1.
-			r, lv := e.U, e.V
-			if !par.Side[r] {
-				r, lv = lv, r
+	// Y stage: unmatched-edge windows, filtered by endpoint survival.
+	for t := q; t < k; t++ {
+		if grouped == nil {
+			for _, e := range ix.B(tau.BUnits[t]) {
+				// Orient from the R endpoint in layer t to the L endpoint
+				// in layer t+1.
+				r, lv := e.U, e.V
+				if !par.Side[r] {
+					r, lv = lv, r
+				}
+				if survives(t, r) && survives(t+1, lv) {
+					s.y = append(s.y, graph.Edge{U: int(assign(t, r)), V: int(assign(t+1, lv)), W: e.W})
+				}
 			}
-			if !survives(t, r) || !survives(t+1, lv) {
-				continue
+		} else {
+			// One grouped lookup replaces the filtered scan: the group of
+			// the two layers' matched units holds exactly the survivors,
+			// oriented, in bucket order. Row 0 is the free R endpoints of
+			// the first layer's τA = 0 rule, column FreeLBit the free L
+			// endpoints of the last layer's; an interior τA = 0 layer
+			// keeps no copy without an X edge.
+			row, col := tau.AUnits[t], tau.AUnits[t+1]
+			if col == 0 && t+1 == k {
+				col = FreeLBit
 			}
-			s.y = append(s.y, graph.Edge{U: int(assign(t, r)), V: int(assign(t+1, lv)), W: e.W})
+			if (row > 0 || t == 0) && col > 0 {
+				for _, e := range grouped.YGroup(tau.BUnits[t], row, col) {
+					s.y = append(s.y, graph.Edge{U: int(assign(t, e.U)), V: int(assign(t+1, e.V)), W: e.W})
+				}
+			}
 		}
 		s.gapYEnd[t+1] = int32(len(s.y))
 		s.gapIDEnd[t+1] = int32(len(s.vertOrig))

@@ -1,6 +1,7 @@
 package layered
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -139,5 +140,62 @@ func TestBuildScratchReuseIsStable(t *testing.T) {
 		if firstY[i] != againY[i] {
 			t.Fatalf("Y[%d] differs after reuse: %v vs %v", i, firstY[i], againY[i])
 		}
+	}
+}
+
+// TestScratchStampWrap runs from-scratch builds across the wrap of the
+// arena's uint32 build stamp. A sweep of pairs over several class weights
+// is built at stamps 1, 2, …; the stamp then jumps to 2³²−1 and the sweep
+// is built again in reverse order, so the first build after the jump wraps
+// the stamp back to 1 and every later one reuses a stamp that a different
+// pair's build left in the id table. Those entries must not survive the
+// wrap: the vertex filter reads a current entry as "this copy has an X
+// edge". Every build must equal the same pair built on a fresh arena.
+func TestScratchStampWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	inst := graph.PlantedMatching(30, 150, 40, 80, rng)
+	m := graph.NewMatching(inst.G.N())
+	for i, e := range inst.Opt.Edges() {
+		if i%2 == 0 { // leave half the planted edges free
+			mustAddMatched(t, m, e)
+		}
+	}
+	par := Parametrize(inst.G.N(), inst.G.Edges(), m, rng)
+	prm := Params{Granularity: 0.25}.WithDefaults()
+	type build struct {
+		ix  *BucketIndex
+		tau TauPair
+	}
+	var sweep []build
+	for _, w := range []float64{80, 60, 45} {
+		ix := NewBucketIndex(par, w, prm)
+		aMask, bMask, _ := ix.Masks()
+		for _, tau := range EnumerateGoodPairsMasked(prm, aMask, bMask, 0) {
+			sweep = append(sweep, build{ix, tau})
+		}
+	}
+	if len(sweep) < 10 {
+		t.Fatalf("sweep has %d pairs, want at least 10", len(sweep))
+	}
+	s := NewScratch()
+	check := func(label string, b build) {
+		assertSameLayered(t, label, BuildIndexed(b.ix, b.tau, s), BuildIndexed(b.ix, b.tau, nil))
+	}
+	for _, b := range sweep {
+		check("before the wrap", b)
+	}
+	s.stamp = math.MaxUint32
+	for i := len(sweep) - 1; i >= 0; i-- {
+		check("after the wrap", sweep[i])
+		if i == len(sweep)-1 && s.stamp != 1 {
+			t.Fatalf("stamp %d after the wrapping build, want 1", s.stamp)
+		}
+	}
+}
+
+func mustAddMatched(t *testing.T, m *graph.Matching, e graph.Edge) {
+	t.Helper()
+	if err := m.Add(e); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/faultinject"
-	"repro/internal/graph"
 )
 
 // BuildDelta error conditions. All of them mean the caller broke the delta
@@ -30,11 +29,14 @@ var (
 
 // DeltaInfo describes how a build relates to the build that preceded it on
 // the same arena — the changed-suffix descriptor the solver-side repair
-// (bipartite.RepairHK) consumes. BuildDelta fills it from the kept-prefix
-// watermarks it already maintains; from-scratch builds leave it zero
-// (Valid = false). All counts are relative to the baseline build named by
-// BaseSeq, and "kept" means byte-identical: the same edges with the same
-// compact ids, at the same positions of the arena's slices (Invariant 19).
+// (bipartite.RepairHK) consumes. The assembly routine both builders share
+// fills the counts from the kept prefix it truncates the arena to, reading
+// the lengths off the watermarks the baseline recorded. BuildDelta marks
+// the result Valid; BuildIndexed, whose kept prefix is empty, leaves it
+// zero (Valid = false). All counts are relative to the baseline build
+// named by BaseSeq, and "kept" means byte-identical: the same edges with
+// the same compact ids, at the same positions of the arena's slices
+// (Invariant 19).
 type DeltaInfo struct {
 	// Valid reports that the build was assembled by BuildDelta from a live
 	// baseline, so the remaining fields describe a real shared prefix.
@@ -66,14 +68,16 @@ type DeltaInfo struct {
 // BuildDelta constructs the layered graph of Definition 4.10 for tau by
 // patching the arena state left behind by prev — the immediately preceding
 // build on s over the same class view — instead of reconstructing every
-// layer: the leading X layers whose τA units are unchanged keep their edge
-// segments and compact ids verbatim (the arena is truncated back to the
-// first changed layer, not rebuilt), and when the whole τA vector is
-// unchanged the leading Y gaps with unchanged τB units are kept too. The
-// rebuilt suffix reuses the arena's dense id tables without restamping, so
-// reused copies keep their exact compact ids, and every rebuilt Y gap is one
-// grouped lookup (IncView.YGroup) that returns exactly its surviving edges.
-// The result is bit-identical to BuildIndexed(ix, tau, s) — same
+// layer. It computes the kept prefix: the leading X layers whose τA units
+// are unchanged and, when the whole τA vector is unchanged, the leading Y
+// gaps with unchanged τB units. It then runs the assembly routine
+// BuildIndexed runs with an empty prefix: the arena is truncated back to
+// the prefix, whose edge segments and compact ids stay verbatim, and the
+// rest is rebuilt on the arena's dense id table without restamping it, so
+// reused copies keep their exact compact ids. Every rebuilt Y gap is one
+// grouped lookup (IncView.YGroup) that returns exactly its surviving
+// edges, where BuildIndexed scans the gap's τB bucket through the vertex
+// filter. The result is bit-identical to BuildIndexed(ix, tau, s) — same
 // X/Y/InteriorX sequences, same ids — which the differential suite
 // (TestBuildDeltaMatchesBuildIndexed, FuzzBuildDelta) asserts across every
 // generator family.
@@ -135,8 +139,7 @@ func BuildDelta(ix *IncView, prev *Layered, tau TauPair, s *Scratch, cutover int
 	}
 
 	k, kp := tau.K(), prev.K
-	n := par.N
-	s.growDense((k + 1) * n)
+	s.growDense((k + 1) * par.N)
 
 	// px is the number of X layers kept from prev (their τA units match and
 	// their boundary/interior status is identical in both builds: layers
@@ -166,114 +169,14 @@ func BuildDelta(ix *IncView, prev *Layered, tau TauPair, s *Scratch, cutover int
 	if px+q < cutover {
 		px, q = 0, 0
 	}
-	reused = px + q
-	s.sizeMarks(k)
 
-	l = &Layered{Par: par, Tau: s.ownTau(tau), W: w, Prm: prm, K: k, scratch: s, epoch: ix.RoundEpoch()}
-	baseSeq := prev.seq
-	s.buildSeq++
-	l.seq = s.buildSeq
-	s.last = l
-
-	// assign returns the compact id of the copy of v in layer t, creating it
-	// unless the arena's current arrays already record one. Entries are
-	// validated against the arrays rather than a fresh stamp: truncation
-	// discards suffix ids, so a stale table entry either points past the
-	// live arrays or at an id the rebuild reassigned to a different copy.
-	assign := func(t, v int) int32 {
-		d := t*n + v
-		if s.idMark[d] == s.stamp {
-			id := s.idAt[d]
-			if int(id) < len(s.vertOrig) && s.vertLayer[id] == int32(t) && s.vertOrig[id] == int32(v) {
-				return id
-			}
-		}
-		id := int32(len(s.vertOrig))
-		s.idMark[d] = s.stamp
-		s.idAt[d] = id
-		s.vertOrig = append(s.vertOrig, int32(v))
-		s.vertLayer = append(s.vertLayer, int32(t))
-		return id
-	}
-
-	if px == k+1 {
-		// Whole X stage kept: truncate back to the last kept gap.
-		s.vertOrig = s.vertOrig[:s.gapIDEnd[q]]
-		s.vertLayer = s.vertLayer[:s.gapIDEnd[q]]
-		s.y = s.y[:s.gapYEnd[q]]
-	} else {
-		// Truncate to the kept X prefix and rebuild layers px..k. The
-		// arena's stamp is NOT advanced: kept copies keep their table
-		// entries (and so their ids), discarded ones fail the array check.
-		s.vertOrig = s.vertOrig[:s.layerIDEnd[px]]
-		s.vertLayer = s.vertLayer[:s.layerIDEnd[px]]
-		s.x = s.x[:s.layerXEnd[px]]
-		s.ix = s.ix[:s.layerIXEnd[px]]
-		s.y = s.y[:0]
-		q = 0
-		for t := px; t <= k; t++ {
-			u := tau.AUnits[t]
-			if u != 0 {
-				for _, e := range ix.A(u) {
-					le := graph.Edge{U: int(assign(t, e.U)), V: int(assign(t, e.V)), W: e.W}
-					s.x = append(s.x, le)
-					if t >= 1 && t <= k-1 {
-						s.ix = append(s.ix, le)
-					}
-				}
-			}
-			s.layerIDEnd[t+1] = int32(len(s.vertOrig))
-			s.layerXEnd[t+1] = int32(len(s.x))
-			s.layerIXEnd[t+1] = int32(len(s.ix))
-		}
-		s.gapIDEnd[0] = int32(len(s.vertOrig))
-		s.gapYEnd[0] = 0
-	}
-
-	// Y stage: one grouped lookup per rebuilt gap replaces the filtered
-	// bucket scan — the group holds exactly the survivors, in bucket order.
-	for t := q; t < k; t++ {
-		row, col := -1, -1
-		switch {
-		case tau.AUnits[t] > 0:
-			row = tau.AUnits[t]
-		case t == 0:
-			row = 0 // free R endpoints, the first-layer τA = 0 rule
-		}
-		switch {
-		case tau.AUnits[t+1] > 0:
-			col = tau.AUnits[t+1]
-		case t+1 == k:
-			col = FreeLBit // free L endpoints, the last-layer rule
-		}
-		if row >= 0 && col >= 0 {
-			for _, e := range ix.YGroup(tau.BUnits[t], row, col) {
-				s.y = append(s.y, graph.Edge{U: int(assign(t, e.U)), V: int(assign(t+1, e.V)), W: e.W})
-			}
-		}
-		s.gapYEnd[t+1] = int32(len(s.y))
-		s.gapIDEnd[t+1] = int32(len(s.vertOrig))
-	}
-
-	l.NumV = len(s.vertOrig)
-	l.vertOrig, l.vertLayer = s.vertOrig, s.vertLayer
-	l.X, l.Y, l.InteriorX = s.x, s.y, s.ix
-
-	// Surface the changed-suffix descriptor for the solver-side repair. The
-	// watermark entries of the kept prefix survive the rebuild (the stages
-	// above only write entries past px / q), so they still name the
-	// baseline's — and hence the shared — prefix lengths.
-	l.Delta = DeltaInfo{Valid: true, BaseSeq: baseSeq, KeptXLayers: px, KeptYGaps: q, KeptIDs: int(s.layerIDEnd[px])}
-	if px == k+1 {
-		l.Delta.KeptIDs = int(s.gapIDEnd[q])
-		l.Delta.KeptX = len(s.x)
-		l.Delta.KeptInteriorX = len(s.ix)
-		l.Delta.KeptY = int(s.gapYEnd[q])
-		l.Delta.KeptLPrime = len(s.ix) + int(s.gapYEnd[q])
-	} else {
-		l.Delta.KeptX = int(s.layerXEnd[px])
-		l.Delta.KeptInteriorX = int(s.layerIXEnd[px])
-		l.Delta.KeptLPrime = int(s.layerIXEnd[px])
-	}
-	return l, reused, nil
+	// The arena's stamp is NOT advanced: kept copies keep their table
+	// entries (and so their ids), discarded ones fail assemble's array
+	// check, and every rebuilt Y gap is read from the grouped tables.
+	// assemble fills the kept prefix's lengths into l.Delta; marking it
+	// valid surfaces the changed-suffix descriptor for the solver-side
+	// repair.
+	l = s.assemble(ix, ix, par, tau, w, prm, ix.RoundEpoch(), px, q)
+	l.Delta.Valid, l.Delta.BaseSeq = true, prev.seq
+	return l, px + q, nil
 }

@@ -33,8 +33,8 @@ var ErrBeginRoundBusy = errors.New("layered: concurrent or re-entrant IncIndex.B
 //     units a good τB entry can name (Table 1 requires τB ≥ 2g). Computed
 //     once per Solve; for weights in a bounded range each edge is live in
 //     only the O(log) classes within a constant factor of its weight.
-//   - matched list: the current matching's edges in par.A (ascending
-//     smaller endpoint) order, each carrying its per-class τA units.
+//   - matched list: the current matching's edges in the matching's order
+//     (ascending smaller endpoint), each carrying its per-class τA units.
 //     BeginRound merge-diffs it against the round's matching, recomputing
 //     window arithmetic only for edges whose matched status changed.
 //   - per-round populated-unit masks and lazily materialised buckets: the
@@ -85,9 +85,9 @@ type IncIndex struct {
 	// a fresh index reproduces).
 	bAll [][][]int32
 
-	// matched is the delta-maintained matched-edge list in par.A order
-	// (ascending smaller endpoint; each vertex has one mate, so the order
-	// is total). units[c] is the class-c τA unit; the per-class units of an
+	// matched is the delta-maintained matched-edge list in the matching's
+	// order (ascending smaller endpoint; each vertex has one mate, so the
+	// order is total). units[c] is the class-c τA unit; the per-class units of an
 	// edge form a prefix of the class list because class weights descend.
 	matched []matchedEdge
 	swap    []matchedEdge // ping-pong buffer for the merge-diff
@@ -629,8 +629,9 @@ func (v *IncView) ClassWeight() float64 { return v.ix.ws[v.c] }
 // Config returns the discretisation parameters.
 func (v *IncView) Config() Params { return v.ix.prm }
 
-// A returns the matched crossing edges of the unit-u τA window, in par.A
-// order, materialising (and digesting) the bucket on first use this round.
+// A returns the matched crossing edges of the unit-u τA window, in the
+// matching's order, materialising (and digesting) the bucket on first use
+// this round.
 func (v *IncView) A(u int) []graph.Edge {
 	if u < 1 || u > v.ix.maxU {
 		return nil
@@ -672,8 +673,9 @@ func (x *IncIndex) aDigest(c, u int) uint64 {
 	return x.aDig[c][u]
 }
 
-// B returns the unmatched crossing edges of the unit-u τB window, in par.B
-// order, materialising (and digesting) the bucket on first use this round.
+// B returns the unmatched crossing edges of the unit-u τB window, in the
+// graph's edge order, materialising (and digesting) the bucket on first
+// use this round.
 func (v *IncView) B(u int) []graph.Edge {
 	if u < 2 || u > v.ix.maxU {
 		return nil

@@ -74,24 +74,57 @@ func TestIsGoodRejections(t *testing.T) {
 	}
 }
 
+// TestParametrize checks the buckets a parametrization yields: at a class
+// weight every edge weight fits, the τA buckets together hold exactly the
+// crossing matched edges in the matching's order and the τB buckets the
+// crossing unmatched edges in the graph's order.
 func TestParametrize(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	inst := graph.PlantedMatching(40, 100, 50, 100, rng)
 	par := Parametrize(inst.G.N(), inst.G.Edges(), inst.Opt, rng)
-	for _, e := range par.A {
-		if par.Side[e.U] == par.Side[e.V] {
-			t.Fatalf("A edge does not cross: %v", e)
-		}
-		if !inst.Opt.Has(e.U, e.V) {
-			t.Fatalf("A edge not matched: %v", e)
+	prm := defaultParams()
+	maxU, _ := prm.Units()
+	ix := NewBucketIndex(par, 100, prm)
+	var wantA, wantB []graph.Edge
+	for _, e := range inst.Opt.Edges() {
+		if par.Side[e.U] != par.Side[e.V] {
+			wantA = append(wantA, e)
 		}
 	}
-	for _, e := range par.B {
-		if par.Side[e.U] == par.Side[e.V] {
-			t.Fatalf("B edge does not cross: %v", e)
+	for _, e := range inst.G.Edges() {
+		if par.Side[e.U] != par.Side[e.V] && !inst.Opt.Has(e.U, e.V) {
+			wantB = append(wantB, e)
 		}
-		if inst.Opt.Has(e.U, e.V) {
-			t.Fatalf("B edge matched: %v", e)
+	}
+	if len(wantA) == 0 || len(wantB) == 0 {
+		t.Fatalf("instance has %d crossing matched and %d crossing unmatched edges", len(wantA), len(wantB))
+	}
+	// Each bucket is a subsequence of its side's list, and the buckets
+	// partition it by unit.
+	for _, side := range []struct {
+		name   string
+		bucket func(int) []graph.Edge
+		unit   func(graph.Weight) int
+		want   []graph.Edge
+	}{
+		{"A", ix.A, func(w graph.Weight) int { return AUnitOf(w, 100, prm) }, wantA},
+		{"B", ix.B, func(w graph.Weight) int { return BUnitOf(w, 100, prm) }, wantB},
+	} {
+		total := 0
+		for u := 0; u <= maxU; u++ {
+			var want []graph.Edge
+			for _, e := range side.want {
+				if side.unit(e.W) == u {
+					want = append(want, e)
+				}
+			}
+			if got := side.bucket(u); !edgeSlicesEqual(got, want) {
+				t.Fatalf("%s(%d) = %v, want %v", side.name, u, got, want)
+			}
+			total += len(want)
+		}
+		if total != len(side.want) {
+			t.Fatalf("%s buckets hold %d of %d edges", side.name, total, len(side.want))
 		}
 	}
 }

@@ -7,19 +7,23 @@ import (
 )
 
 // Parametrized is the Section 4.3.1 object G_P = (L, R, A, B): a uniformly
-// random bipartition of the vertices into L (Side=false) and R (Side=true),
-// with A the matched and B the unmatched edges crossing the bipartition.
+// random bipartition of the vertices into L (Side=false) and R (Side=true).
+// A, the matched edges crossing the bipartition, and B, the crossing
+// unmatched ones, are not materialised: BucketIndex.Reset filters them
+// from the bipartition, the matching and the edge list the parametrization
+// was drawn over, and an IncIndex maintains its own per-class buckets.
 type Parametrized struct {
 	N    int
 	Side []bool
 	M    *graph.Matching
-	// A holds the crossing matched edges; B the crossing unmatched edges.
-	A, B []graph.Edge
+
+	// edges aliases the caller's edge list; it is not copied.
+	edges []graph.Edge
 }
 
-// Parametrize draws a uniform bipartition and splits the edges. Edges whose
-// endpoint pair is matched in m are treated as matching edges regardless of
-// their stored weight (the graph is simple, so the pair identifies the edge).
+// Parametrize draws a uniform bipartition. Edges whose endpoint pair is
+// matched in m are treated as matching edges regardless of their stored
+// weight (the graph is simple, so the pair identifies the edge).
 func Parametrize(n int, edges []graph.Edge, m *graph.Matching, rng *rand.Rand) *Parametrized {
 	side := make([]bool, n)
 	for v := range side {
@@ -31,17 +35,5 @@ func Parametrize(n int, edges []graph.Edge, m *graph.Matching, rng *rand.Rand) *
 // ParametrizeWithSide is Parametrize with a fixed bipartition, used by tests
 // and by Lemma 4.12-style constructions that need a specific assignment.
 func ParametrizeWithSide(n int, edges []graph.Edge, m *graph.Matching, side []bool) *Parametrized {
-	p := &Parametrized{N: n, Side: side, M: m}
-	for _, e := range m.Edges() {
-		if side[e.U] != side[e.V] {
-			p.A = append(p.A, e)
-		}
-	}
-	for _, e := range edges {
-		if side[e.U] == side[e.V] || m.Has(e.U, e.V) {
-			continue
-		}
-		p.B = append(p.B, e)
-	}
-	return p
+	return &Parametrized{N: n, Side: side, M: m, edges: edges}
 }

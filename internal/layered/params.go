@@ -20,24 +20,29 @@
 // redraw, an augmentation, or a graph edit touched — edits arrive through
 // the BeginEdits/Note*/EndEdits protocol and charge the same per-(class,
 // unit) change clocks a redraw stamps, so downstream consumers need no new
-// invariants. BuildDelta patches a previous Layered build over the same
-// IncView into the next pair's (bit-identical to BuildIndexed by
-// construction), reading every rebuilt Y gap from the view's grouped Y
-// tables; its DeltaInfo names the baseline build and the byte-shared
-// prefix of the L' edge list, which is exactly what bipartite.RepairHK
-// needs to patch the matching solve on top. Every build lives in a
-// Scratch arena and records the watermarks BuildDelta diffs against, so
-// the arena's latest build is always a valid baseline. A baseline that
-// cannot be proven fresh is rejected with one of the four ErrDelta*
-// sentinels (NoBase, Scratch, Stale, Mismatch) and the caller builds from
-// scratch — the build rung of core's degradation ladder. The view's round
-// epoch and per-(class, unit) change clocks (RoundEpoch, AStableSince,
-// YStableSince) are the freshness oracle for baselines that survived a
-// redraw, letting BuildDelta keep exactly the segments whose buckets
-// provably did not change. An IncIndex exists only at granularity 1/62 or
-// coarser (CanIndexIncrementally), where each per-unit table is one 64-bit
-// word; finer discretisations, the naive path and the cold rungs use
-// BucketIndex, the per-round rebuild, through BuildIndexed alone.
+// invariants. BuildIndexed and BuildDelta share one assembly routine on
+// the Scratch arena every build lives in: it truncates the arena to a kept
+// prefix of X layers and Y gaps, rebuilds the rest and records the
+// watermarks BuildDelta diffs against, so the arena's latest build is
+// always a valid baseline. BuildIndexed keeps nothing and scans each Y
+// gap's bucket through the Definition 4.10 vertex filter; BuildDelta keeps
+// the prefix a previous build over the same IncView shares with the next
+// pair (bit-identical to BuildIndexed by construction) and reads every
+// rebuilt Y gap from the view's grouped Y tables. Its DeltaInfo names the
+// baseline build and the byte-shared prefix of the L' edge list, which is
+// exactly what bipartite.RepairHK needs to patch the matching solve on
+// top. A baseline that cannot be proven fresh is rejected with one of the
+// four ErrDelta* sentinels (NoBase, Scratch, Stale, Mismatch) and the
+// caller builds from scratch — the build rung of core's degradation
+// ladder. The view's round epoch and per-(class, unit) change clocks
+// (RoundEpoch, AStableSince, YStableSince) are the freshness oracle for
+// baselines that survived a redraw, letting BuildDelta keep exactly the
+// segments whose buckets provably did not change. An IncIndex exists only
+// at granularity 1/62 or coarser (CanIndexIncrementally), where each
+// per-unit table is one 64-bit word; finer discretisations, the naive path
+// and the cold rungs use BucketIndex, the per-round rebuild that draws the
+// crossing edges from the Parametrized bipartition itself, through
+// BuildIndexed alone.
 package layered
 
 // Params collects the discretisation parameters of the layered-graph

@@ -38,13 +38,27 @@ func BuildReference(par *Parametrized, tau TauPair, w float64, prm Params) *Refe
 	n := par.N
 	r := &ReferenceLayered{K: k, N: n, Removed: make([]bool, (k+1)*n)}
 
+	// G_P's A and B, read off the matching and the edge list: the crossing
+	// matched edges and the crossing unmatched ones.
+	var a, b []graph.Edge
+	for _, e := range par.M.Edges() {
+		if par.Side[e.U] != par.Side[e.V] {
+			a = append(a, e)
+		}
+	}
+	for _, e := range par.edges {
+		if par.Side[e.U] != par.Side[e.V] && !par.M.Has(e.U, e.V) {
+			b = append(b, e)
+		}
+	}
+
 	// Stage 1: edge filters.
 	hasX := make([]bool, (k+1)*n)
 	for t := 0; t <= k; t++ {
 		if tau.AUnits[t] == 0 {
 			continue // window ((0−g)W, 0] holds no positive weight
 		}
-		for _, e := range par.A {
+		for _, e := range a {
 			if AUnitOf(e.W, w, prm) != tau.AUnits[t] {
 				continue
 			}
@@ -55,7 +69,7 @@ func BuildReference(par *Parametrized, tau TauPair, w float64, prm Params) *Refe
 		}
 	}
 	for t := 0; t < k; t++ {
-		for _, e := range par.B {
+		for _, e := range b {
 			if BUnitOf(e.W, w, prm) != tau.BUnits[t] {
 				continue
 			}
