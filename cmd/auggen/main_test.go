@@ -1,9 +1,12 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 func TestRunFamilies(t *testing.T) {
@@ -57,5 +60,40 @@ func TestRunRejectsBadCounts(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
 			t.Errorf("run(%q) = %v, want an error naming %s", tc.args, err, tc.flag)
 		}
+	}
+}
+
+// TestRunCycleOneIsOneEdge runs the cycle family at half-length 1. Its two
+// edges would join the same two vertices, so the output must be the one
+// edge 0–1 at the heavier weight, which is also the recorded optimum.
+func TestRunCycleOneIsOneEdge(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run([]string{"-family", "cycle", "-n", "1", "-maxw", "1000"})
+	os.Stdout = stdout
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.Read(strings.NewReader(string(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() != 2 || g.M() != 1 || g.Edges()[0].W != 1000 {
+		t.Fatalf("cycle -n 1 wrote n=%d edges %v, want one edge 0–1 of weight 1000", g.N(), g.Edges())
+	}
+	if !strings.Contains(string(data), "# optimum 1000\n") {
+		t.Fatalf("cycle -n 1 output lacks its optimum line:\n%s", data)
 	}
 }

@@ -209,8 +209,9 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	// Rounds is the number of Algorithm 3 rounds executed.
 	Rounds int
-	// SolverCalls counts Unw-Bip-Matching invocations (one per surviving
-	// (W, τ-pair) combination).
+	// SolverCalls counts Unw-Bip-Matching invocations: one per (W, τ-pair)
+	// combination whose layered graph has a Y edge in every gap, the only
+	// ones whose L′ can hold an augmenting path (layered Invariant 28).
 	SolverCalls int
 	// SolverPhases accumulates the phase counts of those invocations: the
 	// default exact solver's Hopcroft–Karp phases, or what an installed
@@ -218,15 +219,16 @@ type Stats struct {
 	// 0 — their cost is counted in passes and MPC rounds).
 	SolverPhases int
 	// LayeredBuilt counts layered graphs constructed (= SolverCalls plus
-	// those skipped for having no augmenting structure). Amortised runs
-	// count probe-rejected pairs here too, so the field is comparable
-	// between the naive and amortised paths.
+	// those skipped for an empty Y gap, which holds no augmenting
+	// structure). Amortised runs count probe-rejected pairs here too, so
+	// the field is comparable between the naive and amortised paths.
 	LayeredBuilt int
 	// ProbeSkips counts (τA, τB) pairs the amortised survival probe
-	// rejected without constructing their layered graph (always 0 on the
-	// naive path, which every run finer than granularity 1/62 takes). The
-	// probe runs only inside the enumeration, so it always equals
-	// EnumPruned.
+	// rejected without constructing their layered graph: pairs with a Y
+	// gap no edge can fill, exactly the builds the naive path makes and
+	// then skips. Always 0 on the naive path, which every run finer than
+	// granularity 1/62 takes. The probe runs only inside the enumeration,
+	// so it always equals EnumPruned.
 	ProbeSkips int
 	// EnumPruned counts the subset of ProbeSkips the probe-guided
 	// enumeration pruned during pair generation — dead pairs that were
@@ -745,7 +747,8 @@ func FindClassAugmentations(
 // With an amortised class context, four short-circuits precede or shorten
 // the build+solve, none of which changes the returned set: the survival
 // probe prunes, inside the enumeration, the pairs whose layered graph would
-// have no Y edge (exactly the pairs the naive loop builds and then skips),
+// leave some Y gap empty (exactly the pairs the naive loop builds and then
+// skips: no augmenting path of ML′ crosses an empty gap),
 // the cross-class cache replays the candidates of an identical layered
 // graph solved earlier this round, the delta chain patches the class's
 // previous build (across the redraw too), and the repair solver patches
@@ -896,14 +899,10 @@ func classAugmentations(
 			lay = layered.BuildIndexed(ix, tau, scratch)
 		}
 		prevLay = lay
-		if len(lay.Y) == 0 {
-			continue
+		if !lay.EveryGapHasY() {
+			continue // no augmenting path of ML′ can cross an empty gap
 		}
-		lp := lay.LPrimeEdges()
-		if len(lp) == 0 {
-			continue
-		}
-		bip := &bipartite.Bip{N: lay.NumV, Side: lay.Sides(), Edges: lp}
+		bip := &bipartite.Bip{N: lay.NumV, Side: lay.Sides(), Edges: lay.LPrimeEdges()}
 		stats.SolverCalls++
 		var mPrime *graph.Matching
 		var phases int

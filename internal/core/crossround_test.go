@@ -78,10 +78,11 @@ func (s *repeatSource) Seed(int64) {}
 // a side-stable redraw the first build of a class-round deltas over the
 // previous round's last build with a non-empty kept prefix, and the repair
 // chain extends across the boundary with it (CrossRoundRepairs > 0) — with
-// results still bit-identical to the naive path.
+// results still bit-identical to the naive path. The band has 240 vertices:
+// at 60, too few pairs fill every Y gap for a repair to cross a boundary.
 func TestCrossRoundRepairChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	g := graph.BandedWeights(60, 8*60, 100, rng).G
+	g := graph.BandedWeights(240, 8*240, 100, rng).G
 	src := rand.New(rand.NewSource(13))
 	vals := make([]int64, g.N())
 	for i := range vals {

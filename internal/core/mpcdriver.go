@@ -13,7 +13,8 @@ type MPCOptions struct {
 	// Core carries the reduction parameters. Its PhasedSolverFactory and
 	// Workers are ignored: the driver installs the MPC bipartite solver,
 	// whose round ledger and Rng are shared by every instance, and so runs
-	// the class sweep sequentially.
+	// the class sweep sequentially. The solver's Rng is a stream of its own,
+	// seeded by one draw from Core.Rng before the first round.
 	Core Options
 	// Delta is the (1−δ) target handed to the unweighted MPC subroutine.
 	// Default 0.2.
@@ -52,6 +53,10 @@ func SolveMPC(g *graph.Graph, initial *graph.Matching, opts MPCOptions) (MPCResu
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
+	// The matcher draws from its own stream, seeded by one draw at start, so
+	// the number of instances a round solves cannot steer later
+	// bipartitions.
+	matchRng := rand.New(rand.NewSource(rng.Int63()))
 
 	solver := func(b *bipartite.Bip) (*graph.Matching, int, error) {
 		// Each instance gets the paper's O(m/n) machines of its layered
@@ -59,7 +64,7 @@ func SolveMPC(g *graph.Graph, initial *graph.Matching, opts MPCOptions) (MPCResu
 		// plus O(n) state plus the coordinator's merge buffer.
 		machines := mpc.MachinesFor(len(b.Edges), b.N)
 		mem := 2*len(b.Edges)/machines + (machines+2)*b.N + 16
-		mr, err := bipartite.MPC(b, opts.Delta, machines, mem, rng)
+		mr, err := bipartite.MPC(b, opts.Delta, machines, mem, matchRng)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -232,7 +232,9 @@ func AugmentingChain(segments int, outWeight, midWeight Weight, rng *rand.Rand) 
 // (e.g. 3,4,3,4: the weight-3 edges form a perfect matching of weight 6 but
 // the optimum is 8 and is reachable only through an augmenting cycle).
 // halfLen is the number of edges of each weight; the cycle has 2*halfLen
-// edges. The returned Opt takes the b edges when b > a.
+// edges. The returned Opt takes the b edges when b > a. At halfLen 1 the
+// two edges would join the same two vertices, and a graph is simple, so the
+// cycle collapses to the single edge 0–1 of weight max(a, b), its optimum.
 func WeightedCycle(halfLen int, a, b Weight) Instance {
 	n := 2 * halfLen
 	g := New(n)
@@ -241,6 +243,12 @@ func WeightedCycle(halfLen int, a, b Weight) Instance {
 	wa, wb := a, b
 	if wb < wa {
 		wa, wb = wb, wa
+	}
+	if halfLen == 1 {
+		e := Edge{U: 0, V: 1, W: wb}
+		g.MustAddEdge(e.U, e.V, e.W)
+		mustAdd(opt, e)
+		return Instance{G: g, OptWeight: wb, OptExact: true, Opt: opt}
 	}
 	for i := 0; i < n; i++ {
 		w := a

@@ -61,14 +61,24 @@ func TestAugmentingChainOptimalQuick(t *testing.T) {
 	}
 }
 
-// Property: WeightedCycle's optimum matches brute force for any weight pair.
+// Property: WeightedCycle's optimum matches brute force for any weight pair
+// and half-lengths 1 to 4, and the graph is simple (half-length 1 is one
+// edge).
 func TestWeightedCycleOptimalQuick(t *testing.T) {
 	f := func(aRaw, bRaw uint8, halfRaw uint8) bool {
 		a := Weight(aRaw%30 + 1)
 		b := Weight(bRaw%30 + 1)
-		half := int(halfRaw%3) + 2
+		half := int(halfRaw%4) + 1
 		inst := WeightedCycle(half, a, b)
-		return bruteForceMaxWeight(inst.G) == inst.OptWeight
+		edges := 2 * half
+		if half == 1 {
+			edges = 1 // the two edges would be parallel: the graph is simple
+		}
+		if inst.G.M() != edges {
+			return false
+		}
+		return bruteForceMaxWeight(inst.G) == inst.OptWeight &&
+			inst.Opt.Weight() == inst.OptWeight && inst.Opt.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

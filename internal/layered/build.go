@@ -34,6 +34,10 @@ type Layered struct {
 	// edges are dropped (Algorithm 4 line 4).
 	InteriorX []graph.Edge
 
+	// emptyGap records that some Y gap of this build holds no edge (see
+	// EveryGapHasY).
+	emptyGap bool
+
 	// Delta describes the byte-shared prefix with the arena's previous
 	// build when this Layered was assembled by BuildDelta (Valid = false on
 	// from-scratch builds). Solver-side consumers key incremental state on
@@ -71,6 +75,14 @@ type Layered struct {
 // DeltaInfo.BaseSeq to verify the baseline they retained is the one the
 // delta was diffed against.
 func (l *Layered) BuildSeq() uint64 { return l.seq }
+
+// EveryGapHasY reports whether each of the K Y gaps holds at least one
+// edge. Only then can L′ hold an augmenting path of ML′: interior layers
+// keep only ML′-matched copies, so such a path runs from a free R copy of
+// layer 0 to a free L copy of layer K, and Y edges join only consecutive
+// layers, so it crosses every gap (Invariant 28). A build with an empty gap
+// needs no solve.
+func (l *Layered) EveryGapHasY() bool { return !l.emptyGap }
 
 // Orig returns the original vertex of a compact layered id.
 func (l *Layered) Orig(id int) int { return int(l.vertOrig[id]) }
@@ -420,6 +432,9 @@ func (s *Scratch) assemble(ix Index, grouped *IncView, par *Parametrized, tau Ta
 		}
 		s.gapYEnd[t+1] = int32(len(s.y))
 		s.gapIDEnd[t+1] = int32(len(s.vertOrig))
+	}
+	for t := 0; t < k && !l.emptyGap; t++ {
+		l.emptyGap = s.gapYEnd[t+1] == s.gapYEnd[t]
 	}
 
 	l.NumV = len(s.vertOrig)

@@ -773,40 +773,34 @@ func (x *IncIndex) probeRows(c, u int) []uint64 {
 	return rows
 }
 
-// ProbeY reports whether the pair's layered graph would contain at least
-// one Y edge (an empty Y yields no augmenting structure). The probe applies
-// the same window and vertex filters as BuildIndexed but reads the
-// per-(class, unit) survival rows, so a doomed pair costs O(layers) bit
-// tests instead of a full build. No production path calls it: the
-// amortised sweep runs the same rows inside EnumerateSurvivingPairs
-// through LayerRow, pruning dead pairs during generation. Tests call it as
-// the generate-then-probe reference that the pruned enumeration must equal
-// (Invariant 17).
+// ProbeY reports whether every Y gap of the pair's layered graph would
+// contain at least one Y edge: an augmenting path of ML′ in L′ crosses every
+// gap, so a pair with an empty gap yields no augmenting structure
+// (Invariant 28). The probe applies the same window and vertex filters as
+// BuildIndexed but reads the per-(class, unit) survival rows, so a doomed
+// pair costs O(layers) bit tests instead of a full build. No production
+// path calls it: the amortised sweep runs the same rows inside
+// EnumerateSurvivingPairs through LayerRow, pruning dead pairs during
+// generation. Tests call it as the generate-then-probe reference that the
+// pruned enumeration must equal (Invariant 17). tau must be a good pair.
 func (v *IncView) ProbeY(tau TauPair) bool {
 	x, c := v.ix, v.c
 	k := tau.K()
 	for t := 0; t < k; t++ {
-		rows := x.probeRows(c, tau.BUnits[t])
+		// Gap t runs from the R copies of layer t (row τA_t; row 0 is the
+		// first layer's free R endpoints, and interior entries are ≥ 2) to
+		// the L copies of layer t+1 (bit τA_t+1, or FreeLBit for the last
+		// layer's free L endpoints).
 		ua, ub := tau.AUnits[t], tau.AUnits[t+1]
-		var row uint64
-		if ua > 0 || t == 0 {
-			row = rows[ua]
+		col := uint64(1) << uint(ub)
+		if ub == 0 {
+			col = 1 << freeLBit
 		}
-		if row == 0 {
-			continue
-		}
-		switch {
-		case ub > 0:
-			if row&(1<<uint(ub)) != 0 {
-				return true
-			}
-		case t+1 == k:
-			if row&(1<<freeLBit) != 0 {
-				return true
-			}
+		if x.probeRows(c, tau.BUnits[t])[ua]&col == 0 {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // LayerRow returns the probe row of the unit-b unmatched window at matched-

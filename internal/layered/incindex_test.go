@@ -196,7 +196,7 @@ func TestIncIndexMatchesBucketIndex(t *testing.T) {
 				pairs := EnumerateGoodPairsMasked(prm, aMask, bMask, 40)
 				for _, tau := range pairs {
 					layRef := BuildIndexed(ref, tau, nil)
-					if got, want := v.ProbeY(tau), len(layRef.Y) > 0; got != want {
+					if got, want := v.ProbeY(tau), gapsFilled(layRef); got != want {
 						t.Fatalf("trial %d round %d class %d: ProbeY=%v, want %v (tau %+v)",
 							trial, round, c, got, want, tau)
 					}
@@ -408,7 +408,7 @@ func FuzzIncrementalIndex(f *testing.F) {
 				}
 				for _, tau := range EnumerateGoodPairsMasked(prm, aMask, bMask, 12) {
 					layRef := BuildIndexed(ref, tau, nil)
-					if got, want := v.ProbeY(tau), len(layRef.Y) > 0; got != want {
+					if got, want := v.ProbeY(tau), gapsFilled(layRef); got != want {
 						t.Fatalf("ProbeY=%v, want %v (tau %+v, W=%v)", got, want, tau, w)
 					}
 					layInc := BuildIndexed(v, tau, nil)

@@ -143,8 +143,8 @@ func EnumerateGoodPairsLimited(p Params, aOK, bOK func(unit int) bool, limit int
 	return out
 }
 
-// SurvivalOracle answers, during pair generation, whether a single layer of
-// a prospective (τA, τB) pair could contribute a Y edge. It is the
+// SurvivalOracle answers, during pair generation, whether a single Y gap of
+// a prospective (τA, τB) pair could hold a Y edge. It is the
 // enumeration-time form of the IncView survival probe: LayerRow(b, a) is the
 // probe row of the unit-b unmatched window at matched-unit row a — bit la
 // set when some unit-b unmatched crossing edge runs from an R endpoint of
@@ -186,13 +186,11 @@ type PairScratch struct {
 	totBMask uint64
 	totOK    bool
 
-	rowUnion  []pairUnions
-	bs, as    []int
-	canFree   []bool
-	suffixAny []bool
-	pairs     []TauPair
-	units     []int // slab backing the emitted pairs' unit slices
-	bcnt      []int // B-side counting scratch for ensureTotal
+	rowUnion []pairUnions
+	bs, as   []int
+	pairs    []TauPair
+	units    []int // slab backing the emitted pairs' unit slices
+	bcnt     []int // B-side counting scratch for ensureTotal
 }
 
 type pairUnions struct {
@@ -204,18 +202,21 @@ type pairUnions struct {
 func NewPairScratch() *PairScratch { return &PairScratch{} }
 
 // EnumerateSurvivingPairs is EnumerateGoodPairsMasked with the survival
-// probe pushed into the recursion: subtrees of the (τA, τB) generation whose
-// every completion would fail the probe (no layer can contribute a Y edge)
-// are pruned before their pairs materialise, instead of each pair being
-// generated and then probed. The returned pairs are exactly the pairs of
-// EnumerateGoodPairsMasked(p, aMask, bMask, limit) that pass oracle-backed
-// ProbeY — same pairs, same order — and pruned counts the good pairs inside
-// the limit window that were skipped as dead (the pairs the generate-then-
-// probe loop would have built and rejected), so the two paths reconcile
-// counter-for-counter. The limit window itself is measured in generated good
-// pairs, pruned ones included: a pruned subtree's pair count is charged via
-// a closed-form completion count, keeping the window — and therefore the
-// surviving set — identical to the unpruned enumeration's prefix.
+// probe pushed into the recursion. A pair survives when every one of its Y
+// gaps can hold a Y edge: an augmenting path of ML′ in L′ runs from layer 0
+// to layer k and crosses every gap, so a pair with an empty gap yields
+// nothing (Invariant 28). Subtrees of the (τA, τB) generation that leave
+// some gap without a probe bit are pruned before their pairs materialise,
+// instead of each pair being generated and then probed. The returned pairs
+// are exactly the pairs of EnumerateGoodPairsMasked(p, aMask, bMask, limit)
+// that pass oracle-backed ProbeY — same pairs, same order — and pruned
+// counts the good pairs inside the limit window that were skipped as dead
+// (the pairs the generate-then-probe loop would have built and rejected),
+// so the two paths reconcile counter-for-counter. The limit window itself
+// is measured in generated good pairs, pruned ones included: a pruned
+// subtree's pair count is charged via a closed-form completion count,
+// keeping the window — and therefore the surviving set — identical to the
+// unpruned enumeration's prefix.
 //
 // The result is not memoised (the oracle's rows change every round), so
 // callers pay one pruned recursion per (round, class); with a scratch the
@@ -251,7 +252,7 @@ func EnumerateSurvivingPairs(p Params, aMask, bMask uint64, limit int, o Surviva
 	s.ensureDP(p, aMask, maxU, capU)
 
 	// rowUnion[u] caches, per populated τB unit, the union of the oracle's
-	// rows over the allowed row sets: what any layer of that unit could
+	// rows over the allowed row sets: what any gap of that unit could
 	// reach with its R-side entry still free. The rows change every round,
 	// so only the storage is reused.
 	if cap(s.rowUnion) < maxU+1 {
@@ -285,12 +286,21 @@ func EnumerateSurvivingPairs(p Params, aMask, bMask uint64, limit int, o Surviva
 	s.units = s.units[:0]
 	generated := 0
 	full := func() bool { return limit > 0 && generated >= limit }
+	// charge counts n dead pairs against the limit window without
+	// materialising them.
+	charge := func(n int) {
+		if limit > 0 && n > limit-generated {
+			n = limit - generated
+		}
+		generated += n
+		pruned += n
+	}
 
 	// Fast path for a fully dead class-round: if no populated τB unit can
 	// contribute a Y edge in any (row kind, column kind) combination, every
 	// good pair is dead — charge the closed-form good-pair count to the
 	// window without recursing at all. On workloads where most classes see
-	// no viable layer in most rounds, this collapses the per-(round, class)
+	// no viable gap in most rounds, this collapses the per-(round, class)
 	// enumeration to a handful of bit tests over the probe tables.
 	anyAlive := false
 	for u := 2; u <= maxU && !anyAlive; u++ {
@@ -304,20 +314,13 @@ func EnumerateSurvivingPairs(p Params, aMask, bMask uint64, limit int, o Surviva
 	}
 	if !anyAlive {
 		s.ensureTotal(p, aMask, bMask, maxU, capU)
-		n := s.total
-		if limit > 0 && n > limit {
-			n = limit
-		}
-		return s.pairs, n
+		charge(s.total)
+		return s.pairs, pruned
 	}
 
 	maxK := p.MaxLayers - 1
 	s.bs = growInts(s.bs, maxK)
 	s.as = growInts(s.as, maxK+1)
-	if cap(s.canFree) < maxK {
-		s.canFree = make([]bool, maxK)
-		s.suffixAny = make([]bool, maxK+2)
-	}
 
 	for k := 1; k <= maxK && !full(); k++ {
 		if 2*k > capU {
@@ -329,49 +332,17 @@ func EnumerateSurvivingPairs(p Params, aMask, bMask uint64, limit int, o Surviva
 
 		bs := s.bs[:k]
 		as := s.as[:k+1]
-		// colMask describes layer t's L-side freedom; it depends only on
-		// the position kind, while canFree and suffixAny are recomputed per
-		// τB assignment (they read the oracle's rows).
+		// colMask is the L-side freedom of gap t: the τA entries its
+		// layer t+1 may take, by position kind.
 		colMask := func(t int) uint64 {
 			if t+1 == k {
 				return endCols
 			}
 			return intCols
 		}
-		canFree := s.canFree[:k]
-		suffixAny := s.suffixAny[:k+2]
 
-		var genA func(i, sumA, budget int, done bool)
-		genA = func(i, sumA, budget int, done bool) {
-			if sumA > budget || full() {
-				return
-			}
-			// pending is the probe row of layer i−1, whose R-side entry
-			// as[i−1] is already pinned while its L-side entry is the value
-			// being chosen at this position.
-			var pending uint64
-			if !done && i >= 1 && i <= k {
-				pending = o.LayerRow(bs[i-1], as[i-1])
-			}
-			if !done {
-				// Could any completion still contribute a Y edge? Layer i−1
-				// can reach only what pending allows; layers ≥ i are free.
-				possible := suffixAny[i]
-				if !possible && i >= 1 && i <= k {
-					possible = pending&colMask(i-1) != 0
-				}
-				if !possible {
-					// Dead subtree: charge its pairs to the limit window
-					// without materialising them.
-					n := ways[i*capU+budget-sumA]
-					if limit > 0 && n > limit-generated {
-						n = limit - generated
-					}
-					generated += n
-					pruned += n
-					return
-				}
-			}
+		var genA func(i, sumA, budget int)
+		genA = func(i, sumA, budget int) {
 			if i == k+1 {
 				off := len(s.units)
 				s.units = append(s.units, as...)
@@ -383,6 +354,18 @@ func EnumerateSurvivingPairs(p Params, aMask, bMask uint64, limit int, o Surviva
 				generated++
 				return
 			}
+			// Gap i−1 runs from layer i−1, whose τA entry is pinned, to
+			// layer i, whose entry is chosen here: pending is the gap's
+			// probe row over the entries this position allows.
+			var pending uint64
+			if i >= 1 {
+				pending = o.LayerRow(bs[i-1], as[i-1]) & colMask(i-1)
+				if pending == 0 {
+					// No entry fills gap i−1: the subtree is dead.
+					charge(ways[i*capU+budget-sumA])
+					return
+				}
+			}
 			lo := 0
 			if i > 0 && i < k {
 				lo = 2
@@ -391,17 +374,20 @@ func EnumerateSurvivingPairs(p Params, aMask, bMask uint64, limit int, o Surviva
 				if !okA(v) {
 					continue
 				}
-				nd := done
-				if !nd && i >= 1 && i <= k {
-					switch {
-					case v > 0:
-						nd = pending&(1<<uint(v)) != 0
-					case i == k:
-						nd = pending&(1<<freeLBit) != 0
+				if i >= 1 {
+					bit := uint64(1) << uint(v)
+					if v == 0 { // only the last entry may be 0: a free L endpoint
+						bit = 1 << freeLBit
+					}
+					if pending&bit == 0 {
+						// This entry leaves gap i−1 empty: charge the
+						// subtree it roots and move on.
+						charge(ways[(i+1)*capU+budget-sumA-v])
+						continue
 					}
 				}
 				as[i] = v
-				genA(i+1, sumA+v, budget, nd)
+				genA(i+1, sumA+v, budget)
 			}
 		}
 		var genB func(i, sumB int)
@@ -410,20 +396,21 @@ func EnumerateSurvivingPairs(p Params, aMask, bMask uint64, limit int, o Surviva
 				return
 			}
 			if i == k {
+				// A τB assignment with a gap that no allowed (row, column)
+				// pair of its unit fills is dead whole.
 				for t := 0; t < k; t++ {
 					un := unionFor(bs[t])
 					rows := un.interior
 					if t == 0 {
 						rows = un.end
 					}
-					canFree[t] = rows&colMask(t) != 0
+					if rows&colMask(t) == 0 {
+						charge(ways[sumB-1])
+						return
+					}
 				}
-				suffixAny[k] = false
-				suffixAny[k+1] = false
-				for t := k - 1; t >= 0; t-- {
-					suffixAny[t] = canFree[t] || suffixAny[t+1]
-				}
-				genA(0, 0, sumB-1, false)
+				// (F): Στ_A ≤ Στ_B − 1 unit.
+				genA(0, 0, sumB-1)
 				return
 			}
 			for v := 2; v <= maxU && sumB+v+2*(k-1-i) <= capU; v++ {

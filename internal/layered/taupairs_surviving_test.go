@@ -19,8 +19,8 @@ type tableOracle struct {
 func (o tableOracle) LayerRow(bUnit, aUnit int) uint64 { return o.rows[bUnit][aUnit] }
 
 // refSurvives is the generate-then-probe twin of the pruned enumeration's
-// layer test: a pair survives when some layer t has a table bit connecting
-// its τA entries — the ProbeY predicate restated over an explicit table.
+// gap test: a pair survives when every gap t has a table bit connecting its
+// τA entries — the ProbeY predicate restated over an explicit table.
 func refSurvives(tau TauPair, rows [][]uint64) bool {
 	k := tau.K()
 	for t := 0; t < k; t++ {
@@ -29,21 +29,20 @@ func refSurvives(tau TauPair, rows [][]uint64) bool {
 		if ua > 0 || t == 0 {
 			row = rows[tau.BUnits[t]][ua]
 		}
-		if row == 0 {
-			continue
-		}
 		switch {
 		case ub > 0:
-			if row&(1<<uint(ub)) != 0 {
-				return true
+			if row&(1<<uint(ub)) == 0 {
+				return false
 			}
 		case t+1 == k:
-			if row&(1<<freeLBit) != 0 {
-				return true
+			if row&(1<<freeLBit) == 0 {
+				return false
 			}
+		default:
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // assertSurvivingMatchesNaive checks the contract of EnumerateSurvivingPairs
@@ -109,7 +108,7 @@ func randomTable(maxU int, rng *rand.Rand, density float64) tableOracle {
 
 // TestEnumerateSurvivingPairsRandomTables sweeps granularities, masks,
 // limits, and table densities: sparse tables force deep pruning, dense ones
-// force the done-early fast path, and tight limits exercise the
+// keep most gaps alive down to the leaves, and tight limits exercise the
 // window-charging arithmetic at subtree boundaries.
 func TestEnumerateSurvivingPairsRandomTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
