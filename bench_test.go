@@ -532,6 +532,35 @@ func BenchmarkSolveE14(b *testing.B) {
 	solveBenchOn(b, uniformE14(), core.Options{Amortize: true}, 3)
 }
 
+// BenchmarkRoundBandConverged times the round a service tick runs most:
+// one amortised Runner.Round (one worker) on the converged matching of the
+// stagebench band-edits shape, BandedWeights(240, 1920, 100) at
+// MaxPairsPerClass 2000, where it almost always finds no gain. Each
+// iteration rounds a fresh copy of the converged matching, so every
+// iteration starts from the same matching, while the runner's index and
+// Rng carry over between iterations as they do between ticks.
+func BenchmarkRoundBandConverged(b *testing.B) {
+	g := graph.BandedWeights(240, 8*240, 100, rand.New(rand.NewSource(1))).G
+	r := core.NewRunner(g, core.Options{
+		Amortize:         true,
+		MaxPairsPerClass: 2000,
+		Workers:          1,
+		Rng:              rand.New(rand.NewSource(2)),
+	})
+	conv := graph.NewMatching(g.N())
+	var stats core.Stats
+	if _, err := r.Tick(conv, nil, &stats); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Round(conv.Clone(), &stats); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRoundParallel is BenchmarkRound with the class sweep on a worker
 // pool (results are identical by construction; only wall-clock differs, and
 // only on multi-core hardware).

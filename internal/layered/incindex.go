@@ -37,11 +37,12 @@ var ErrBeginRoundBusy = errors.New("layered: concurrent or re-entrant IncIndex.B
 //     (ascending smaller endpoint), each carrying its per-class τA units.
 //     BeginRound merge-diffs it against the round's matching, recomputing
 //     window arithmetic only for edges whose matched status changed.
-//   - per-round populated-unit masks and lazily materialised buckets: the
-//     bipartition is redrawn every round, so crossing status is the one
-//     per-edge input that cannot be amortised; BeginRound folds it into
-//     per-class unit bitmasks with a single integer pass over the live
-//     slots, and A(u)/B(u) buckets materialise on first use by a pair.
+//   - per-round populated-unit masks, survival probe rows and lazily
+//     materialised buckets: the bipartition is redrawn every round, so
+//     crossing status is the one per-edge input that cannot be amortised;
+//     BeginRound folds it into per-class unit bitmasks and every class's
+//     probe rows with a single integer pass over the live slots, and
+//     A(u)/B(u) buckets materialise on first use by a pair.
 //
 // Every materialised bucket reproduces the BucketIndex edge sequence
 // bit-for-bit (same content, same order), so a Solve run over an IncIndex
@@ -58,8 +59,9 @@ var ErrBeginRoundBusy = errors.New("layered: concurrent or re-entrant IncIndex.B
 //
 // An IncIndex is not safe for concurrent BeginRound use; within one round,
 // distinct class views may be used from distinct goroutines (all per-class
-// state is class-private and the shared round state is read-only after
-// BeginRound).
+// state is class-private and the shared round state — the masks, the
+// per-vertex survival table and the probe rows — is written only by
+// BeginRound and read-only after it).
 type IncIndex struct {
 	n     int
 	edges []graph.Edge
@@ -144,16 +146,15 @@ type IncIndex struct {
 
 	// Grouped Y tables (IncView.YGroup): per (class, τB unit), the bucket's
 	// crossing edges partitioned by the survival classification of their
-	// endpoints, lazily materialised per round like the probe rows — except
-	// that a partition whose inputs are unchanged since it was last built
-	// (ygEpoch at or after the bucket's effective change epoch, see
-	// yEffEpoch) is revalidated across the round boundary instead of
-	// rebuilt: the PR 7 keying of the survival tables by crossing-status
-	// deltas rather than by round. The (class, unit) probe rows below hold
-	// exactly the partition's non-empty (row, col) cells, so since PR 20
-	// they are its index: the groups are stored in key order and a group's
-	// position is a rank over the rows' set bits (ygPart), with no hash
-	// table. A reused partition re-stamps its probe rows with it.
+	// endpoints, lazily materialised per round — except that a partition
+	// whose inputs are unchanged since it was last built (ygEpoch at or
+	// after the bucket's effective change epoch, see yEffEpoch) is
+	// revalidated across the round boundary instead of rebuilt: the
+	// survival tables are keyed by crossing-status deltas rather than by
+	// round. The (class, unit) probe rows below hold exactly the
+	// partition's non-empty (row, col) cells, so they are its index: the
+	// groups are stored in key order and a group's position is a rank over
+	// the rows' set bits (ygPart), with no hash table.
 	ygStamp [][]uint32
 	ygEpoch [][]uint64
 	yg      [][]ygPart
@@ -175,11 +176,15 @@ type IncIndex struct {
 	aDig    [][]uint64
 	bDig    [][]uint64
 
-	// Per-class probe state: the τA unit of every matched crossing vertex
-	// (a vertex has at most one matched edge, hence at most one unit).
-	probeStamp []uint32
-	vStamp     [][]uint32
-	vUnit      [][]uint8
+	// vm classifies every vertex for Definition 4.10's vertex filter this
+	// round, for all classes at once: vmFree, vmDead (matched by an edge
+	// that does not cross), or 1 + the matched-list index of its crossing
+	// matched edge, whose unit prefix gives the vertex's τA unit per class
+	// (see survivor). Rebuilt by every BeginRound. freeR and freeL are the
+	// per-class units of a free R endpoint (0, the first layer's τA = 0
+	// rule) and a free L endpoint (FreeLBit, the last layer's).
+	vm           []int32
+	freeR, freeL []uint8
 
 	// Probe rows, per (class, τB unit): pRows[c][u][ra] is a bitset over
 	// the τA units la such that some unit-u unmatched crossing edge runs
@@ -187,10 +192,14 @@ type IncIndex struct {
 	// unit la. Row 0 collects edges whose R endpoint is free (the τA = 0
 	// first-layer rule) and bit freeLBit the ones whose L endpoint is free
 	// (the last-layer rule), so one AND answers "would layer t contribute a
-	// Y edge" for any pair. probeRows is their only builder; the grouped Y
-	// tables read them as their index.
-	prStamp [][]uint32
-	pRows   [][][]uint64
+	// Y edge" for any pair. BeginRound's crossing pass is their only
+	// writer, and rows are current only while prStamp equals the round
+	// stamp: a (class, unit) no surviving crossing edge reached this round
+	// reads zeroRows instead (probeRows). The grouped Y tables read them as
+	// their index.
+	prStamp  [][]uint32
+	pRows    [][][]uint64
+	zeroRows []uint64
 
 	views []IncView
 }
@@ -198,6 +207,14 @@ type IncIndex struct {
 // freeLBit marks "L endpoint free" in a probe row; unit bits occupy
 // 0..maxU, so the index requires maxU < freeLBit (CanIndexIncrementally).
 const freeLBit = 63
+
+// Per-vertex survival classes of IncIndex.vm; positive entries name a
+// crossing matched edge. vmFree is the zero value, so clearing the table
+// marks every vertex free.
+const (
+	vmFree int32 = 0
+	vmDead int32 = -1
+)
 
 type matchedEdge struct {
 	e     graph.Edge // canonical U < V, weight from the matching
@@ -267,11 +284,15 @@ func NewIncIndex(n int, edges []graph.Edge, ws []float64, prm Params) *IncIndex 
 	x.bdStamp = make([][]uint32, len(ws))
 	x.aDig = make([][]uint64, len(ws))
 	x.bDig = make([][]uint64, len(ws))
-	x.probeStamp = make([]uint32, len(ws))
-	x.vStamp = make([][]uint32, len(ws))
-	x.vUnit = make([][]uint8, len(ws))
+	x.vm = make([]int32, n)
+	x.freeR = make([]uint8, len(ws))
+	x.freeL = make([]uint8, len(ws))
+	for c := range x.freeL {
+		x.freeL[c] = freeLBit
+	}
 	x.prStamp = make([][]uint32, len(ws))
 	x.pRows = make([][][]uint64, len(ws))
+	x.zeroRows = make([]uint64, maxU+1)
 	x.dirty = make([]bool, len(ws))
 	x.dDiff = make([]int32, len(ws)+1)
 	x.ygStamp = make([][]uint32, len(ws))
@@ -292,8 +313,6 @@ func NewIncIndex(n int, edges []graph.Edge, ws []float64, prm Params) *IncIndex 
 		x.bdStamp[c] = make([]uint32, maxU+1)
 		x.aDig[c] = make([]uint64, maxU+1)
 		x.bDig[c] = make([]uint64, maxU+1)
-		x.vStamp[c] = make([]uint32, n)
-		x.vUnit[c] = make([]uint8, n)
 		x.prStamp[c] = make([]uint32, maxU+1)
 		x.pRows[c] = make([][]uint64, maxU+1)
 		x.ygStamp[c] = make([]uint32, maxU+1)
@@ -361,9 +380,10 @@ func (x *IncIndex) bandOf(w graph.Weight) (start int32, units []uint8) {
 // BeginRound points the index at the round's parametrization: it
 // merge-diffs the matched list against par.M (window arithmetic only for
 // edges whose matched status or weight changed), then folds the fresh
-// bipartition into the per-class populated-unit masks. All
-// bucket materialisations and probe sets of the previous round are
-// invalidated by a stamp bump; alongside, the cross-round change clock
+// bipartition into the per-class populated-unit masks and builds every
+// class's survival probe rows in the same crossing pass. All bucket
+// materialisations and probe rows of the previous round are invalidated
+// by a stamp bump; alongside, the cross-round change clock
 // (epoch, aChg/yChg/vChg) records which buckets actually changed, so the
 // grouped Y tables and BuildDelta can survive the redraw where nothing did.
 //
@@ -385,12 +405,10 @@ func (x *IncIndex) BeginRound(par *Parametrized) error {
 			clear(x.bStamp[c])
 			clear(x.adStamp[c])
 			clear(x.bdStamp[c])
-			clear(x.vStamp[c])
 			clear(x.prStamp[c])
 			clear(x.ygStamp[c])
 			clear(x.ysStamp[c])
 		}
-		clear(x.probeStamp)
 		x.stamp = 1
 	}
 
@@ -442,11 +460,18 @@ func (x *IncIndex) BeginRound(par *Parametrized) error {
 	// both rounds, sides swapped) keeps membership and classification but
 	// invalidates the kept side entries, so it charges the buckets only.
 	// Fresh entries enter with cross = false, so their first crossing round
-	// is recorded as a flip here.
+	// is recorded as a flip here. The same pass fills the per-vertex
+	// survival table: every vertex it does not reach is free.
+	clear(x.vm)
 	for mi := range x.matched {
 		me := &x.matched[mi]
 		crossNow := par.Side[me.e.U] != par.Side[me.e.V]
 		sideUNow := par.Side[me.e.U]
+		vc := vmDead
+		if crossNow {
+			vc = int32(mi) + 1
+		}
+		x.vm[me.e.U], x.vm[me.e.V] = vc, vc
 		if len(me.units) > 0 {
 			switch {
 			case crossNow != me.cross:
@@ -517,11 +542,24 @@ func (x *IncIndex) BeginRound(par *Parametrized) error {
 	// OR each crossing edge's unit into the masks of its classes. Every bit
 	// lands in a dirty class by construction (a crossing in-window edge is
 	// what dirties a class), so clean classes keep the empty-window masks.
+	// The same pass builds the probe rows: each edge is oriented and its
+	// endpoints' units read once, and every class of its band where both
+	// endpoints survive sets its (row, col) bit in the (class, unit) rows.
 	for _, ei := range x.crossB {
 		i := int(ei)
-		for k := int32(0); k < x.bLen[i]; k++ {
-			c := int(x.bStart[i]) + int(k)
-			x.bMask[c] |= 1 << x.bUnits[x.bOff[i]+k]
+		st := int(x.bStart[i])
+		band := x.bUnits[x.bOff[i] : x.bOff[i]+x.bLen[i]]
+		for k, u := range band {
+			x.bMask[st+k] |= 1 << u
+		}
+		re := x.orientY(x.edges[i])
+		ru, lu := x.survivor(re.U, x.freeR), x.survivor(re.V, x.freeL)
+		for k, u := range band {
+			c := st + k
+			if c >= len(ru) || c >= len(lu) {
+				break // classes ascend: dead here, dead in every later class
+			}
+			x.rowsFor(c, int(u))[ru[c]] |= 1 << lu[c]
 		}
 	}
 	for mi := range x.matched {
@@ -719,55 +757,35 @@ func (v *IncView) Masks() (aMask, bMask uint64, ok bool) {
 	return v.ix.aMask[v.c], v.ix.bMask[v.c], true
 }
 
-// ensureProbe materialises the class's survival set: for every matched
-// crossing vertex, the τA unit of its matched edge (at most one per vertex).
-func (x *IncIndex) ensureProbe(c int) {
-	if x.probeStamp[c] == x.stamp {
-		return
-	}
-	x.probeStamp[c] = x.stamp
-	for mi := range x.matched {
-		me := &x.matched[mi]
-		if c >= len(me.units) {
-			continue
-		}
-		if x.par.Side[me.e.U] == x.par.Side[me.e.V] {
-			continue
-		}
-		u := me.units[c]
-		x.vStamp[c][me.e.U] = x.stamp
-		x.vUnit[c][me.e.U] = u
-		x.vStamp[c][me.e.V] = x.stamp
-		x.vUnit[c][me.e.V] = u
-	}
-}
-
-// probeRows materialises the class's unit-u probe table for the round: one
-// pass over the unit-u unmatched bucket classifying each edge by the
-// matched units (or freeness) of its R and L endpoints. The table encodes
-// exactly BuildIndexed's survives() predicate — a Y edge of a pair with
-// τA = (…, ua at layer t, ub at layer t+1, …) survives iff its R endpoint
-// carries a crossing matched edge of unit ua (or is free with ua = 0 in the
-// first layer) and symmetrically for L — so a single bit test per layer
-// answers whether any unit-u edge survives.
+// probeRows returns the class's unit-u probe table for the round: the rows
+// BeginRound's crossing pass built from every unit-u unmatched crossing
+// edge, classified by the matched units (or freeness) of its R and L
+// endpoints, or the shared all-zero table when no such edge survived in
+// the class this round (the stamp check: rows of an earlier round are
+// never read). The table encodes exactly BuildIndexed's survives()
+// predicate — a Y edge of a pair with τA = (…, ua at layer t, ub at layer
+// t+1, …) survives iff its R endpoint carries a crossing matched edge of
+// unit ua (or is free with ua = 0 in the first layer) and symmetrically for
+// L — so a single bit test per layer answers whether any unit-u edge
+// survives.
 func (x *IncIndex) probeRows(c, u int) []uint64 {
 	if x.prStamp[c][u] == x.stamp {
 		return x.pRows[c][u]
 	}
-	x.prStamp[c][u] = x.stamp
-	x.ensureProbe(c)
+	return x.zeroRows
+}
+
+// rowsFor returns the (c, u) probe rows for writing in BeginRound, cleared
+// and stamped on the round's first write.
+func (x *IncIndex) rowsFor(c, u int) []uint64 {
 	rows := x.pRows[c][u]
-	if rows == nil {
-		rows = make([]uint64, x.maxU+1)
-		x.pRows[c][u] = rows
-	} else {
-		clear(rows)
-	}
-	for _, e := range x.bLive(c, u) {
-		// classifyY is the one copy of the endpoint survival rule, shared
-		// with the grouped Y tables, which these rows index.
-		if row, col, _, ok := x.classifyY(c, e); ok {
-			rows[row] |= 1 << uint(col)
+	if x.prStamp[c][u] != x.stamp {
+		x.prStamp[c][u] = x.stamp
+		if rows == nil {
+			rows = make([]uint64, x.maxU+1)
+			x.pRows[c][u] = rows
+		} else {
+			clear(rows)
 		}
 	}
 	return rows
@@ -817,34 +835,45 @@ func (v *IncView) Oracle() (SurvivalOracle, bool) {
 	return v, true
 }
 
-// classifyY orients a crossing unmatched edge R→L and classifies it by the
-// matched units (or freeness) of its endpoints: row is the R endpoint's
-// unit (0 when free), col the L endpoint's (FreeLBit when free). It is the
-// single copy of the endpoint survival rule, consumed bitwise by probeRows
-// and as edge lists by the grouped Y tables. ok is false for dead edges (an
-// endpoint matched off the bipartition survives in no layer).
+// survivor reads vertex v's per-class τA units under Definition 4.10's
+// vertex filter from the round's per-vertex table: the unit prefix of its
+// crossing matched edge, so v survives exactly in the classes c <
+// len(units); free, the units a free endpoint takes in every class; nil
+// when its matched edge does not cross, so v survives in no class. It is
+// the single copy of the endpoint survival rule: classifyY applies it to
+// one class for the grouped Y tables, and BeginRound's crossing pass to
+// every class of an edge's band at once for the probe rows.
+func (x *IncIndex) survivor(v int, free []uint8) []uint8 {
+	switch vc := x.vm[v]; {
+	case vc > 0:
+		return x.matched[vc-1].units
+	case vc == vmFree:
+		return free
+	}
+	return nil
+}
+
+// classifyY orients a crossing unmatched edge R→L and classifies it in
+// class c by the matched units (or freeness) of its endpoints: row is the
+// R endpoint's unit (0 when free), col the L endpoint's (FreeLBit when
+// free). ok is false for edges dead in class c: an endpoint matched off
+// the bipartition survives in no layer, and one matched by a crossing edge
+// only in the classes of its unit prefix.
 func (x *IncIndex) classifyY(c int, e graph.Edge) (row, col int, re graph.Edge, ok bool) {
-	r, l := e.U, e.V
-	if !x.par.Side[r] {
-		r, l = l, r
-	}
-	switch {
-	case x.vStamp[c][r] == x.stamp:
-		row = int(x.vUnit[c][r]) // matched crossing, unit ≥ 1
-	case !x.par.M.IsMatched(r):
-		row = 0 // free: the first-layer τA = 0 rule
-	default:
+	re = x.orientY(e)
+	ru, lu := x.survivor(re.U, x.freeR), x.survivor(re.V, x.freeL)
+	if c >= len(ru) || c >= len(lu) {
 		return 0, 0, re, false
 	}
-	switch {
-	case x.vStamp[c][l] == x.stamp:
-		col = int(x.vUnit[c][l])
-	case !x.par.M.IsMatched(l):
-		col = freeLBit // free: the last-layer τA = 0 rule
-	default:
-		return 0, 0, re, false
+	return int(ru[c]), int(lu[c]), re, true
+}
+
+// orientY orients a crossing unmatched edge R→L: U becomes its R endpoint.
+func (x *IncIndex) orientY(e graph.Edge) graph.Edge {
+	if !x.par.Side[e.U] {
+		e.U, e.V = e.V, e.U
 	}
-	return row, col, graph.Edge{U: r, V: l, W: e.W}, true
+	return e
 }
 
 // yEffEpoch returns the epoch of the last change relevant to the (c, u)
@@ -921,10 +950,10 @@ func (p *ygPart) rank(rows []uint64, row, col int) int32 {
 // ensureYGroups materialises the class's unit-u survival partition for the
 // round: the unit-u crossing bucket, dead edges dropped, survivors grouped
 // by (row, col) classification with bucket order preserved inside each
-// group. The unit's probe rows (probeRows, their only builder) index the
-// groups, so the build is a counting sort by rank: two classifyY passes
-// over the bucket, paid once per (class, unit) — and, since PR 7, not even
-// per round: a partition whose inputs are unchanged since it was built
+// group. The unit's probe rows (built by BeginRound) index the groups, so
+// the build is a counting sort by rank: two classifyY passes over the
+// bucket, paid once per (class, unit) — and not even per round: a
+// partition whose inputs are unchanged since it was built
 // (yEffEpoch at or before its ygEpoch) is revalidated across the BeginRound
 // redraw instead of rebuilt, keyed by the crossing-status delta clock
 // rather than the round stamp.
@@ -936,20 +965,15 @@ func (x *IncIndex) ensureYGroups(c, u int) *ygPart {
 	if x.ygEpoch[c][u] > 0 && x.yEffEpoch(c, u) <= x.ygEpoch[c][u] {
 		// Cross-round reuse: nothing the partition depends on changed since
 		// it was last (re)built, so last round's grouping is this round's,
-		// bit for bit, and so are the probe rows indexing it — every probe
-		// build since ran on the same inputs, because a round whose inputs
-		// changed would also have moved yEffEpoch past ygEpoch. Rows and
-		// groups are re-stamped together.
+		// bit for bit. This round's probe rows index it unchanged: BeginRound
+		// built them from those same inputs, because a round whose inputs
+		// changed would also have moved yEffEpoch past ygEpoch.
 		x.ygStamp[c][u] = x.stamp
 		x.ygEpoch[c][u] = x.epoch
-		x.prStamp[c][u] = x.stamp
 		return p
 	}
 	x.ygStamp[c][u] = x.stamp
 	x.ygEpoch[c][u] = x.epoch
-	// probeRows brings the rows, and the class's survival set classifyY
-	// reads, up to this round. Rows the reuse branch stamped come with a
-	// stamped partition, which returned above.
 	rows := x.probeRows(c, u)
 	p.base = ensureLen32(p.base, len(rows))
 	groups := int32(0)
@@ -994,7 +1018,7 @@ func (v *IncView) YGroup(u, row, col int) []graph.Edge {
 		return nil
 	}
 	p := x.ensureYGroups(v.c, u)
-	rows := x.pRows[v.c][u]
+	rows := x.probeRows(v.c, u)
 	if rows[row]&(1<<uint(col)) == 0 {
 		return nil
 	}

@@ -178,11 +178,11 @@ type PairScratch struct {
 	dpMaxU      int
 	dpCapU      int
 	dpMaxLayers int
-	// total is the number of good pairs under (aMask, bMask) — the
-	// closed-form count of a fully dead class-round; valid while the
-	// tot masks match the call's.
+	// total is the number of good pairs under (dpMask, totBMask) — the
+	// closed-form count of a fully dead class-round; valid while totOK
+	// holds. It is convolved from dp, so a dp rebuild (a new aMask or
+	// discretisation) clears totOK.
 	total    int
-	totAMask uint64
 	totBMask uint64
 	totOK    bool
 
@@ -313,7 +313,7 @@ func EnumerateSurvivingPairs(p Params, aMask, bMask uint64, limit int, o Surviva
 		}
 	}
 	if !anyAlive {
-		s.ensureTotal(p, aMask, bMask, maxU, capU)
+		s.ensureTotal(p, bMask, maxU, capU)
 		charge(s.total)
 		return s.pairs, pruned
 	}
@@ -436,6 +436,7 @@ func (s *PairScratch) ensureDP(p Params, aMask uint64, maxU, capU int) {
 		return
 	}
 	s.dpMask, s.dpMaxU, s.dpCapU, s.dpMaxLayers = aMask, maxU, capU, p.MaxLayers
+	s.totOK = false
 	maxK := p.MaxLayers - 1
 	if cap(s.dp) < maxK {
 		s.dp = make([][]int, maxK)
@@ -470,14 +471,15 @@ func (s *PairScratch) ensureDP(p Params, aMask uint64, maxU, capU int) {
 }
 
 // ensureTotal (re)computes the total good-pair count under the masks when
-// they changed since the last call: the τB composition counts (one rolling
-// DP pass per layer count) convolved with the A-side completion tables of
-// ensureDP. It must be called after ensureDP with the same discretisation.
-func (s *PairScratch) ensureTotal(p Params, aMask, bMask uint64, maxU, capU int) {
-	if s.totOK && s.totAMask == aMask && s.totBMask == bMask {
+// bMask or the ensureDP tables changed since the last call: the τB
+// composition counts (one rolling DP pass per layer count) convolved with
+// the A-side completion tables of ensureDP. It must be called after
+// ensureDP with the same aMask and discretisation.
+func (s *PairScratch) ensureTotal(p Params, bMask uint64, maxU, capU int) {
+	if s.totOK && s.totBMask == bMask {
 		return
 	}
-	s.totOK, s.totAMask, s.totBMask = true, aMask, bMask
+	s.totOK, s.totBMask = true, bMask
 	maxK := p.MaxLayers - 1
 	if cap(s.bcnt) < capU+1 {
 		s.bcnt = make([]int, capU+1)

@@ -164,37 +164,61 @@ func TestEnumerateSurvivingPairsExtremes(t *testing.T) {
 	}
 }
 
-// TestEnumerateSurvivingPairsScratchReuse runs two different tables through
-// one scratch and checks the second result is not corrupted by the first
-// (the pairs alias scratch storage, so stale state would show immediately).
+// TestEnumerateSurvivingPairsScratchReuse runs different tables, masks and
+// discretisations through one scratch and checks no result is corrupted by
+// an earlier one: the pairs alias scratch storage, and the scratch caches
+// counting tables keyed on the masks and the discretisation. Each mask pair
+// runs at two granularities in a row, so a count cached under the first
+// must not be charged under the second; every third table is all zero,
+// which takes the fully dead path and charges that count.
 func TestEnumerateSurvivingPairsScratchReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	p := defaultParams()
-	maxU, _ := p.Units()
+	coarse, fine := Params{Granularity: 0.25}.WithDefaults(), Params{Granularity: 0.125}.WithDefaults()
+	// Masks draw from the coarse units, which both granularities accept;
+	// tables cover the fine ones.
+	maxU, _ := coarse.Units()
+	fineU, _ := fine.Units()
 	s := NewPairScratch()
 	for trial := 0; trial < 30; trial++ {
-		o := randomTable(maxU, rng, 0.2)
+		density := 0.2
+		if trial%3 == 0 {
+			density = 0
+		}
+		o := randomTable(fineU, rng, density)
 		aMask := (rng.Uint64() & ((1 << uint(maxU+1)) - 1)) | 1
 		bMask := rng.Uint64() & ((1 << uint(maxU+1)) - 1) &^ 3
-		limit := 1 + rng.Intn(40)
-		naive := EnumerateGoodPairsLimited(p,
-			func(u int) bool { return aMask&(1<<uint(u)) != 0 },
-			func(u int) bool { return bMask&(1<<uint(u)) != 0 },
-			limit,
-		)
-		var want []TauPair
-		for _, tau := range naive {
-			if refSurvives(tau, o.rows) {
-				want = append(want, tau)
+		limit := 0
+		if trial%2 == 1 {
+			limit = 1 + rng.Intn(40)
+		}
+		grans := []Params{coarse, fine}
+		if trial%4 >= 2 {
+			grans = []Params{fine, coarse}
+		}
+		for _, p := range grans {
+			naive := EnumerateGoodPairsLimited(p,
+				func(u int) bool { return aMask&(1<<uint(u)) != 0 },
+				func(u int) bool { return bMask&(1<<uint(u)) != 0 },
+				limit,
+			)
+			var want []TauPair
+			for _, tau := range naive {
+				if refSurvives(tau, o.rows) {
+					want = append(want, tau)
+				}
 			}
-		}
-		got, _ := EnumerateSurvivingPairs(p, aMask, bMask, limit, o, s)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d pairs, want %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if !equalUnits(got[i].AUnits, want[i].AUnits) || !equalUnits(got[i].BUnits, want[i].BUnits) {
-				t.Fatalf("trial %d pair %d: got %+v want %+v", trial, i, got[i], want[i])
+			got, pruned := EnumerateSurvivingPairs(p, aMask, bMask, limit, o, s)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d granularity %v: %d pairs, want %d", trial, p.Granularity, len(got), len(want))
+			}
+			for i := range got {
+				if !equalUnits(got[i].AUnits, want[i].AUnits) || !equalUnits(got[i].BUnits, want[i].BUnits) {
+					t.Fatalf("trial %d granularity %v pair %d: got %+v want %+v", trial, p.Granularity, i, got[i], want[i])
+				}
+			}
+			if pruned != len(naive)-len(want) {
+				t.Fatalf("trial %d granularity %v aMask=%b bMask=%b: pruned %d, want %d",
+					trial, p.Granularity, aMask, bMask, pruned, len(naive)-len(want))
 			}
 		}
 	}
