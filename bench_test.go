@@ -561,6 +561,35 @@ func BenchmarkRoundBandConverged(b *testing.B) {
 	}
 }
 
+// BenchmarkRoundUniform times one amortised Runner.Round (one worker) on
+// the stagebench uniform-solve shape, UniformWeights(20000, 120000, 128)
+// at MaxPairsPerClass 800: few pairs over large layered graphs, so the
+// round's time goes to index upkeep, the lazy τB buckets, the grouped Y
+// tables and the cache-key digests rather than to the enumeration. Each
+// iteration rounds a fresh copy of the matching that one round from the
+// empty matching produced, while the runner's index and Rng carry over.
+func BenchmarkRoundUniform(b *testing.B) {
+	g := graph.UniformWeights(20000, 120000, 128, rand.New(rand.NewSource(1))).G
+	r := core.NewRunner(g, core.Options{
+		Amortize:         true,
+		MaxPairsPerClass: 800,
+		Workers:          1,
+		Rng:              rand.New(rand.NewSource(2)),
+	})
+	first := graph.NewMatching(g.N())
+	var stats core.Stats
+	if _, err := r.Round(first, &stats); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Round(first.Clone(), &stats); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRoundParallel is BenchmarkRound with the class sweep on a worker
 // pool (results are identical by construction; only wall-clock differs, and
 // only on multi-core hardware).

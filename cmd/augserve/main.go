@@ -16,7 +16,9 @@
 //	GET  /healthz   liveness ("ok")
 //	GET  /matching  current matching: weight, size, graph dims, tick, edges
 //	GET  /stats     the core.Stats ledger as a flat JSON object (reflective:
-//	                a counter added by a future PR appears automatically)
+//	                a counter added by a future PR appears automatically),
+//	                plus failed-ticks: the ticks that returned an error
+//	                since the process started, timed or POST /tick
 //	POST /mutate    queue mutations: one JSON array of {"op","u","v","w"}
 //	                (op: insert | delete | reweight; w ignored for delete);
 //	                an unknown op, a vertex outside [0, n), a self loop,
@@ -30,7 +32,8 @@
 //	                the queued ops it leaves out (tick before snapshotting)
 //
 // With -tick > 0 the server also ticks on a timer, logging a failed tick
-// to standard error; with -tick 0 (the default) ticks happen only on
+// to standard error (/stats counts it in failed-ticks); with -tick 0 (the
+// default) ticks happen only on
 // POST /tick, which is what the scripted CI smoke drives. The restart
 // story is the PR 6 snapshot container: the checkpoint persists the
 // post-edit graph, the matching, the accumulated stats, and the Rng
@@ -105,8 +108,12 @@ type server struct {
 	seed    int64 // the Rng stream's origin seed (the checkpoint's on resume)
 	pending core.MutationBatch
 	ticks   int
-	resumed bool
-	coldMsg string // why a requested resume started cold, "" if it didn't
+	// failedTicks counts the ticks that returned an error since the process
+	// started. It is server state, not a core.Stats counter, so snapshots
+	// do not carry it and a resumed server starts at zero.
+	failedTicks int
+	resumed     bool
+	coldMsg     string // why a requested resume started cold, "" if it didn't
 }
 
 // newServer builds the service state over g, resuming from cfg.snapshot
@@ -159,6 +166,9 @@ func (s *server) tick() (applied int, gain graph.Weight, err error) {
 	before := s.stats.MutationsApplied
 	gain, err = s.runner.Tick(s.m, &batch, &s.stats)
 	s.ticks++
+	if err != nil {
+		s.failedTicks++
+	}
 	return s.stats.MutationsApplied - before, gain, err
 }
 
@@ -229,6 +239,7 @@ func (s *server) handler() http.Handler {
 		for _, f := range s.stats.Fields() {
 			counters[f.Name] = f.Value
 		}
+		counters["failed-ticks"] = int64(s.failedTicks)
 		writeJSON(w, counters)
 	})
 

@@ -380,7 +380,8 @@ func TestMutateBadOpSparesOtherClients(t *testing.T) {
 }
 
 // TestTimedTickLogsFailure: a failed tick of the -tick timer is logged
-// with its tick number and applied count instead of being dropped.
+// with its tick number and applied count instead of being dropped, and
+// /stats counts it in failed-ticks.
 func TestTimedTickLogsFailure(t *testing.T) {
 	inst := graph.RandomGraph(10, 20, 16, rand.New(rand.NewSource(5)))
 	cfg := config{seed: 2}
@@ -407,6 +408,15 @@ func TestTimedTickLogsFailure(t *testing.T) {
 	want := "tick 2 failed after 1 applied ops: " + core.ErrNoSuchEdge.Error()
 	if !strings.Contains(logged.String(), want) {
 		t.Fatalf("log %q does not contain %q", logged.String(), want)
+	}
+
+	s.timedTick(logger) // nothing queued: a clean tick
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	counters := map[string]int64{}
+	getJSON(t, ts.URL+"/stats", &counters)
+	if got := counters["failed-ticks"]; got != 1 {
+		t.Fatalf("failed-ticks = %d after one failed tick of three, want 1", got)
 	}
 }
 
@@ -526,7 +536,8 @@ func TestServeConcurrentHammer(t *testing.T) {
 
 // TestServeErrors pins the failure surface: a bad op is a 400, a snapshot
 // without a configured path is a 400, and a delete of a nonexistent edge
-// surfaces in the tick response without killing the server.
+// surfaces in the tick response without killing the server. /stats counts
+// the failed tick, and neither the refused requests nor a clean tick.
 func TestServeErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	inst := graph.RandomGraph(10, 20, 16, rng)
@@ -542,22 +553,35 @@ func TestServeErrors(t *testing.T) {
 	if resp := postJSON(t, ts.URL+"/snapshot", nil, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("snapshot without path: status %d, want 400", resp.StatusCode)
 	}
-	postJSON(t, ts.URL+"/mutate", []mutationReq{{Op: "delete", U: 0, V: 9}}, nil)
+	v := 1
+	for _, ok := inst.G.FindEdge(0, v); ok; _, ok = inst.G.FindEdge(0, v) {
+		v++
+	}
+	postJSON(t, ts.URL+"/mutate", []mutationReq{{Op: "delete", U: 0, V: v}}, nil)
 	var tick struct {
 		Error string
 		Tick  int
 	}
 	postJSON(t, ts.URL+"/tick", nil, &tick)
-	if _, ok := inst.G.FindEdge(0, 9); !ok {
-		if tick.Error == "" {
-			t.Error("delete of nonexistent edge reported no error")
-		}
+	if tick.Error == "" {
+		t.Error("delete of nonexistent edge reported no error")
 	}
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("server unhealthy after failed tick: %v %v", resp.Status, err)
 	}
 	resp.Body.Close()
+
+	var clean struct{ Error string }
+	postJSON(t, ts.URL+"/tick", nil, &clean)
+	if clean.Error != "" {
+		t.Fatalf("empty tick failed: %s", clean.Error)
+	}
+	counters := map[string]int64{}
+	getJSON(t, ts.URL+"/stats", &counters)
+	if got := counters["failed-ticks"]; got != 1 {
+		t.Errorf("failed-ticks = %d after one failed and one clean tick, want 1", got)
+	}
 }
 
 // TestHTTPServerTimeouts pins the limits of the http.Server run serves on:

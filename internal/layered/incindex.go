@@ -42,7 +42,8 @@ var ErrBeginRoundBusy = errors.New("layered: concurrent or re-entrant IncIndex.B
 //     crossing status is the one per-edge input that cannot be amortised;
 //     BeginRound folds it into per-class unit bitmasks and every class's
 //     probe rows with a single integer pass over the live slots, and
-//     A(u)/B(u) buckets materialise on first use by a pair.
+//     A(u)/B(u) buckets materialise on first use by a pair (the B buckets
+//     from the per-edge liveness that pass stores).
 //
 // Every materialised bucket reproduces the BucketIndex edge sequence
 // bit-for-bit (same content, same order), so a Solve run over an IncIndex
@@ -129,10 +130,15 @@ type IncIndex struct {
 	aChg  [][]uint64
 	yChg  [][]uint64
 	vChg  []uint64
-	// ePrev[i] is edge i's previous-round τB-relevant state: bit 0 set when
-	// the edge was live (crossing and unmatched), bit 1 its U endpoint's
-	// side. A liveness or (live) orientation flip bumps yChg for every
-	// (class, unit) slot of the edge.
+	// ePrev[i] is edge i's τB-relevant state as of the last BeginRound that
+	// saw it in a band: bit 0 set when the edge was live (crossing and
+	// unmatched), bit 1 its U endpoint's side. The crossing pass diffs the
+	// round against it — a liveness or (live) orientation flip bumps yChg
+	// for every (class, unit) slot of the edge — and stores the round's
+	// state, so once BeginRound has run, bit 0 of every edge with a band is
+	// this round's liveness, which bLive reads. An edge with no band keeps
+	// a stale byte, but it is in no bAll list, and the first round after a
+	// reweight gives it a band refreshes the byte before any bucket reads it.
 	ePrev []uint8
 
 	// Round-scoped dirty-class gate: dirty[c] is true when class c's τ
@@ -158,15 +164,24 @@ type IncIndex struct {
 	ygStamp [][]uint32
 	ygEpoch [][]uint64
 	yg      [][]ygPart
+	// ygRank[c] is ensureYGroups' per-edge group rank scratch for class c
+	// (-1 for a dead edge): the count pass classifies each bucket edge once
+	// and the fill pass reads the ranks back. It is per class because class
+	// views run concurrently.
+	ygRank [][]int32
 
 	// ysStamp/ysEff memoise yEffEpoch per (class, unit) within a round: the
 	// max over the bucket's yChg and its in-window edges' endpoint vChg.
 	ysStamp [][]uint32
 	ysEff   [][]uint64
 
-	// Lazily materialised buckets and their content digests; the digests
-	// have their own stamps because they are computed only when a PairKey
-	// first reads them (cache-disabled runs never pay the digesting).
+	// Lazily materialised buckets and their content digests. A B bucket is
+	// one pass over its bAll list that keeps the edges ePrev marks live, so
+	// it reads nothing BeginRound has not already derived this round. The
+	// digests have their own stamps because they are computed only when a
+	// PairKey first reads them (cache-disabled runs never pay the
+	// digesting), and cost one multiply-and-rotate step per edge word
+	// (digestEdge).
 	aStamp  [][]uint32
 	bStamp  [][]uint32
 	aBuf    [][][]graph.Edge
@@ -298,6 +313,7 @@ func NewIncIndex(n int, edges []graph.Edge, ws []float64, prm Params) *IncIndex 
 	x.ygStamp = make([][]uint32, len(ws))
 	x.ygEpoch = make([][]uint64, len(ws))
 	x.yg = make([][]ygPart, len(ws))
+	x.ygRank = make([][]int32, len(ws))
 	x.aChg = make([][]uint64, len(ws))
 	x.yChg = make([][]uint64, len(ws))
 	x.ysStamp = make([][]uint32, len(ws))
@@ -702,11 +718,7 @@ func (x *IncIndex) aLive(c, u int) []graph.Edge {
 func (x *IncIndex) aDigest(c, u int) uint64 {
 	if x.adStamp[c][u] != x.stamp {
 		x.adStamp[c][u] = x.stamp
-		h := uint64(fnvOffset)
-		for _, e := range x.aLive(c, u) {
-			h = digestEdge(h, e)
-		}
-		x.aDig[c][u] = h
+		x.aDig[c][u] = digestEdges(x.aLive(c, u))
 	}
 	return x.aDig[c][u]
 }
@@ -721,16 +733,19 @@ func (v *IncView) B(u int) []graph.Edge {
 	return v.ix.bLive(v.c, u)
 }
 
+// bLive filters the static bAll superset by bit 0 of ePrev, the liveness
+// BeginRound's crossing pass stored for every edge of some band this round:
+// every bAll member has a band, so none is stale. The buffer grows with
+// the live edges only; presizing it to the superset would hold memory
+// for every dead edge of every bucket.
 func (x *IncIndex) bLive(c, u int) []graph.Edge {
 	if x.bStamp[c][u] != x.stamp {
 		x.bStamp[c][u] = x.stamp
 		buf := x.bBuf[c][u][:0]
 		for _, ei := range x.bAll[c][u] {
-			e := x.edges[ei]
-			if x.par.Side[e.U] == x.par.Side[e.V] || x.par.M.Has(e.U, e.V) {
-				continue
+			if x.ePrev[ei]&1 != 0 {
+				buf = append(buf, x.edges[ei])
 			}
-			buf = append(buf, e)
 		}
 		x.bBuf[c][u] = buf
 	}
@@ -741,11 +756,7 @@ func (x *IncIndex) bLive(c, u int) []graph.Edge {
 func (x *IncIndex) bDigest(c, u int) uint64 {
 	if x.bdStamp[c][u] != x.stamp {
 		x.bdStamp[c][u] = x.stamp
-		h := uint64(fnvOffset)
-		for _, e := range x.bLive(c, u) {
-			h = digestEdge(h, e)
-		}
-		x.bDig[c][u] = h
+		x.bDig[c][u] = digestEdges(x.bLive(c, u))
 	}
 	return x.bDig[c][u]
 }
@@ -859,13 +870,13 @@ func (x *IncIndex) survivor(v int, free []uint8) []uint8 {
 // free). ok is false for edges dead in class c: an endpoint matched off
 // the bipartition survives in no layer, and one matched by a crossing edge
 // only in the classes of its unit prefix.
-func (x *IncIndex) classifyY(c int, e graph.Edge) (row, col int, re graph.Edge, ok bool) {
-	re = x.orientY(e)
+func (x *IncIndex) classifyY(c int, e graph.Edge) (row, col int, ok bool) {
+	re := x.orientY(e)
 	ru, lu := x.survivor(re.U, x.freeR), x.survivor(re.V, x.freeL)
 	if c >= len(ru) || c >= len(lu) {
-		return 0, 0, re, false
+		return 0, 0, false
 	}
-	return int(ru[c]), int(lu[c]), re, true
+	return int(ru[c]), int(lu[c]), true
 }
 
 // orientY orients a crossing unmatched edge R→L: U becomes its R endpoint.
@@ -951,12 +962,12 @@ func (p *ygPart) rank(rows []uint64, row, col int) int32 {
 // round: the unit-u crossing bucket, dead edges dropped, survivors grouped
 // by (row, col) classification with bucket order preserved inside each
 // group. The unit's probe rows (built by BeginRound) index the groups, so
-// the build is a counting sort by rank: two classifyY passes over the
-// bucket, paid once per (class, unit) — and not even per round: a
-// partition whose inputs are unchanged since it was built
-// (yEffEpoch at or before its ygEpoch) is revalidated across the BeginRound
-// redraw instead of rebuilt, keyed by the crossing-status delta clock
-// rather than the round stamp.
+// the build is a counting sort by rank: one classifyY per bucket edge,
+// whose rank the fill pass reads back from the class's ygRank scratch,
+// paid once per (class, unit) — and not even per round: a partition whose
+// inputs are unchanged since it was built (yEffEpoch at or before its
+// ygEpoch) is revalidated across the BeginRound redraw instead of rebuilt,
+// keyed by the crossing-status delta clock rather than the round stamp.
 func (x *IncIndex) ensureYGroups(c, u int) *ygPart {
 	p := &x.yg[c][u]
 	if x.ygStamp[c][u] == x.stamp {
@@ -987,9 +998,15 @@ func (x *IncIndex) ensureYGroups(c, u int) *ygPart {
 	off := slices.Grow(p.off[:0], int(groups)+2)[:groups+2]
 	clear(off)
 	bucket := x.bLive(c, u)
-	for _, e := range bucket {
-		if row, col, _, ok := x.classifyY(c, e); ok {
-			off[p.rank(rows, row, col)+2]++
+	// The scratch is sized to the live bucket: grown by append it would
+	// leave several times its size in garbage on every class.
+	ranks := slices.Grow(x.ygRank[c][:0], len(bucket))[:len(bucket)]
+	x.ygRank[c] = ranks
+	for i, e := range bucket {
+		ranks[i] = -1
+		if row, col, ok := x.classifyY(c, e); ok {
+			ranks[i] = p.rank(rows, row, col)
+			off[ranks[i]+2]++
 		}
 	}
 	for g := 2; g < len(off); g++ {
@@ -997,11 +1014,10 @@ func (x *IncIndex) ensureYGroups(c, u int) *ygPart {
 	}
 	kept := int(off[groups+1])
 	p.flat = slices.Grow(p.flat[:0], kept)[:kept]
-	for _, e := range bucket {
-		if row, col, re, ok := x.classifyY(c, e); ok {
-			g := p.rank(rows, row, col) + 1
-			p.flat[off[g]] = re
-			off[g]++
+	for i, e := range bucket {
+		if r := ranks[i]; r >= 0 {
+			p.flat[off[r+1]] = x.orientY(e)
+			off[r+1]++
 		}
 	}
 	p.off = off[:groups+1]
@@ -1049,22 +1065,32 @@ func (v *IncView) PairKey(tau TauPair, key []byte) []byte {
 	return key
 }
 
-// FNV-1a over the edge coordinates; collisions across distinct bucket
-// contents are the cache's only unsoundness and carry ~2^-64 probability
-// per content pair (the differential suite cross-checks end to end).
+// A bucket digest starts at digestSeed and folds each edge's U, V and W
+// words in order, one step per word: xor the word in, multiply by the odd
+// digestMul, rotate. For a fixed word every step is a bijection of the
+// running digest, so two buckets of equal length that differ in a single
+// word (one coordinate of one edge) always get different digests. Other
+// differences — swapped endpoints, reordered or extra edges — collide with
+// probability about 2^-64 per content pair. Collisions are the cache's
+// only unsoundness (the differential suite cross-checks end to end).
 const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
+	digestSeed = 0xcbf29ce484222325
+	digestMul  = 0x9e3779b97f4a7c15
 )
 
-func digestEdge(h uint64, e graph.Edge) uint64 {
-	for _, x := range [3]uint64{uint64(e.U), uint64(e.V), uint64(e.W)} {
-		for i := 0; i < 8; i++ {
-			h ^= (x >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
+// digestEdges returns the digest of a bucket's edge sequence.
+func digestEdges(es []graph.Edge) uint64 {
+	h := uint64(digestSeed)
+	for _, e := range es {
+		h = digestEdge(h, e)
 	}
 	return h
+}
+
+func digestEdge(h uint64, e graph.Edge) uint64 {
+	h = bits.RotateLeft64((h^uint64(e.U))*digestMul, 31)
+	h = bits.RotateLeft64((h^uint64(e.V))*digestMul, 31)
+	return bits.RotateLeft64((h^uint64(e.W))*digestMul, 31)
 }
 
 func appendDigest(key []byte, h uint64) []byte {

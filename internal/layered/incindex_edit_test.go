@@ -2,6 +2,7 @@ package layered
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -204,4 +205,71 @@ func TestBeginEditsBusy(t *testing.T) {
 	if err := inc.BeginRound(par); err != nil {
 		t.Fatalf("BeginRound after EndEdits: %v", err)
 	}
+}
+
+// TestIncIndexLivenessAfterBandlessSpell pins the ePrev refresh the lazy τB
+// buckets rely on. An edge live in one round is reweighted out of every
+// band (bLen 0, so BeginRound skips it and its ePrev still says live), the
+// bipartition is redrawn so it stops crossing, and it is reweighted back
+// into a band while not crossing: the next BeginRound must refresh its
+// liveness before any bucket reads it. It is then redrawn to cross again.
+// Every round, each view's buckets must equal a BucketIndex rebuild.
+func TestIncIndexLivenessAfterBandlessSpell(t *testing.T) {
+	const n = 8
+	g := graph.New(n)
+	g.MustAddEdge(0, 4, 64)
+	g.MustAddEdge(1, 5, 66)
+	g.MustAddEdge(2, 6, 70)
+	g.MustAddEdge(3, 7, 96)
+	const ei = 1 // the edge under test, 1–5
+	prm := Params{}.WithDefaults()
+	ws := testClassWeights(g.Edges(), prm)
+	inc := NewIncIndex(n, g.Edges(), ws, prm)
+	m := graph.NewMatching(n)
+	crossing := []bool{false, false, false, false, true, true, true, true}
+	apart := slices.Clone(crossing)
+	apart[5] = false // 1 and 5 on one side: edge 1–5 stops crossing
+
+	reweight := func(w graph.Weight) {
+		t.Helper()
+		if err := inc.BeginEdits(); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.SetEdgeWeight(ei, w); err != nil {
+			t.Fatal(err)
+		}
+		inc.NoteReweight(ei, g.Edges())
+		inc.EndEdits()
+	}
+	round := func(name string, side []bool) {
+		t.Helper()
+		par := ParametrizeWithSide(n, g.Edges(), m, side)
+		if err := inc.BeginRound(par); err != nil {
+			t.Fatal(err)
+		}
+		for c, w := range ws {
+			ref := NewBucketIndex(par, w, prm)
+			for u := 2; u <= inc.maxU; u++ {
+				if got, want := inc.View(c).B(u), ref.B(u); !edgeSlicesEqual(got, want) {
+					t.Fatalf("%s: class %d B(%d) = %v, want %v", name, c, u, got, want)
+				}
+			}
+		}
+	}
+
+	round("live", crossing)
+	if inc.ePrev[ei]&1 == 0 {
+		t.Fatal("edge under test is not live in the first round")
+	}
+	reweight(1) // unit 0 in every class: no band
+	if inc.bLen[ei] != 0 {
+		t.Fatalf("weight 1 left the edge a band of %d classes", inc.bLen[ei])
+	}
+	round("bandless, redrawn apart", apart)
+	if inc.ePrev[ei]&1 == 0 {
+		t.Fatal("BeginRound refreshed a bandless edge: the stale-liveness case is not exercised")
+	}
+	reweight(66)
+	round("back in a band, apart", apart)
+	round("back in a band, crossing", crossing)
 }

@@ -3,6 +3,7 @@ package layered
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -377,6 +378,74 @@ func TestIncIndexPairKeySharing(t *testing.T) {
 	}
 	if !shared {
 		t.Error("uniform-weight workload produced no cross-class key sharing")
+	}
+}
+
+// TestIncIndexDigestSeparation checks that the bucket digests, and so the
+// cache keys, tell apart τB buckets that differ in one edge: a different U,
+// V or W alone, swapped endpoints, a weight that differs only in bit 62,
+// and the same edges in another order. Equal content in equal order must
+// digest equally. Every variant but the bit-62 one is also run through a
+// whole index, where it must change the unit-8 τB bucket's PairKey; a
+// weight past 2^62 lands in no bucket next to its bit-62 twin (a window
+// spans less than a factor of two), so that case is checked on the
+// sequence digest alone.
+func TestIncIndexDigestSeparation(t *testing.T) {
+	base := []graph.Edge{{U: 0, V: 4, W: 64}, {U: 1, V: 5, W: 65}, {U: 2, V: 6, W: 66}}
+	with := func(i int, e graph.Edge) []graph.Edge {
+		out := slices.Clone(base)
+		out[i] = e
+		return out
+	}
+	variants := []struct {
+		name  string
+		edges []graph.Edge
+	}{
+		{"U", with(0, graph.Edge{U: 3, V: 4, W: 64})},
+		{"V", with(1, graph.Edge{U: 1, V: 7, W: 65})},
+		{"W", with(2, graph.Edge{U: 2, V: 6, W: 67})},
+		{"swapped endpoints", with(0, graph.Edge{U: 4, V: 0, W: 64})},
+		{"order", []graph.Edge{base[1], base[0], base[2]}},
+	}
+	want := digestEdges(base)
+	if got := digestEdges(slices.Clone(base)); got != want {
+		t.Fatalf("equal buckets: digests %#x != %#x", got, want)
+	}
+	for _, vr := range variants {
+		if digestEdges(vr.edges) == want {
+			t.Errorf("%s: digest equals the base bucket's", vr.name)
+		}
+	}
+	hi := graph.Edge{U: 0, V: 4, W: 64 | 1<<62}
+	if digestEdges(with(0, hi)) == want {
+		t.Error("weight differing in bit 62: digest equals the base bucket's")
+	}
+
+	// One class of weight 64 at g = 1/8 puts weights 64..71 in τB unit 8;
+	// every edge crosses (vertices 0–3 on one side, 4–7 on the other) and
+	// the matching is empty, so the bucket is the whole edge list in order.
+	prm := Params{}.WithDefaults()
+	side := []bool{false, false, false, false, true, true, true, true}
+	tau := TauPair{AUnits: []int{0, 0}, BUnits: []int{8}}
+	key := func(edges []graph.Edge) string {
+		t.Helper()
+		inc := NewIncIndex(8, edges, []float64{64}, prm)
+		if err := inc.BeginRound(ParametrizeWithSide(8, edges, graph.NewMatching(8), side)); err != nil {
+			t.Fatal(err)
+		}
+		if got := inc.View(0).B(8); !edgeSlicesEqual(got, edges) {
+			t.Fatalf("unit-8 bucket %v, want the whole edge list %v", got, edges)
+		}
+		return string(inc.View(0).PairKey(tau, nil))
+	}
+	baseKey := key(base)
+	if got := key(slices.Clone(base)); got != baseKey {
+		t.Fatal("equal buckets: PairKeys differ")
+	}
+	for _, vr := range variants {
+		if key(vr.edges) == baseKey {
+			t.Errorf("%s: PairKey equals the base bucket's", vr.name)
+		}
 	}
 }
 
