@@ -9,9 +9,11 @@
 // E1..E14, E18 and E20 — the registry in internal/bench is the authority,
 // and an unknown id's error message lists it). With -json the tables are
 // additionally written to FILE as machine-readable JSON (the BENCH_*.json
-// format the perf ledger tracks across PRs). Every experiment that runs a
-// reduction driver runs the cross-round amortised pipeline (the E12b
-// counters table shows its probe, cache, delta and repair activity).
+// format the perf ledger tracks across PRs); its seed and trials are the
+// ones the experiments ran with (-seed 0 runs seed 1, -trials ≤ 0 runs 5).
+// Every experiment that runs a reduction driver runs the cross-round
+// amortised pipeline (the E12b counters table shows its probe, cache,
+// delta and repair activity).
 package main
 
 import (
@@ -78,14 +80,15 @@ func run(args []string) error {
 	experiments, seed, trials := &f.experiments, &f.seed, &f.trials
 	quick, jsonPath := &f.quick, &f.jsonPath
 
-	cfg := bench.Config{Seed: *seed, Trials: *trials, Quick: *quick}
+	// The report records what the experiments run with, not the flags.
+	cfg := bench.Config{Seed: *seed, Trials: *trials, Quick: *quick}.WithDefaults()
 	registry := bench.Registry()
 
 	ids := bench.IDs()
 	if *experiments != "" {
 		ids = strings.Split(*experiments, ",")
 	}
-	report := jsonReport{Seed: *seed, Trials: *trials, Quick: *quick}
+	report := jsonReport{Seed: cfg.Seed, Trials: cfg.Trials, Quick: cfg.Quick}
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		runner, ok := registry[id]

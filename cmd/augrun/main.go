@@ -15,8 +15,9 @@
 // approx, streaming and mpc run the cross-round amortised pipeline with
 // all of its differential machinery on (delta-chained builds,
 // Hopcroft–Karp repair, the round link); it returns the naive path's
-// matching bit for bit, so no flag selects it. The golden -help test
-// (TestHelpGolden) pins the flag surface against drift.
+// matching bit for bit, so no flag selects it. -granularity takes 0 (the
+// default, 1/8) or a value in [1/4096, 1/2] and refuses anything else. The
+// golden -help test (TestHelpGolden) pins the flag surface against drift.
 //
 // The reduction-driven algorithms (approx, streaming, mpc) print the full
 // core.Stats counter ledger, one key=value pair per counter, generated by
@@ -35,6 +36,7 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/layered"
 )
 
 func main() {
@@ -109,6 +111,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if *snapshot != "" && *algo != "approx" {
 		return fmt.Errorf("-snapshot is only supported by -algo approx")
+	}
+	if err := layered.CheckGranularity(*granularity); err != nil {
+		return fmt.Errorf("-granularity: %w", err)
 	}
 
 	var r io.Reader = stdin

@@ -156,3 +156,33 @@ func TestJSONRoundTripsStats(t *testing.T) {
 		t.Fatalf("stats did not round-trip:\n got %s\nwant %s", again, norm.String())
 	}
 }
+
+// TestGranularityFlag: -granularity takes 0 or a value in [1/4096, 1/2].
+// Anything else is refused with an error naming the flag before the graph
+// is read: NaN used to panic in the incremental index, 0.51 and -1 ran
+// silently at 1/8, and 1e-9 ran out of memory building its classes.
+func TestGranularityFlag(t *testing.T) {
+	path := writeTestGraph(t)
+	for _, g := range []string{"NaN", "0.51", "-1", "1e-9", "0.0002", "+Inf", "-Inf"} {
+		var out bytes.Buffer
+		err := run([]string{"-algo", "approx", "-granularity", g, "-input", path}, nil, &out)
+		if err == nil || !strings.Contains(err.Error(), "-granularity") {
+			t.Errorf("-granularity %s: err = %v, want a refusal naming the flag", g, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-granularity %s: refused run printed %q", g, out.String())
+		}
+	}
+	// 1/4096 is accepted but runs approx for half a minute even on this
+	// graph, so the floor is checked through an algorithm that ignores it.
+	for _, c := range []struct{ algo, g string }{
+		{"approx", "0"}, {"approx", "0.5"}, {"greedy", "0.000244140625"},
+	} {
+		var out bytes.Buffer
+		if err := run([]string{"-algo", c.algo, "-granularity", c.g, "-input", path}, nil, &out); err != nil {
+			t.Errorf("-algo %s -granularity %s: %v", c.algo, c.g, err)
+		} else if !strings.Contains(out.String(), "weight=") {
+			t.Errorf("-algo %s -granularity %s: output %q", c.algo, c.g, out.String())
+		}
+	}
+}

@@ -31,6 +31,9 @@
 //	                it holds the last tick's state, and "pending" reports
 //	                the queued ops it leaves out (tick before snapshotting)
 //
+// -granularity takes 0 (the default, 1/8) or a value in [1/4096, 1/2] and
+// refuses anything else, as augrun's does.
+//
 // With -tick > 0 the server also ticks on a timer, logging a failed tick
 // to standard error (/stats counts it in failed-ticks); with -tick 0 (the
 // default) ticks happen only on
@@ -363,6 +366,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if cfg.resume && cfg.snapshot == "" {
 		return fmt.Errorf("-resume requires -snapshot")
+	}
+	if err := layered.CheckGranularity(cfg.granularity); err != nil {
+		return fmt.Errorf("-granularity: %w", err)
 	}
 	cfg.opts = cfg.options()
 

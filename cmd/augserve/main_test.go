@@ -656,3 +656,35 @@ func TestListeningLineReportsResumedGraph(t *testing.T) {
 		t.Fatalf("listening line %q, want %q", lines[1], want)
 	}
 }
+
+// TestGranularityFlag: augserve shares augrun's -granularity check. A bad
+// value is refused with an error naming the flag before the graph is read
+// (NaN used to panic building the index, 0.51 and -1 served silently at
+// 1/8); an accepted one gets as far as the listening line, where the
+// unusable -addr makes run return without serving.
+func TestGranularityFlag(t *testing.T) {
+	input := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(input, []byte("p 4 3\n0 1 4\n1 2 5\n2 3 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []string{"NaN", "0.51", "-1", "1e-9", "+Inf"} {
+		var out bytes.Buffer
+		err := run([]string{"-granularity", g, "-input", input, "-addr", "127.0.0.1:99999"}, nil, &out)
+		if err == nil || !strings.Contains(err.Error(), "-granularity") {
+			t.Errorf("-granularity %s: err = %v, want a refusal naming the flag", g, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-granularity %s: refused run printed %q", g, out.String())
+		}
+	}
+	for _, g := range []string{"0", "0.5", "0.000244140625"} {
+		var out bytes.Buffer
+		err := run([]string{"-granularity", g, "-input", input, "-addr", "127.0.0.1:99999"}, nil, &out)
+		if err == nil || strings.Contains(err.Error(), "-granularity") {
+			t.Errorf("-granularity %s: err = %v, want only the listen failure", g, err)
+		}
+		if !strings.HasPrefix(out.String(), "listening on 127.0.0.1:99999 (n=4 m=3)") {
+			t.Errorf("-granularity %s: output %q", g, out.String())
+		}
+	}
+}

@@ -21,7 +21,7 @@ import (
 // choices (augmenting cycles need long blown-up walks and exact bucket
 // alignment at coarse granularity).
 func E11Ablations(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 
 	layersTable := Table{
 		ID:     "E11",

@@ -22,7 +22,9 @@ type Config struct {
 	Quick bool
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the configuration an experiment actually runs: a
+// Trials ≤ 0 becomes 5 and a Seed of 0 becomes 1.
+func (c Config) WithDefaults() Config {
 	if c.Trials <= 0 {
 		c.Trials = 5
 	}

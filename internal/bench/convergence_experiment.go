@@ -13,7 +13,7 @@ import (
 // convergence toward the optimum (each round closes a constant expected
 // fraction of the remaining gap while the matching is not (1−ε)-optimal).
 func E12Convergence(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := 120
 	if cfg.Quick {

@@ -117,7 +117,7 @@ func runEditStream(g *graph.Graph, opts core.Options, seed int64, updates []*cor
 // the edits riding the cross-round chains (MutationDeltaBuilds) instead of
 // resetting them.
 func E18EditStream(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nBand, count := 240, 50
 	if cfg.Quick {

@@ -14,7 +14,7 @@ import (
 // budget independent of n, and the ratio improves as the granularity
 // (effective ε) shrinks.
 func E4MultipassWeighted(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sizes := []int{60, 120, 240}
 	if cfg.Quick {
@@ -104,7 +104,7 @@ func E4MultipassWeighted(cfg Config) []Table {
 // O(m/n) machines and near-linear per-machine memory; rounds are counted by
 // the simulator.
 func E5MPCWeighted(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sizes := []int{60, 120, 240}
 	if cfg.Quick {
@@ -153,7 +153,7 @@ func E5MPCWeighted(cfg Config) []Table {
 // with the predicted frequency, and the full driver solves alternating
 // cycles of growing length.
 func E8LayeredCapture(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	cap4 := Table{
 		ID:     "E8",
 		Title:  "Lemma 4.12 / Sec 1.1.2 — augmenting-cycle capture",
@@ -231,7 +231,7 @@ func E8LayeredCapture(cfg Config) []Table {
 // subroutine, independent of n — measured as total MPC rounds divided by
 // the subroutine's own round count.
 func E10Overhead(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sizes := []int{50, 100, 200}
 	if cfg.Quick {

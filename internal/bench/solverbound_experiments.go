@@ -76,7 +76,7 @@ func solverBoundTable(id, title, claim string, runs []solverBoundRun) Table {
 // with a raised MaxPairsPerClass so the pair limit does not clip the dense
 // classes.
 func E13SolverBound(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n, rounds := 240, 3
 	if cfg.Quick {
@@ -102,7 +102,7 @@ func E13SolverBound(cfg Config) []Table {
 // layered graphs each span the full crossing subgraph — the round is
 // effectively repeated maximum-cardinality solves.
 func E14UniformClass(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n, rounds := 1000, 8
 	if cfg.Quick {

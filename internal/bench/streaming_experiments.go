@@ -17,7 +17,7 @@ import (
 // the sorted greedy (offline 1/2-approx) and the local-ratio algorithm run
 // over the same random stream ([PS17], also a 1/2-approx).
 func E1RandomArrivalWeighted(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sizes := []int{200, 500, 1000}
 	if cfg.Quick {
@@ -93,7 +93,7 @@ func E1RandomArrivalWeighted(cfg Config) []Table {
 // algorithm beats greedy's 1/2 on hard instances (chains of 3-augmenting
 // paths) under random arrivals.
 func E2RandomArrivalUnweighted(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	segs := []int{100, 300, 1000}
 	if cfg.Quick {
@@ -129,7 +129,7 @@ func E2RandomArrivalUnweighted(cfg Config) []Table {
 // 3-augmenting paths in the stream, Unw-3-Aug-Paths recovers at least
 // (beta^2/32)*|M| using O(|M|) space.
 func E3ThreeAugPaths(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	k := 400
 	if cfg.Quick {
@@ -169,7 +169,7 @@ func E3ThreeAugPaths(cfg Config) []Table {
 // stack S and the post-freeze set T hold O(n log n) edges, while adversarial
 // (ascending weight) order blows the stack up towards m.
 func E6SpaceUsage(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sizes := []int{100, 200, 400}
 	if cfg.Quick {

@@ -116,7 +116,7 @@ func RunStreamScaleRow(dir string, n, m int, maxw int64, seed int64) (ScaleStats
 // code, and the BenchmarkRandArrArena/BenchmarkRandArrNaive pair in
 // internal/randarrival times the same runs.
 func E20StreamScale(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 
 	scale := Table{
 		ID:    "E20",

@@ -14,7 +14,7 @@ import (
 // augmentation, so the count of filter-passing-but-lossy augmentations must
 // be zero; it also reports how selective the filter is.
 func E7FilterSoundness(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	t := Table{
 		ID:     "E7",
@@ -58,7 +58,7 @@ func E7FilterSoundness(cfg Config) []Table {
 // function of granularity and layer budget, and the soundness of the
 // enumeration (every pair satisfies all six constraints).
 func E9TauPairs(cfg Config) []Table {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	t := Table{
 		ID:     "E9",
 		Title:  "Table 1 — good (τA, τB) pair enumeration",

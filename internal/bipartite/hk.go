@@ -9,17 +9,18 @@
 //
 // For the amortised pipeline the exact solver also runs retained:
 // HopcroftKarpRetained keeps the adjacency CSR and result arena of each
-// solve, and RepairHK patches that retained state into the next
-// instance's solve when the caller proves (via layered.DeltaInfo, which
-// names the baseline build and the byte-shared suffix of the L' edge
-// list) that most of the instance is unchanged. The repaired solve is
-// bit-identical to a fresh one — same matching, same phase count —
-// because the patched CSR is byte-identical to the rebuilt one (Invariant
-// 21). A baseline that is missing, foreign, or inconsistent is rejected
-// with one of the three ErrRepair* sentinels (NoBase, Stale, Info) and
-// the caller re-solves cold — the solver rung of core's degradation
-// ladder; together with the four layered.ErrDelta* sentinels these are
-// the ladder's seven recoverable sentinels.
+// solve, and RepairHK builds the next instance's CSR on top of it when the
+// caller proves (via layered.DeltaInfo, which names the baseline build and
+// the byte-shared prefix of the L' edge list) that most of the instance is
+// unchanged. Every exact solve lays out its CSR through one builder: a
+// cold solve keeps no prefix, a repair keeps the shared one and derives the
+// rest. So the repaired CSR is byte-identical to the cold one and the
+// repaired solve is bit-identical to a fresh one — same matching, same
+// phase count (Invariant 21). A baseline that is missing, foreign, or
+// inconsistent is rejected with one of the three ErrRepair* sentinels
+// (NoBase, Stale, Info) and the caller re-solves cold — the solver rung of
+// core's degradation ladder; together with the four layered.ErrDelta*
+// sentinels these are the ladder's seven recoverable sentinels.
 package bipartite
 
 import (
@@ -89,8 +90,8 @@ type Scratch struct {
 
 	// Repair retention (repair.go): token identifies the latest retained
 	// solve (0 = none), prevN/prevM its instance shape; off2/to2/eidx2 are
-	// the double-buffered CSR the patch writes into before swapping; out is
-	// the arena-owned result matching retained solves hand back.
+	// the spare CSR a build that keeps a prefix writes into before swapping;
+	// out is the arena-owned result matching retained solves hand back.
 	token uint64
 	prevN int
 	prevM int
@@ -163,55 +164,90 @@ func (s *Scratch) sizeVerts(n int) {
 	s.iter = s.iter[:n]
 }
 
-// prepare sizes the arena for b and builds the CSR adjacency of the left
-// vertices (entries keep b's edge order per vertex, matching the iteration
-// order of the former slice-of-slices adjacency).
-func (s *Scratch) prepare(b *Bip) {
+// build sizes the arena for b and lays out the CSR adjacency of its left
+// vertices, every row in ascending edge order. Rows below keptVerts start
+// with their entries for edges below keptEdges, copied from the arena's
+// current CSR (rows fill in edge order, so those are a row's leading
+// entries); every other entry is derived from b.Edges[keptEdges:]. A cold
+// solve keeps nothing, build(b, 0, 0), and writes the primary arrays in
+// place; a build that keeps entries reads them from the primary arrays, so
+// it writes the spare off2/to2/eidx2 buffers and swaps them in. One
+// routine with two prefixes is why a repaired CSR is byte-identical to a
+// cold one (Invariant 21).
+func (s *Scratch) build(b *Bip, keptVerts, keptEdges int) {
 	n, m := b.N, len(b.Edges)
+	kv, ke := int32(keptVerts), int32(keptEdges)
+	keep := kv > 0 && ke > 0
+	off, to, eidx := s.off, s.to, s.eidx
+	if keep {
+		off, to, eidx = s.off2, s.to2, s.eidx2
+	} else {
+		// No row keeps an entry below edge 0, and off is written in place,
+		// over the offsets a kept row would read.
+		kv = 0
+	}
 	// The off gate is deliberately separate from the per-vertex arrays':
-	// the repair path swaps the CSR buffers (patch), so their capacities
-	// evolve independently and a coupled reallocation would leave one side
-	// undersized.
-	if cap(s.off) < n+1 {
-		s.off = make([]int32, n+1)
+	// the swap below makes the capacities evolve independently, and a
+	// coupled reallocation would leave one side undersized.
+	if cap(off) < n+1 {
+		off = make([]int32, n+1)
 	}
-	s.off = s.off[:n+1]
+	off = off[:n+1]
+	if cap(to) < m {
+		to, eidx = make([]int32, m), make([]int32, m)
+	}
+	to, eidx = to[:m], eidx[:m]
 	s.sizeVerts(n)
-	if cap(s.to) < m {
-		s.to = make([]int32, m)
-		s.eidx = make([]int32, m)
-	}
-	s.to, s.eidx = s.to[:m], s.eidx[:m]
 	s.queue = s.queue[:0]
 
-	for i := range s.off {
-		s.off[i] = 0
-	}
-	for _, e := range b.Edges {
+	// Derived degrees first (s.dist doubles as the cursor array and is
+	// reinitialised by every BFS), then one pass over the vertices that
+	// lays out offsets and copies each kept row's leading entries in the
+	// same sweep. Vertices at or past keptVerts keep nothing: by the
+	// RepairInfo contract every kept edge has both endpoints below it.
+	cur := s.dist
+	clear(cur)
+	for _, e := range b.Edges[ke:] {
 		l := e.U
 		if b.Side[l] {
 			l = e.V
 		}
-		s.off[l+1]++
+		cur[l]++
 	}
-	for v := 0; v < n; v++ {
-		s.off[v+1] += s.off[v]
+	pos := int32(0)
+	for v := int32(0); v < int32(n); v++ {
+		off[v] = pos
+		if v < kv {
+			lo, hi := s.off[v], s.off[v+1]
+			if lo < hi && s.eidx[hi-1] < ke {
+				// Whole row kept (entries ascend by edge index): bulk copy.
+				copy(eidx[pos:], s.eidx[lo:hi])
+				pos += int32(copy(to[pos:], s.to[lo:hi]))
+			} else {
+				for j := lo; j < hi && s.eidx[j] < ke; j++ {
+					to[pos], eidx[pos] = s.to[j], s.eidx[j]
+					pos++
+				}
+			}
+		}
+		d := cur[v]
+		cur[v] = pos // derived entries land after the kept ones
+		pos += d
 	}
-	// Fill entries; s.dist doubles as the per-vertex cursor here and is
-	// reinitialised by every BFS.
-	cur := s.dist
-	for v := 0; v < n; v++ {
-		cur[v] = s.off[v]
-	}
-	for i, e := range b.Edges {
+	off[n] = pos
+	for i := int(ke); i < m; i++ {
+		e := b.Edges[i]
 		l, r := e.U, e.V
 		if b.Side[l] {
 			l, r = r, l
 		}
-		s.to[cur[l]] = int32(r)
-		s.eidx[cur[l]] = int32(i)
+		to[cur[l]], eidx[cur[l]] = int32(r), int32(i)
 		cur[l]++
 	}
+	if keep {
+		s.off2, s.to2, s.eidx2 = s.off, s.to, s.eidx
+	}
+	s.off, s.to, s.eidx = off, to, eidx
 }
 
 // boundedHK runs HK phases while the shortest augmenting path length is at
@@ -223,7 +259,7 @@ func boundedHK(b *Bip, maxLen int, s *Scratch, seeds []Seed) Result {
 		s = NewScratch()
 	}
 	s.token = 0
-	s.prepare(b)
+	s.build(b, 0, 0)
 	phases := s.run(b, maxLen, seeds)
 	m := new(graph.Matching)
 	m.FillFromSolver(b.N, b.Side, s.matchL, s.matchR, s.matchEdge, b.Edges)
@@ -231,7 +267,7 @@ func boundedHK(b *Bip, maxLen int, s *Scratch, seeds []Seed) Result {
 }
 
 // run executes the Hopcroft–Karp phase loop over the arena's current CSR
-// (left behind by prepare or patch), starting from the empty matching,
+// (left behind by build), starting from the empty matching,
 // optionally installing seeds first. It returns the phase count; the
 // matching is left in the arena's matchL/matchR/matchEdge state.
 func (s *Scratch) run(b *Bip, maxLen int, seeds []Seed) int {

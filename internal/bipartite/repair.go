@@ -4,22 +4,23 @@ package bipartite
 // differential layered-graph builder (layered.BuildDelta). The amortised
 // reduction solves chains of instances that differ from their predecessor
 // only in a rebuilt suffix of the edge list (with a stable vertex-id
-// prefix, Invariant 19), yet every HopcroftKarpScratch call rebuilds the
-// whole CSR adjacency from scratch and allocates a fresh result matching.
-// RepairHK patches the retained CSR instead — copying the shared-prefix
-// rows and rebuilding only the suffix entries — and then runs the standard
-// phase loop from the empty matching over the patched CSR.
+// prefix, Invariant 19). RepairHK keeps the retained CSR rows of that
+// shared prefix and derives only the suffix entries, then runs the
+// standard phase loop from the empty matching; it also hands back the
+// arena-owned result matching instead of allocating one.
 //
-// Because the patched CSR is byte-identical to the one prepare would build
-// (same offsets, same per-row entry order), the phase loop's execution is
+// A cold solve is the repair that keeps nothing: both lay out their CSR
+// through the one builder, (*Scratch).build, with an empty or a shared
+// prefix, so the repaired CSR is byte-identical to the cold one (same
+// offsets, same per-row entry order) and the phase loop's execution is
 // bit-for-bit the cold solve's: the same matching, the same phase count,
 // the same tie-breaks (Invariant 21, repair-equals-fresh). Re-augmenting
-// from a retained previous matching was considered and rejected: the warm
-//-start measurements (PR 3 ledger) showed the reduction's layered graphs
+// from a retained previous matching was considered and rejected: the
+// warm-start measurements on E13 showed the reduction's layered graphs
 // run ~1 phase per call, so there are no phases to save, and a seeded
-// search returns a different (equally maximum) matching, which would break
-// the differential suite's bit-identity. The repair's win is the setup
-// cost, exactly where the E13 counters located it.
+// search returns a different (equally maximum) matching, which would
+// break the differential suite's bit-identity. The repair's win is
+// the setup cost, exactly where the E13 counters located it.
 
 import (
 	"errors"
@@ -34,7 +35,7 @@ import (
 // contract; the arena is left untouched (beyond the cleared retention
 // token where noted) and the caller must fall back to a full solve.
 var (
-	// ErrRepairNoBase: the scratch holds no retained solve to patch — the
+	// ErrRepairNoBase: the scratch holds no retained solve to build on — the
 	// first solve of a chain must use HopcroftKarpRetained.
 	ErrRepairNoBase = errors.New("bipartite: RepairHK needs a previous retained solve as baseline")
 	// ErrRepairStale: info.BaseToken does not name the scratch's latest
@@ -62,8 +63,8 @@ var solveTokens atomic.Uint64
 //
 // The contract is deliberately round-agnostic: BaseToken names a solve, not
 // a round, and solveTokens issues globally unique values, so a baseline
-// recorded before a bipartition redraw stays patchable afterwards — the
-// chain extends across rounds for free once the layered side can prove a
+// recorded before a bipartition redraw stays usable afterwards — the chain
+// extends across rounds for free once the layered side can prove a
 // shared prefix across the redraw (the IncView change clocks, PR 7:
 // stability of a kept segment's bucket implies its side entries are
 // unchanged too, which is exactly the "same identity and side" clause
@@ -96,22 +97,20 @@ func HopcroftKarpRetained(b *Bip, s *Scratch) Result {
 	if s == nil {
 		s = NewScratch()
 	}
-	s.prepare(b)
-	phases := s.run(b, math.MaxInt32, nil)
-	return s.retain(b, phases)
+	s.build(b, 0, 0)
+	return s.retain(b, s.run(b, math.MaxInt32, nil))
 }
 
 // RepairHK solves b exactly like HopcroftKarpRetained, but builds the CSR
-// by patching the retained baseline instead of from scratch: the rows of
-// the KeptVerts shared vertices keep their kept-prefix entries (copied
-// without re-deriving orientation), and only the suffix edges
-// b.Edges[KeptEdges:] are scanned. The patched CSR is byte-identical to
-// what prepare would build, so the returned matching AND phase count are
-// bit-for-bit those of a cold solve (Invariant 21); the saving is the
-// setup, not the phases. The returned matching is arena-owned, as with
-// HopcroftKarpRetained. A non-nil error means the baseline cannot be
-// patched (see the ErrRepair* conditions) and the caller should solve via
-// HopcroftKarpRetained instead.
+// on top of the retained baseline instead of from scratch: the rows of the
+// KeptVerts shared vertices keep their kept-prefix entries (copied without
+// re-deriving orientation), and only the suffix edges b.Edges[KeptEdges:]
+// are scanned. The CSR is byte-identical to a cold solve's, so the returned
+// matching AND phase count are bit-for-bit those of a cold solve
+// (Invariant 21); the saving is the setup, not the phases. The returned
+// matching is arena-owned, as with HopcroftKarpRetained. A non-nil error
+// means the baseline cannot be built on (see the ErrRepair* conditions) and
+// the caller should solve via HopcroftKarpRetained instead.
 func RepairHK(b *Bip, s *Scratch, info RepairInfo) (Result, error) {
 	if s == nil || s.token == 0 {
 		return Result{}, ErrRepairNoBase
@@ -129,9 +128,8 @@ func RepairHK(b *Bip, s *Scratch, info RepairInfo) (Result, error) {
 		info.KeptEdges < 0 || info.KeptEdges > len(b.Edges) || info.KeptEdges > s.prevM {
 		return Result{}, ErrRepairInfo
 	}
-	s.patch(b, info)
-	phases := s.run(b, math.MaxInt32, nil)
-	return s.retain(b, phases), nil
+	s.build(b, info.KeptVerts, info.KeptEdges)
+	return s.retain(b, s.run(b, math.MaxInt32, nil)), nil
 }
 
 // retain records the solve as the arena's repair baseline and hands the
@@ -144,86 +142,4 @@ func (s *Scratch) retain(b *Bip, phases int) Result {
 	}
 	s.out.FillFromSolver(b.N, b.Side, s.matchL, s.matchR, s.matchEdge, b.Edges)
 	return Result{M: s.out, Phases: phases}
-}
-
-// patch builds the CSR for b from the retained baseline CSR: per-row
-// kept-prefix entries are copied verbatim (rows are filled in edge order,
-// so a row's kept entries are exactly its leading entries with edge index
-// under KeptEdges), suffix entries are derived from b.Edges[KeptEdges:]
-// the way prepare derives all of them. The result lands in the primary
-// off/to/eidx arrays via a buffer swap; per-row entry order is kept-prefix
-// entries (ascending edge index) followed by suffix entries (ascending),
-// i.e. ascending overall — exactly prepare's order.
-func (s *Scratch) patch(b *Bip, info RepairInfo) {
-	n, m := b.N, len(b.Edges)
-	kv, ke := int32(info.KeptVerts), int32(info.KeptEdges)
-
-	// Size the secondary CSR buffers and the per-vertex state. The primary
-	// buffers hold the baseline and must not be reallocated here.
-	if cap(s.off2) < n+1 {
-		s.off2 = make([]int32, n+1)
-	}
-	s.off2 = s.off2[:n+1]
-	if cap(s.to2) < m {
-		s.to2 = make([]int32, m)
-		s.eidx2 = make([]int32, m)
-	}
-	s.to2, s.eidx2 = s.to2[:m], s.eidx2[:m]
-	s.sizeVerts(n)
-	s.queue = s.queue[:0]
-
-	// Suffix degrees first (s.dist doubles as the cursor array, as in
-	// prepare), then one pass over the vertices that lays out offsets and
-	// copies each kept row's leading sub-KeptEdges entries in the same
-	// sweep — kept rows are scanned once, not twice. Vertices at or past
-	// KeptVerts have no kept entries by the caller's contract (every
-	// kept-prefix edge has both endpoints under KeptVerts).
-	off2, cur := s.off2, s.dist
-	for v := 0; v < n; v++ {
-		cur[v] = 0
-	}
-	for i := int(ke); i < m; i++ {
-		e := b.Edges[i]
-		l := e.U
-		if b.Side[l] {
-			l = e.V
-		}
-		cur[l]++
-	}
-	pos := int32(0)
-	for v := int32(0); v < int32(n); v++ {
-		off2[v] = pos
-		if v < kv {
-			lo, hi := s.off[v], s.off[v+1]
-			if lo < hi && s.eidx[hi-1] < ke {
-				// Whole row kept (entries ascend by edge index): bulk copy.
-				pos += int32(copy(s.to2[pos:], s.to[lo:hi]))
-				copy(s.eidx2[off2[v]:], s.eidx[lo:hi])
-			} else {
-				for j := lo; j < hi && s.eidx[j] < ke; j++ {
-					s.to2[pos] = s.to[j]
-					s.eidx2[pos] = s.eidx[j]
-					pos++
-				}
-			}
-		}
-		sd := cur[v]
-		cur[v] = pos // suffix cursor: entries land after the kept ones
-		pos += sd
-	}
-	off2[n] = pos
-	for i := int(ke); i < m; i++ {
-		e := b.Edges[i]
-		l, r := e.U, e.V
-		if b.Side[l] {
-			l, r = r, l
-		}
-		s.to2[cur[l]] = int32(r)
-		s.eidx2[cur[l]] = int32(i)
-		cur[l]++
-	}
-
-	s.off, s.off2 = s.off2, s.off
-	s.to, s.to2 = s.to2, s.to
-	s.eidx, s.eidx2 = s.eidx2, s.eidx
 }

@@ -3,6 +3,7 @@ package bipartite
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -182,4 +183,87 @@ func TestRetainedMatchingOwnership(t *testing.T) {
 		t.Fatal("retained solves should reuse the arena matching")
 	}
 	_ = sizeBefore // the overwrite is the point; nothing else to assert
+}
+
+// TestBuildKeptPrefixMatchesFresh holds the one CSR builder to Invariant
+// 21 at the array level: over chains of random instances, a repair that
+// keeps a contract-respecting prefix must leave off, to and eidx equal to
+// an empty-prefix build of the same instance on a fresh arena. The
+// matching-level differentials can miss an entry-order slip that happens
+// to yield the same matching; this cannot. Every chain step reuses the
+// arena's spare buffers with stale contents, and the test fails unless the
+// cases below all occur: wholly and partly kept rows, KeptVerts > 0 with
+// KeptEdges == 0 (the build writes the primary arrays in place, so it must
+// not read offsets it has already overwritten), and a baseline larger than
+// the new instance.
+func TestBuildKeptPrefixMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	randBip := func(n int, side []bool, edges []graph.Edge, extra int) *Bip {
+		for len(side) < n {
+			side = append(side, rng.Intn(2) == 1)
+		}
+		for i := 0; i < extra; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if side[u] != side[v] {
+				edges = append(edges, graph.Edge{U: u, V: v, W: graph.Weight(1 + rng.Intn(9))})
+			}
+		}
+		return &Bip{N: n, Side: side, Edges: edges}
+	}
+	var whole, partial, vertsOnly, larger int
+	for trial := 0; trial < 300; trial++ {
+		cur := randBip(2+rng.Intn(30), nil, nil, rng.Intn(120))
+		s := NewScratch()
+		HopcroftKarpRetained(cur, s)
+		for step := 0; step < 5; step++ {
+			ke := 0
+			if rng.Intn(4) > 0 {
+				ke = rng.Intn(len(cur.Edges) + 1)
+			}
+			kv := prefixVerts(cur.Edges, ke)
+			kv += rng.Intn(cur.N - kv + 1) // any bound up to the baseline's N
+			n := max(kv, 1+rng.Intn(40))
+			next := randBip(n, append([]bool(nil), cur.Side[:kv]...),
+				append([]graph.Edge(nil), cur.Edges[:ke]...), rng.Intn(120))
+
+			for v := 0; v < kv; v++ {
+				lo, hi := s.off[v], s.off[v+1]
+				switch {
+				case lo == hi:
+				case s.eidx[hi-1] < int32(ke):
+					whole++
+				case s.eidx[lo] < int32(ke):
+					partial++
+				}
+			}
+			if kv > 0 && ke == 0 {
+				vertsOnly++
+			}
+			if cur.N > next.N && len(cur.Edges) > len(next.Edges) {
+				larger++
+			}
+
+			if _, err := RepairHK(next, s, RepairInfo{BaseToken: s.SolveToken(), KeptVerts: kv, KeptEdges: ke}); err != nil {
+				t.Fatalf("trial %d step %d: RepairHK: %v", trial, step, err)
+			}
+			fresh := NewScratch()
+			fresh.build(next, 0, 0)
+			for _, arr := range []struct {
+				name      string
+				got, want []int32
+			}{{"off", s.off, fresh.off}, {"to", s.to, fresh.to}, {"eidx", s.eidx, fresh.eidx}} {
+				if !slices.Equal(arr.got, arr.want) {
+					t.Fatalf("trial %d step %d (kv %d, ke %d): %s = %v, want %v",
+						trial, step, kv, ke, arr.name, arr.got, arr.want)
+				}
+			}
+			cur = next
+		}
+	}
+	if whole == 0 || partial == 0 || vertsOnly == 0 || larger == 0 {
+		t.Fatalf("cases not all covered: whole rows %d, partial rows %d, KeptVerts-only %d, larger baseline %d",
+			whole, partial, vertsOnly, larger)
+	}
+	t.Logf("whole rows %d, partial rows %d, KeptVerts-only builds %d, larger baselines %d",
+		whole, partial, vertsOnly, larger)
 }

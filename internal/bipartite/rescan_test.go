@@ -19,7 +19,7 @@ func hopcroftKarpRescan(b *Bip, s *Scratch, seeds []Seed) Result {
 		s = NewScratch()
 	}
 	s.token = 0
-	s.prepare(b)
+	s.build(b, 0, 0)
 	phases := s.runLoop(b, math.MaxInt32, seeds, true)
 	m := new(graph.Matching)
 	m.FillFromSolver(b.N, b.Side, s.matchL, s.matchR, s.matchEdge, b.Edges)

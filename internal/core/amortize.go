@@ -270,9 +270,9 @@ type repairState struct {
 // solve on this worker — classAugmentations consumes it within the
 // iteration.
 func (rs *repairState) solve(lay *layered.Layered, bip *bipartite.Bip, stats *Stats) (*graph.Matching, int) {
-	// Patch whenever anything is shared: the retained arena saves the
-	// per-solve allocations either way, and the single-scan patch never
-	// costs meaningfully more than a full prepare.
+	// Repair whenever anything is shared: the retained arena saves the
+	// per-solve allocations either way, and a CSR build that keeps a prefix
+	// never costs meaningfully more than one that keeps none.
 	if d := lay.Delta; d.Valid && rs.baseTok != 0 && d.BaseSeq == rs.baseSeq && d.KeptLPrime > 0 {
 		info := bipartite.RepairInfo{
 			BaseToken: rs.baseTok,

@@ -423,9 +423,11 @@ type classWorker struct {
 	scratch *layered.Scratch
 
 	// repair is the default configuration's exact solver: Hopcroft–Karp
-	// retained on a worker-private arena, patching the previous solve's
-	// CSR for delta-built instances. Amortised classes swap in their own
-	// class-private repairState (amortClassCtx.rep). Nil when
+	// retained on a worker-private arena. It serves only the naive path
+	// and the cold re-run of a quarantined class, whose builds are never
+	// deltas, so every solve on it is a full HopcroftKarpRetained; the
+	// repair chain runs on the class-private repairState amortised
+	// classes swap in (amortClassCtx.rep). Nil when
 	// Options.PhasedSolverFactory installs the solver.
 	repair *repairState
 

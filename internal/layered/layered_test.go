@@ -1,6 +1,7 @@
 package layered
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -333,5 +334,31 @@ func TestBestAugmentationRejectsLossy(t *testing.T) {
 	}
 	if _, _, ok := BestAugmentation(m, w); ok {
 		t.Error("negative-gain walk produced an augmentation")
+	}
+}
+
+// TestGranularityDefaultsAndCheck: WithDefaults treats NaN like any other
+// unusable granularity (NaN used to survive it and reach NewIncIndex as a
+// huge negative unit count), and CheckGranularity accepts exactly 0 and
+// [1/4096, 1/2], the range the commands let through.
+func TestGranularityDefaultsAndCheck(t *testing.T) {
+	for _, g := range []float64{math.NaN(), 0, -1, 0.51, math.Inf(1), math.Inf(-1)} {
+		p := Params{Granularity: g}.WithDefaults()
+		if p.Granularity != 0.125 {
+			t.Errorf("WithDefaults(%v).Granularity = %v, want 0.125", g, p.Granularity)
+		}
+		if !CanIndexIncrementally(Params{Granularity: g}) {
+			t.Errorf("granularity %v defaults to 1/8 but cannot index incrementally", g)
+		}
+	}
+	for _, g := range []float64{0, 0.5, 0.125, 1.0 / 62, 1.0 / 4096} {
+		if err := CheckGranularity(g); err != nil {
+			t.Errorf("CheckGranularity(%v) = %v, want nil", g, err)
+		}
+	}
+	for _, g := range []float64{math.NaN(), -1, 0.51, 1e-9, math.Nextafter(1.0/4096, 0), math.Inf(1), math.Inf(-1)} {
+		if err := CheckGranularity(g); err == nil {
+			t.Errorf("CheckGranularity(%v) = nil, want a refusal", g)
+		}
 	}
 }

@@ -45,6 +45,8 @@
 // BuildIndexed alone.
 package layered
 
+import "fmt"
+
 // Params collects the discretisation parameters of the layered-graph
 // construction.
 type Params struct {
@@ -62,9 +64,10 @@ type Params struct {
 	SumCap float64
 }
 
-// WithDefaults fills zero fields with the default configuration.
+// WithDefaults fills zero fields with the default configuration. A
+// granularity that is NaN, not positive or above 1/2 counts as unset.
 func (p Params) WithDefaults() Params {
-	if p.Granularity <= 0 || p.Granularity > 0.5 {
+	if !(p.Granularity > 0) || p.Granularity > 0.5 {
 		p.Granularity = 0.125
 	}
 	if p.MaxLayers < 2 {
@@ -82,4 +85,20 @@ func (p Params) Units() (maxU, capU int) {
 	maxU = int(1/p.Granularity + 0.5)
 	capU = int(p.SumCap/p.Granularity + 1e-9)
 	return maxU, capU
+}
+
+// minGranularity is the finest granularity CheckGranularity accepts.
+// core.ClassWeights adds one anchored weight class per unit, so the class
+// count, and with it every round's sweep, grows with 1/g.
+const minGranularity = 1.0 / 4096
+
+// CheckGranularity refuses a granularity a caller asks for explicitly that
+// WithDefaults would silently replace or that no run can afford: it accepts
+// 0 (the default, 1/8) or a value in [1/4096, 1/2]. The commands check
+// their -granularity flag with it.
+func CheckGranularity(g float64) error {
+	if g == 0 || (g >= minGranularity && g <= 0.5) {
+		return nil
+	}
+	return fmt.Errorf("granularity %v is neither 0 (the default, 1/8) nor in [1/4096, 1/2]", g)
 }
